@@ -32,6 +32,7 @@ from .exact import (
     Scalar,
     Series,
     as_scalar,
+    int_from_json,
     is_zero_scalar,
     monomial,
     poly,
@@ -223,11 +224,11 @@ def cfraction_from_json(obj) -> CFraction:
     if raw == "terminated":
         status: Status = Terminated()
     elif isinstance(raw, dict) and set(raw) == {"truncated"}:
-        status = Truncated(int(raw["truncated"]))
+        status = Truncated(int_from_json(raw["truncated"], "truncated order"))
     else:
         raise ValueError(f"unknown status encoding: {raw!r}")
     return CFraction(
         tuple(scalar_from_json(v) for v in obj["a"]),
-        tuple(int(e) for e in obj["q"]),
+        tuple(int_from_json(e, "exponent") for e in obj["q"]),
         status,
     )

@@ -21,12 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .catalog import catalog_cfraction, report_to_json, verify_claims
 from .cfrac import cfraction_from_json, cfraction_to_json, correspond, evaluate
 from .closedform import Convention, DEFAULT_CONVENTION, dense_to_json, dense_transform_of
-from .exact import DomainError, scalar_to_json, series_from_json, series_to_json
+from .exact import (
+    DomainError,
+    scalar_from_json,
+    scalar_to_json,
+    series_from_json,
+    series_to_json,
+)
 from .hankel_oracle import hankel_transform
 
 USAGE_ERROR = 2
@@ -143,7 +148,7 @@ def _run_compare(args) -> int:
 
 
 def _run_catalog(args) -> int:
-    gamma = Fraction(args.gamma) if args.gamma is not None else None
+    gamma = scalar_from_json(args.gamma) if args.gamma is not None else None
     cf = catalog_cfraction(args.name, gamma=gamma, terms=args.terms)
     _emit(cfraction_to_json(cf))
     return 0

@@ -60,6 +60,10 @@ class MultiplicityConflict(DomainError):
     """Two positions collided with different values: sign-convention bug."""
 
 
+class IndexProfileMismatch(DomainError):
+    """Index partial sums disagree with their generating function: a bug."""
+
+
 class Convention(str, Enum):
     """Sign normalization of the closed-form monomial.
 
@@ -132,7 +136,11 @@ def index_profile(q: Sequence[int], count: int | None = None) -> IndexProfile:
     # G carrying q_1, q_2, ...: its n-th coefficient is the sum of q~_k
     # over k = n, n-2, n-4, ...
     for n in range(last + 1):
-        assert sum(qtilde[k] for k in range(n % 2, n + 1, 2)) == m[n]
+        expected = sum(qtilde[k] for k in range(n % 2, n + 1, 2))
+        if expected != m[n]:
+            raise IndexProfileMismatch(
+                f"index sum m_{n} = {m[n]}, its generating function gives {expected}"
+            )
     return IndexProfile(tuple(qtilde), tuple(p), tuple(m), tuple(v - 1 for v in m))
 
 

@@ -567,19 +567,36 @@ def _invert_constant(c0: Scalar) -> Scalar:
     )
 
 
-def series_reciprocal(f: Series) -> Series:
-    """Multiplicative inverse, exact through the operand's trusted order."""
-    inv0 = _invert_constant(f.coeffs[0])
-    out: list[Scalar] = [as_scalar(inv0)]
-    for k in range(1, f.order + 1):
-        acc: Scalar = Fraction(0)
+def _reciprocal_coeffs(cs, inv0) -> list:
+    """Coefficients of 1/f from those of f, given inv0 = 1/f_0."""
+    out = [inv0]
+    for k in range(1, len(cs)):
+        acc = 0
         for j in range(1, k + 1):
-            c = f.coeffs[j]
-            if is_zero_scalar(c):
+            c = cs[j]
+            if c == 0:
                 continue
             acc = acc + c * out[k - j]
         out.append(-(inv0 * acc))
-    return Series(tuple(out), f.order)
+    return out
+
+
+def series_reciprocal(f: Series) -> Series:
+    """Multiplicative inverse, exact through the operand's trusted order.
+
+    A series with integer coefficients and constant term +-1 has an integer
+    reciprocal, which is computed over ``int`` and returned as Fractions.
+    """
+    c0 = f.coeffs[0]
+    if (c0 == 1 or c0 == -1) and all(
+        isinstance(c, Fraction) and c.denominator == 1 for c in f.coeffs
+    ):
+        ints = [c.numerator for c in f.coeffs]
+        # a constant term of +-1 is its own inverse
+        out = tuple(Fraction(v) for v in _reciprocal_coeffs(ints, ints[0]))
+        return Series(out, f.order)
+    inv0 = as_scalar(_invert_constant(c0))
+    return Series(tuple(_reciprocal_coeffs(f.coeffs, inv0)), f.order)
 
 
 def series_shift_down(f: Series, k: int) -> Series:
@@ -606,14 +623,26 @@ def scalar_to_json(value: Scalar):
     raise ValueError(f"{value} has no wire format (unreduced quotient)")
 
 
+def int_from_json(obj, what: str) -> int:
+    """A JSON integer; bools and floats are refused, never coerced."""
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ValueError(f"{what} must be an integer, got {obj!r}")
+    return obj
+
+
+def _rational_from_json(obj) -> Fraction:
+    if isinstance(obj, bool) or not isinstance(obj, (str, int)):
+        raise ValueError(f"not a scalar encoding: {obj!r}")
+    try:
+        return Fraction(obj)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {obj!r}") from None
+
+
 def scalar_from_json(obj) -> Scalar:
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, int):
-        return Fraction(obj)
     if isinstance(obj, dict) and set(obj) == {"coeffs"}:
-        return simplify_scalar(ParamPoly(Fraction(c) for c in obj["coeffs"]))
-    raise ValueError(f"not a scalar encoding: {obj!r}")
+        return simplify_scalar(ParamPoly(_rational_from_json(c) for c in obj["coeffs"]))
+    return _rational_from_json(obj)
 
 
 def series_to_json(f: Series) -> dict:
@@ -624,9 +653,7 @@ def series_from_json(obj) -> Series:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("series encoding must be an object with 'coeffs'")
     coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
-    order = obj.get("order", len(coeffs) - 1)
-    if not isinstance(order, int):
-        raise ValueError("series order must be an integer")
+    order = int_from_json(obj.get("order", len(coeffs) - 1), "series order")
     if len(coeffs) != order + 1:
         raise ValueError("series coefficient count does not match its order")
     return Series(tuple(coeffs), order)

@@ -5,9 +5,14 @@ seq[i + j], so it needs 2n + 1 leading terms.  Determinants are computed
 by fraction-free (Bareiss) elimination, which stays inside the coefficient
 domain: every division it performs is exact over an integral domain, and
 an inexact one aborts loudly because it can only mean broken scalar
-arithmetic.  The same code path serves plain rationals and
-gamma-polynomials, which keeps symbolic intermediate growth under control
-compared to rational-function elimination.
+arithmetic.  One elimination serves every domain; only the exact division
+differs.  A matrix whose entries are all integers, as every integral
+catalog sequence gives, is eliminated over Python ``int`` with ``divmod``
+checking each division.  Any other matrix, with a non-integral rational
+or a gamma-polynomial entry, is eliminated over ``Fraction`` and
+``ParamPoly``, which keeps symbolic intermediate growth under control
+compared to rational-function elimination.  The route is read off the
+entries alone; the result is a ``Fraction`` or ``ParamPoly`` either way.
 
 ``hankel_transform`` is the reference every closed-form value in this
 package is judged against.  A naive cofactor expansion is included purely
@@ -72,11 +77,48 @@ def _exact_div(num: Scalar, den: Scalar) -> Scalar:
     raise InexactDivision(f"cannot divide by {den!r} inside the domain")
 
 
+def _exact_div_int(num: int, den: int) -> int:
+    quotient, remainder = divmod(num, den)
+    if remainder:
+        raise InexactDivision(f"{num} is not divisible by {den}")
+    return quotient
+
+
+def _bareiss(m: list[list], one, div):
+    """Determinant of the square matrix ``m``, eliminated in place.
+
+    ``one`` is the unit of the entries' domain and ``div`` its exact
+    division.  Zero pivots are repaired by a signed row exchange; a fully
+    zero pivot column settles the determinant as 0 immediately.
+    """
+    n = len(m)
+    sign = 1
+    prev = one
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for r in range(k + 1, n):
+                if m[r][k] != 0:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot = m[k][k]
+        for i in range(k + 1, n):
+            row_i = m[i]
+            head = row_i[k]
+            for j in range(k + 1, n):
+                row_i[j] = div(pivot * row_i[j] - head * m[k][j], prev)
+        prev = pivot
+    result = m[n - 1][n - 1]
+    return -result if sign < 0 else result
+
+
 def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     """Fraction-free elimination determinant over rationals or polynomials.
 
-    Zero pivots are repaired by a signed row exchange; a fully zero pivot
-    column settles the determinant as 0 immediately.
+    All-integer matrices are eliminated over ``int``; the value is returned
+    as a ``Fraction`` all the same.
     """
     n = len(rows)
     if n == 0:
@@ -84,28 +126,10 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     m = [[as_scalar(v) for v in row] for row in rows]
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev: Scalar = Fraction(1)
-    for k in range(n - 1):
-        if is_zero_scalar(m[k][k]):
-            for r in range(k + 1, n):
-                if not is_zero_scalar(m[r][k]):
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Fraction(0)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = _exact_div(pivot * row_i[j] - head * m[k][j], prev)
-        prev = pivot
-    result = m[n - 1][n - 1]
-    if sign < 0:
-        result = -result
-    return simplify_scalar(result)
+    if all(isinstance(v, Fraction) and v.denominator == 1 for row in m for v in row):
+        ints = [[v.numerator for v in row] for row in m]
+        return Fraction(_bareiss(ints, 1, _exact_div_int))
+    return simplify_scalar(_bareiss(m, Fraction(1), _exact_div))
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> Scalar:
@@ -137,6 +161,8 @@ def hankel_det(seq: Sequence, n: int) -> Scalar:
 
 def hankel_transform(seq: Sequence, max_n: int) -> list[Scalar]:
     """(h_0, ..., h_max_n): the determinant of each leading Hankel matrix."""
+    if max_n < 0:
+        raise ValueError("max_n must be non-negative")
     if len(seq) < 2 * max_n + 1:
         raise InsufficientTerms(
             f"transform to order {max_n} needs {2 * max_n + 1} terms, "

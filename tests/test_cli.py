@@ -150,6 +150,42 @@ class TestExitCodes:
         code, _, _ = run(capsys, "expand", "--series", str(path))
         assert code == 2
 
+    def test_zero_denominator_coefficient(self, capsys, monkeypatch):
+        blob = json.dumps({"coeffs": ["1", "1/0", "2"]})
+        monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+        code, out, err = run(capsys, "hankel", "--series", "-", "--max-n", "1")
+        assert code == 2
+        assert out == "" and "zero denominator" in err
+
+    def test_zero_denominator_gamma(self, capsys):
+        code, out, err = run(capsys, "catalog", "rogers-ramanujan", "--gamma", "1/0")
+        assert code == 2
+        assert out == "" and "zero denominator" in err
+
+    def test_negative_max_n(self, tmp_path, capsys):
+        path = tmp_path / "catalan.json"
+        path.write_text(json.dumps({"coeffs": ["1", "1", "2", "5", "14"], "order": 4}))
+        code, out, _ = run(capsys, "hankel", "--series", str(path), "--max-n", "-3")
+        assert code == 2
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "q, status",
+        [
+            ([1.5, 2.9], "terminated"),
+            ([True, 1], "terminated"),
+            ([1, 2], {"truncated": True}),
+            ([1, 2], {"truncated": 4.0}),
+        ],
+        ids=["float-exponents", "bool-exponent", "bool-order", "float-order"],
+    )
+    def test_non_integer_fraction_fields(self, tmp_path, capsys, q, status):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"a": ["1", "1"], "q": q, "status": status}))
+        code, out, err = run(capsys, "closed", "--cfraction", str(path), "--max-n", "4")
+        assert code == 2
+        assert out == "" and "integer" in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "expand", "--series", "/nonexistent/series.json")
         assert code == 2

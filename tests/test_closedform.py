@@ -4,9 +4,11 @@ from fractions import Fraction
 import pytest
 
 from cfhankel.cfrac import CFraction, Terminated, evaluate
+from cfhankel import closedform
 from cfhankel.closedform import (
     Convention,
     DEFAULT_CONVENTION,
+    IndexProfileMismatch,
     MultiplicityConflict,
     NegativePExponent,
     PFraction,
@@ -95,6 +97,17 @@ class TestIndexProfile:
             for n in range(1, len(prof.p)):
                 assert prof.m[n] - prof.m[n - 1] == prof.p[n]
                 assert prof.p[n] + prof.p[n - 1] == prof.qtilde[n]
+
+    def test_generating_function_check_is_not_an_assert(self, monkeypatch):
+        # a wrong p-sequence must be caught by the explicit check, which
+        # unlike an assert still runs under python -O
+        def skewed(qtilde, count=None):
+            p = p_sequence(qtilde, count)
+            return p[:-1] + [p[-1] + 1]
+
+        monkeypatch.setattr(closedform, "p_sequence", skewed)
+        with pytest.raises(IndexProfileMismatch):
+            index_profile([1, 2, 3])
 
 
 class TestCoefficientConversion:

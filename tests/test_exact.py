@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfhankel.exact import (
     GAMMA,
@@ -167,6 +168,16 @@ class TestSeries:
             if f.coeffs[0] == 0:
                 continue
             assert series_reciprocal(series_reciprocal(f)) == f
+
+    @given(
+        st.sampled_from([1, -1]),
+        st.lists(st.integers(-6, 6), max_size=14),
+    )
+    def test_integral_unit_reciprocal(self, c0, tail):
+        f = series([c0] + tail)
+        rec = series_reciprocal(f)
+        assert all(isinstance(c, Fraction) for c in rec.coeffs)
+        assert series_mul(f, rec) == series_one(f.order)
 
     def test_valuation(self):
         assert series_valuation(series([0, 0, 3, 1], 3)) == 2

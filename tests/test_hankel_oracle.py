@@ -2,8 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cfhankel.exact import GAMMA, ParamPoly, series_eval_gamma, series
+from cfhankel import hankel_oracle
+from cfhankel.exact import GAMMA, InexactDivision, ParamPoly, series_eval_gamma, series
 from cfhankel.hankel_oracle import (
     HankelMatrix,
     InsufficientTerms,
@@ -120,3 +122,74 @@ class TestTransform:
         seq = [rand_fraction(rng) for _ in range(9)]
         transform = hankel_transform(seq, 4)
         assert transform == [hankel_det(seq, n) for n in range(5)]
+
+
+@st.composite
+def int_matrices(draw, max_size=5):
+    """Small integer matrices, many singular or with zero leading pivots.
+
+    Entries are drawn from a narrow range so that zeros and repeated rows are
+    common; ``shape`` then forces a dependent last row (a singular matrix) or
+    zeroes the first column above the last row (a row swap at the first step).
+    """
+    n = draw(st.integers(1, max_size))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+    shape = draw(st.sampled_from(["as-drawn", "singular", "zero-lead"]))
+    if shape == "singular":
+        rows[-1] = [2 * v for v in rows[0]] if n > 1 else [0]
+    elif shape == "zero-lead":
+        for row in rows[:-1]:
+            row[0] = 0
+    return [[Fraction(v) for v in row] for row in rows]
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+class TestIntegerRoute:
+    def test_exact_division_helper(self):
+        assert hankel_oracle._exact_div_int(-12, 4) == -3
+        with pytest.raises(InexactDivision):
+            hankel_oracle._exact_div_int(7, 2)
+        with pytest.raises(InexactDivision):
+            hankel_oracle._exact_div_int(-7, 2)
+
+    def test_integer_matrix_avoids_rational_division(self, monkeypatch):
+        def refuse(num, den):
+            raise AssertionError("integer matrix took the rational route")
+
+        monkeypatch.setattr(hankel_oracle, "_exact_div", refuse)
+        rows = hankel_matrix([1, 1, 2, 5, 14, 42, 132], 3).rows
+        det = matrix_det(rows)
+        assert det == 1 and isinstance(det, Fraction)
+
+    @given(int_matrices())
+    def test_matches_cofactor(self, rows):
+        det = matrix_det(rows)
+        assert isinstance(det, Fraction)
+        assert det == det_cofactor(rows)
+
+    @given(int_matrices())
+    def test_matches_sympy(self, sympy, rows):
+        expected = sympy.Matrix([[int(v) for v in row] for row in rows]).det()
+        assert matrix_det(rows) == Fraction(int(expected))
+
+    @given(int_matrices(max_size=4), st.data())
+    def test_one_non_integral_entry_takes_rational_route(self, rows, data):
+        n = len(rows)
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] += Fraction(1, data.draw(st.integers(2, 5)))
+
+        def refuse(num, den):
+            raise AssertionError("non-integral matrix took the integer route")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(hankel_oracle, "_exact_div_int", refuse)
+            det = matrix_det(rows)
+        assert det == det_cofactor(rows)
