@@ -55,6 +55,7 @@ from .exact import (
     series,
     series_from_json,
     series_mul,
+    series_quotient,
     series_reciprocal,
     series_to_json,
     series_valuation,

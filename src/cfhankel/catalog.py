@@ -46,8 +46,7 @@ from .exact import (
     poly,
     scalar_eval_gamma,
     scalar_to_json,
-    series_mul,
-    series_reciprocal,
+    series_quotient,
     simplify_scalar,
 )
 from .hankel_oracle import hankel_det, hankel_transform
@@ -151,7 +150,7 @@ def expand_rational_gf(numer: Poly | Sequence, denom: Poly | Sequence, count: in
     if bottom.is_zero or bottom.coeff(0) == 0:
         raise ZeroConstantDenominator("denominator must not vanish at 0")
     order = count - 1
-    expansion = series_mul(top.to_series(order), series_reciprocal(bottom.to_series(order)))
+    expansion = series_quotient(top.to_series(order), bottom.to_series(order))
     return [simplify_scalar(c) for c in expansion.coeffs]
 
 

@@ -12,18 +12,21 @@ truncation window allows; :func:`approximants` and
 :func:`determinant_identity_residual` expose the classical approximant
 recurrences and the cross-product identity they satisfy.
 
-Extraction works on the reciprocal of the input: writing 1/g = 1 + r(x),
-the leading term of r gives (a_1, q_1), and the next level is the
-reciprocal of r with that monomial divided out.  Each division by x^q
-shrinks the window of trusted coefficients by q, so a term is emitted
-exactly when its leading coefficient is pinned by the data supplied:
-q_1 + ... + q_n never exceeds the input's trusted order.
+Extraction is a Euclid-style ratio step (Jones & Thron 1980): with the
+reciprocal of the current tail held as num/den, den(0) = 1, the first
+nonzero term a x^q of num - den gives (a, q), and the next level is
+den / ((num - den) / (a x^q)).  Each division by x^q shrinks the window
+of trusted coefficients by q, so a term is emitted exactly when its
+leading coefficient is pinned by the data supplied: q_1 + ... + q_n
+never exceeds the input's trusted order.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .exact import (
     DomainError,
@@ -33,14 +36,15 @@ from .exact import (
     Series,
     as_scalar,
     int_from_json,
+    invert_scalar,
     is_zero_scalar,
+    list_from_json,
     monomial,
     poly,
     scalar_from_json,
     scalar_to_json,
-    series_add,
     series_one,
-    series_reciprocal,
+    series_quotient,
     series_scale,
     series_shift_down,
     series_sub,
@@ -70,6 +74,10 @@ class Truncated:
     """Extraction stopped at the edge of the trusted input window."""
 
     reliable_order: int
+
+    def __post_init__(self):
+        if int_from_json(self.reliable_order, "reliable order") < 0:
+            raise ValueError(f"reliable order must be non-negative, got {self.reliable_order}")
 
 
 Status = Terminated | Truncated
@@ -113,45 +121,45 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
     """
     if f.coeffs[0] != 1:
         raise ConstantTermNotOne(f"series starts with {f.coeffs[0]}, expected 1")
-    current = series_reciprocal(f)
+    # the reciprocal of the current tail is num/den, with den(0) = 1
+    num, den = series_one(f.order), f
     a: list[Scalar] = []
     q: list[int] = []
     while True:
-        remainder = series_sub(current, series_one(current.order))
-        v = series_valuation(remainder)
+        diff = series_sub(num, den)
+        v = series_valuation(diff)
         if v is None:
             status = Terminated() if exact else Truncated(f.order)
             return CFraction(tuple(a), tuple(q), status)
-        lead = remainder.coeffs[v]
+        lead = diff.coeffs[v]
         if isinstance(lead, ParamPoly) and lead.degree >= 1:
             raise NonInvertibleLeadingScalar(
                 f"leading coefficient {lead} cannot be inverted in the polynomial ring"
             )
         a.append(lead)
         q.append(v)
-        cofactor = series_shift_down(remainder, v)
-        current = series_scale(series_reciprocal(cofactor), lead)
+        num = Series(den.coeffs[: diff.order - v + 1], diff.order - v)
+        den = series_scale(series_shift_down(diff, v), invert_scalar(lead))
 
 
 def evaluate(cf: CFraction, order: int) -> Series:
-    """Taylor expansion of the fraction, built bottom-up at fixed order.
+    """Taylor expansion of the fraction as one series quotient B_n/A_n.
 
     For a Truncated fraction the expansion agrees with the series it was
     extracted from only through the recorded reliable order, so the result
     is capped there; a Terminated fraction is an exact rational function
-    and expands to any requested order.
+    and expands to any requested order.  n counts the terms with
+    q_1 + ... + q_n <= cap; the n-th approximant agrees with the whole
+    fraction through x^(q_1 + ... + q_(n+1) - 1), so later terms cannot
+    reach the result.  Cost: O(cap) per term, plus one O(cap^2) quotient.
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")
     cap = order
     if isinstance(cf.status, Truncated):
         cap = min(order, cf.status.reliable_order)
-    tail = series_one(cap)
-    for ak, qk in zip(reversed(cf.a), reversed(cf.q)):
-        level = series_reciprocal(tail)
-        shifted = (Fraction(0),) * qk + tuple(c * ak for c in level.coeffs)
-        tail = series_add(series_one(cap), Series(shifted[: cap + 1], cap))
-    return series_reciprocal(tail)
+    pair = approximants(cf, bisect_right(list(accumulate(cf.q)), cap))
+    return series_quotient(pair.B.to_series(cap), pair.A.to_series(cap))
 
 
 @dataclass(frozen=True)
@@ -164,18 +172,16 @@ class ApproximantPair:
 
 
 def approximants(cf: CFraction, n: int) -> ApproximantPair:
-    """A_0 = B_0 = 1; A_1 = 1 + a_1 x^q_1, B_1 = 1; then the two-term
-    recurrences A_n = A_{n-1} + a_n x^q_n A_{n-2} and likewise for B."""
+    """A_0 = B_0 = 1 and, from A_{-1} = 1, B_{-1} = 0, the two-term
+    recurrences A_n = A_{n-1} + a_n x^q_n A_{n-2} and likewise for B
+    (so A_1 = 1 + a_1 x^q_1, B_1 = 1)."""
     if not 0 <= n <= len(cf):
         raise IndexOutOfRange(f"approximant {n} of a {len(cf)}-term fraction")
     one = poly([1])
-    if n == 0:
-        return ApproximantPair(one, one, 0)
-    a_prev, b_prev = one, one
-    a_cur = one + monomial(cf.a[0], cf.q[0])
-    b_cur = one
-    for k in range(2, n + 1):
-        term = monomial(cf.a[k - 1], cf.q[k - 1])
+    a_prev, b_prev = one, poly([])
+    a_cur, b_cur = one, one
+    for k in range(n):
+        term = monomial(cf.a[k], cf.q[k])
         a_cur, a_prev = a_cur + term * a_prev, a_cur
         b_cur, b_prev = b_cur + term * b_prev, b_cur
     return ApproximantPair(a_cur, b_cur, n)
@@ -224,11 +230,11 @@ def cfraction_from_json(obj) -> CFraction:
     if raw == "terminated":
         status: Status = Terminated()
     elif isinstance(raw, dict) and set(raw) == {"truncated"}:
-        status = Truncated(int_from_json(raw["truncated"], "truncated order"))
+        status = Truncated(raw["truncated"])
     else:
         raise ValueError(f"unknown status encoding: {raw!r}")
     return CFraction(
-        tuple(scalar_from_json(v) for v in obj["a"]),
-        tuple(int_from_json(e, "exponent") for e in obj["q"]),
+        tuple(scalar_from_json(v) for v in list_from_json(obj["a"], "partial numerators")),
+        tuple(int_from_json(e, "exponent") for e in list_from_json(obj["q"], "exponents")),
         status,
     )

@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Sequence
 
 from .cfrac import CFraction
@@ -127,11 +128,7 @@ def index_profile(q: Sequence[int], count: int | None = None) -> IndexProfile:
         raise ValueError(f"need {last} exponents, got {len(exps)}")
     qtilde = [1] + exps[:last]
     p = p_sequence(qtilde)
-    m: list[int] = []
-    acc = 0
-    for v in p:
-        acc += v
-        m.append(acc)
+    m = list(accumulate(p))
     # cross-check against the generating function (1 + x*G(x))/(1 - x^2),
     # G carrying q_1, q_2, ...: its n-th coefficient is the sum of q~_k
     # over k = n, n-2, n-4, ...
@@ -335,14 +332,10 @@ def dense_transform(
             break
         value = closed_form_value(coeffs, qtilde, m, convention)
         seen = points.get(position)
-        if seen is None:
-            points[position] = ProfilePoint(position, value, 1)
-        else:
-            if seen.value != value:
-                raise MultiplicityConflict(
-                    f"position {position}: {seen.value} vs {value}"
-                )
-            points[position] = ProfilePoint(position, value, seen.multiplicity + 1)
+        if seen is not None and seen.value != value:
+            raise MultiplicityConflict(f"position {position}: {seen.value} vs {value}")
+        count = 1 if seen is None else seen.multiplicity + 1
+        points[position] = ProfilePoint(position, value, count)
     dense: list[Scalar] = [Fraction(0)] * (max_n + 1)
     for pt in points.values():
         dense[pt.n] = pt.value

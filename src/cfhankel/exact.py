@@ -361,11 +361,9 @@ def invert_scalar(value: Scalar) -> Scalar:
 def scalar_pow(base: Scalar, exponent: int) -> Scalar:
     """base**exponent for any integer exponent, staying exact."""
     base = as_scalar(base)
-    if exponent >= 0:
-        return base**exponent
-    if isinstance(base, Fraction):
-        return base**exponent
-    return invert_scalar(base) ** (-exponent) if isinstance(base, ParamPoly) else base**exponent
+    if exponent < 0 and isinstance(base, ParamPoly):
+        return invert_scalar(base) ** (-exponent)
+    return base**exponent
 
 
 def scalar_eval_gamma(value: Scalar, point) -> Fraction:
@@ -429,9 +427,6 @@ class Poly:
             for j, b in enumerate(other.coeffs):
                 out[i + j] = out[i + j] + a * b
         return Poly(out)
-
-    def scale(self, factor: Scalar) -> "Poly":
-        return Poly(c * factor for c in self.coeffs)
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
@@ -503,10 +498,6 @@ def series_one(order: int) -> Series:
     return series([Fraction(1)], order)
 
 
-def series_zero(order: int) -> Series:
-    return series([], order) if order < 0 else series([Fraction(0)], order)
-
-
 def series_add(f: Series, g: Series) -> Series:
     n = min(f.order, g.order)
     return Series(tuple(f.coeffs[k] + g.coeffs[k] for k in range(n + 1)), n)
@@ -515,10 +506,6 @@ def series_add(f: Series, g: Series) -> Series:
 def series_sub(f: Series, g: Series) -> Series:
     n = min(f.order, g.order)
     return Series(tuple(f.coeffs[k] - g.coeffs[k] for k in range(n + 1)), n)
-
-
-def series_neg(f: Series) -> Series:
-    return Series(tuple(-c for c in f.coeffs), f.order)
 
 
 def series_scale(f: Series, factor: Scalar) -> Series:
@@ -567,36 +554,39 @@ def _invert_constant(c0: Scalar) -> Scalar:
     )
 
 
-def _reciprocal_coeffs(cs, inv0) -> list:
-    """Coefficients of 1/f from those of f, given inv0 = 1/f_0."""
-    out = [inv0]
-    for k in range(1, len(cs)):
-        acc = 0
+def _quotient_coeffs(ns, ds, inv0) -> list:
+    """Coefficients of num/den from those of num and den, given inv0 = 1/den_0."""
+    out = []
+    for k, acc in enumerate(ns):
         for j in range(1, k + 1):
-            c = cs[j]
-            if c == 0:
+            d = ds[j]
+            if d == 0:
                 continue
-            acc = acc + c * out[k - j]
-        out.append(-(inv0 * acc))
+            acc = acc - d * out[k - j]
+        out.append(inv0 * acc)
     return out
 
 
-def series_reciprocal(f: Series) -> Series:
-    """Multiplicative inverse, exact through the operand's trusted order.
+def series_quotient(num: Series, den: Series) -> Series:
+    """num/den, exact through the smaller trusted order of the operands.
 
-    A series with integer coefficients and constant term +-1 has an integer
-    reciprocal, which is computed over ``int`` and returned as Fractions.
+    When both operands have integer coefficients and den starts with +-1, the
+    quotient is integral; it is computed over ``int`` and returned as Fractions.
     """
-    c0 = f.coeffs[0]
-    if (c0 == 1 or c0 == -1) and all(
-        isinstance(c, Fraction) and c.denominator == 1 for c in f.coeffs
-    ):
-        ints = [c.numerator for c in f.coeffs]
+    n = min(num.order, den.order)
+    ns, ds = num.coeffs[: n + 1], den.coeffs[: n + 1]
+    d0 = ds[0]
+    if d0 in (1, -1) and all(isinstance(c, Fraction) and c.denominator == 1 for c in ns + ds):
         # a constant term of +-1 is its own inverse
-        out = tuple(Fraction(v) for v in _reciprocal_coeffs(ints, ints[0]))
-        return Series(out, f.order)
-    inv0 = as_scalar(_invert_constant(c0))
-    return Series(tuple(_reciprocal_coeffs(f.coeffs, inv0)), f.order)
+        ints = _quotient_coeffs([c.numerator for c in ns], [c.numerator for c in ds], d0.numerator)
+        return Series(tuple(Fraction(v) for v in ints), n)
+    inv0 = as_scalar(_invert_constant(d0))
+    return Series(tuple(_quotient_coeffs(ns, ds, inv0)), n)
+
+
+def series_reciprocal(f: Series) -> Series:
+    """Multiplicative inverse, exact through the operand's trusted order."""
+    return series_quotient(series_one(f.order), f)
 
 
 def series_shift_down(f: Series, k: int) -> Series:
@@ -630,6 +620,13 @@ def int_from_json(obj, what: str) -> int:
     return obj
 
 
+def list_from_json(obj, what: str) -> list:
+    """A JSON list; strings and objects are refused, never iterated."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a list, got {obj!r}")
+    return obj
+
+
 def _rational_from_json(obj) -> Fraction:
     if isinstance(obj, bool) or not isinstance(obj, (str, int)):
         raise ValueError(f"not a scalar encoding: {obj!r}")
@@ -641,7 +638,8 @@ def _rational_from_json(obj) -> Fraction:
 
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, dict) and set(obj) == {"coeffs"}:
-        return simplify_scalar(ParamPoly(_rational_from_json(c) for c in obj["coeffs"]))
+        coeffs = list_from_json(obj["coeffs"], "polynomial coefficients")
+        return simplify_scalar(ParamPoly(_rational_from_json(c) for c in coeffs))
     return _rational_from_json(obj)
 
 
@@ -652,7 +650,7 @@ def series_to_json(f: Series) -> dict:
 def series_from_json(obj) -> Series:
     if not isinstance(obj, dict) or "coeffs" not in obj:
         raise ValueError("series encoding must be an object with 'coeffs'")
-    coeffs = [scalar_from_json(c) for c in obj["coeffs"]]
+    coeffs = [scalar_from_json(c) for c in list_from_json(obj["coeffs"], "series coefficients")]
     order = int_from_json(obj.get("order", len(coeffs) - 1), "series order")
     if len(coeffs) != order + 1:
         raise ValueError("series coefficient count does not match its order")

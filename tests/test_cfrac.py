@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfhankel.cfrac import (
     ApproximantPair,
@@ -21,14 +22,92 @@ from cfhankel.cfrac import (
 )
 from cfhankel.exact import (
     GAMMA,
+    DomainError,
+    ParamPoly,
+    Series,
     poly,
     series,
+    series_add,
     series_eval_gamma,
     series_mul,
+    series_one,
     series_reciprocal,
+    series_scale,
+    series_shift_down,
+    series_sub,
+    series_to_json,
+    series_valuation,
 )
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796, 58786, 208012]
+
+
+def reference_correspond(f, exact=False):
+    """Extraction by one full series reciprocal per emitted term."""
+    if f.coeffs[0] != 1:
+        raise ConstantTermNotOne(f"series starts with {f.coeffs[0]}, expected 1")
+    current = series_reciprocal(f)
+    a, q = [], []
+    while True:
+        remainder = series_sub(current, series_one(current.order))
+        v = series_valuation(remainder)
+        if v is None:
+            status = Terminated() if exact else Truncated(f.order)
+            return CFraction(tuple(a), tuple(q), status)
+        lead = remainder.coeffs[v]
+        if isinstance(lead, ParamPoly) and lead.degree >= 1:
+            raise NonInvertibleLeadingScalar(f"leading coefficient {lead}")
+        a.append(lead)
+        q.append(v)
+        current = series_scale(series_reciprocal(series_shift_down(remainder, v)), lead)
+
+
+def reference_evaluate(cf, order):
+    """Expansion built bottom-up, one series reciprocal per term."""
+    if order < 0:
+        raise ValueError("expansion order must be non-negative")
+    cap = order
+    if isinstance(cf.status, Truncated):
+        cap = min(order, cf.status.reliable_order)
+    tail = series_one(cap)
+    for ak, qk in zip(reversed(cf.a), reversed(cf.q)):
+        level = series_reciprocal(tail)
+        shifted = (Fraction(0),) * qk + tuple(c * ak for c in level.coeffs)
+        tail = series_add(series_one(cap), Series(shifted[: cap + 1], cap))
+    return series_reciprocal(tail)
+
+
+def outcome(fn, *args):
+    """The result of fn(*args), or the type of the DomainError it raised."""
+    try:
+        return fn(*args)
+    except DomainError as exc:
+        return type(exc)
+
+
+def same_series(got, want):
+    assert got == want
+    assert series_to_json(got) == series_to_json(want)
+
+
+NONZERO_RATIONALS = st.builds(
+    lambda sign, p, q: Fraction(sign * p, q),
+    st.sampled_from([1, -1]),
+    st.integers(1, 9),
+    st.integers(1, 9),
+)
+GAMMA_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(ParamPoly).filter(
+    lambda v: not v.is_zero
+)
+STATUSES = st.one_of(st.just(Terminated()), st.builds(Truncated, st.integers(0, 30)))
+
+
+@st.composite
+def cfractions(draw, numerators):
+    n = draw(st.integers(0, 10))
+    a = draw(st.lists(numerators, min_size=n, max_size=n))
+    q = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    return CFraction(tuple(a), tuple(q), draw(STATUSES))
 
 
 def rand_cfraction(rng, max_terms=6):
@@ -234,3 +313,74 @@ class TestSerialization:
     def test_bad_status(self):
         with pytest.raises(ValueError):
             cfraction_from_json({"a": [], "q": [], "status": "later"})
+
+
+class TestEquivalenceWithReciprocalPaths:
+    """evaluate and correspond against the one-reciprocal-per-term originals."""
+
+    @given(cfractions(NONZERO_RATIONALS), st.integers(0, 30), st.booleans())
+    def test_rational_fractions(self, cf, order, exact):
+        expansion = evaluate(cf, order)
+        same_series(expansion, reference_evaluate(cf, order))
+        assert correspond(expansion, exact) == reference_correspond(expansion, exact)
+
+    @given(cfractions(st.one_of(GAMMA_POLYS, NONZERO_RATIONALS)), st.integers(0, 14))
+    def test_gamma_polynomial_numerators(self, cf, order):
+        expansion = evaluate(cf, order)
+        same_series(expansion, reference_evaluate(cf, order))
+        assert outcome(correspond, expansion) == outcome(reference_correspond, expansion)
+
+    @given(
+        st.lists(st.integers(-4, 4).map(Fraction) | NONZERO_RATIONALS, max_size=8),
+        st.integers(0, 12),
+        st.booleans(),
+    )
+    def test_series_with_zero_tails(self, head, zeros, exact):
+        f = series([1, *head], len(head) + zeros)
+        cf = correspond(f, exact)
+        assert cf == reference_correspond(f, exact)
+        same_series(evaluate(cf, f.order), reference_evaluate(cf, f.order))
+
+    @given(st.lists(GAMMA_POLYS | NONZERO_RATIONALS, max_size=8), st.booleans())
+    def test_symbolic_series(self, tail, exact):
+        f = series([1, *tail])
+        assert outcome(correspond, f, exact) == outcome(reference_correspond, f, exact)
+
+
+class TestTruncationRule:
+    # exponent sums s_1..s_5 = 1, 3, 4, 6, 9
+    CF = CFraction(
+        (Fraction(2), Fraction(-1, 3), Fraction(5), Fraction(1), Fraction(-2)),
+        (1, 2, 1, 2, 3),
+        Terminated(),
+    )
+
+    @pytest.mark.parametrize(
+        "cap, n",
+        [(0, 0), (2, 1), (3, 2), (5, 3), (6, 4), (8, 4), (9, 5), (12, 5)],
+    )
+    def test_prefix_expands_identically(self, cap, n):
+        # s_n <= cap < s_(n+1); cap = 3 has s_2 = cap and s_3 = cap + 1,
+        # cap = 5 has s_4 = cap + 1, cap = 6 has s_4 = cap
+        cf = self.CF
+        assert cf.exponent_sum(n) <= cap
+        assert n == len(cf) or cf.exponent_sum(n + 1) > cap
+        prefix = CFraction(cf.a[:n], cf.q[:n], Terminated())
+        assert evaluate(cf, cap) == evaluate(prefix, cap)
+        capped = CFraction(cf.a, cf.q, Truncated(cap))
+        assert evaluate(capped, 50) == evaluate(prefix, cap)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_term_at_the_cap_is_needed(self, n):
+        # with s_n = cap, dropping the n-th term changes the x^cap coefficient
+        cf = self.CF
+        cap = cf.exponent_sum(n)
+        shorter = CFraction(cf.a[: n - 1], cf.q[: n - 1], Terminated())
+        assert evaluate(cf, cap).coeffs[:cap] == evaluate(shorter, cap).coeffs[:cap]
+        assert evaluate(cf, cap).coeffs[cap] != evaluate(shorter, cap).coeffs[cap]
+
+    def test_negative_reliable_order_rejected(self):
+        with pytest.raises(ValueError):
+            Truncated(-1)
+        with pytest.raises(ValueError):
+            Truncated(True)

@@ -186,6 +186,37 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and "integer" in err
 
+    def test_series_coeffs_must_be_a_list(self, capsys, monkeypatch):
+        # a string used to be read character by character as 1, 1, 2, 5
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"coeffs": "1125"})))
+        code, out, err = run(capsys, "hankel", "--series", "-", "--max-n", "1")
+        assert code == 2
+        assert out == "" and "must be a list" in err
+
+    @pytest.mark.parametrize(
+        "a, q",
+        [([{"coeffs": "12"}], [1]), ("12", [1, 1]), (["1", "1"], "11")],
+        ids=["polynomial-coeffs", "numerators", "exponents"],
+    )
+    def test_fraction_lists_must_be_lists(self, tmp_path, capsys, a, q):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"a": a, "q": q, "status": "terminated"}))
+        code, out, err = run(capsys, "eval", "--cfraction", str(path), "--order", "3")
+        assert code == 2
+        assert out == "" and "must be a list" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("eval", "--order", "4"), ("closed", "--max-n", "4"), ("compare", "--max-n", "4")],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_truncated_order(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"a": ["1", "1"], "q": [1, 1], "status": {"truncated": -5}}))
+        code, out, err = run(capsys, argv[0], "--cfraction", str(path), *argv[1:])
+        assert code == 2
+        assert out == "" and "non-negative" in err
+
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "expand", "--series", "/nonexistent/series.json")
         assert code == 2

@@ -24,6 +24,7 @@ from cfhankel.exact import (
     series_from_json,
     series_mul,
     series_one,
+    series_quotient,
     series_reciprocal,
     series_shift_down,
     series_sub,
@@ -178,6 +179,24 @@ class TestSeries:
         rec = series_reciprocal(f)
         assert all(isinstance(c, Fraction) for c in rec.coeffs)
         assert series_mul(f, rec) == series_one(f.order)
+
+    @given(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+        st.sampled_from([1, -1, 2, Fraction(-1, 3)]),
+        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=12),
+        st.integers(0, 12),
+    )
+    def test_quotient_times_denominator(self, top, d0, tail, order):
+        # integral operands with d0 = +-1 are divided over int, the rest over Fraction
+        num, den = series(top, order), series([d0] + tail, order)
+        quotient = series_quotient(num, den)
+        assert all(isinstance(c, Fraction) for c in quotient.coeffs)
+        assert series_mul(den, quotient) == num
+        assert quotient == series_mul(num, series_reciprocal(den))
+
+    def test_quotient_order_is_the_smaller(self):
+        q = series_quotient(series([1, 2, 3], 2), series([1, -1], 5))
+        assert q == series([1, 3, 6], 2)
 
     def test_valuation(self):
         assert series_valuation(series([0, 0, 3, 1], 3)) == 2
