@@ -61,7 +61,6 @@ from .exact import (
     series_valuation,
 )
 from .hankel_oracle import (
-    HankelMatrix,
     det_cofactor,
     hankel_det,
     hankel_matrix,

@@ -24,9 +24,10 @@ the whole catalog, and the report records its outcome.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import accumulate
 
 from .cfrac import CFraction, Terminated, correspond, evaluate
 from .closedform import (
@@ -47,7 +48,6 @@ from .exact import (
     scalar_eval_gamma,
     scalar_to_json,
     series_quotient,
-    simplify_scalar,
 )
 from .hankel_oracle import hankel_det, hankel_transform
 
@@ -113,26 +113,12 @@ def terms_for_order(name: str, order: int) -> int:
     """Quotients needed so the entry's expansion is exact through ``order``.
 
     The m-term cut agrees with the full fraction strictly below
-    x^(q_1 + ... + q_{m+1}), so quotients are added until that sum clears
-    the requested order.
+    x^(q_1 + ... + q_{m+1}), so the count is the first m whose exponent sum
+    clears the requested order; order + 1 exponents, each at least 1, always
+    reach it.
     """
-    exponents = {
-        "catalan": lambda k: 1,
-        "aerated-catalan": lambda k: 2,
-        "rogers-ramanujan": lambda k: k,
-    }
-    if name == "fibonacci-cf":
-        fib = fibonacci_numbers(order + 3)
-        q = lambda k: fib[k]  # noqa: E731
-    elif name in exponents:
-        q = exponents[name]
-    else:
-        raise UnknownName(f"no catalog entry named {name!r}")
-    terms, agree = 0, 0
-    while agree <= order:
-        terms += 1
-        agree += q(terms)
-    return max(terms, 1)
+    exponents = catalog_cfraction(name, terms=max(order, 0) + 1).q
+    return bisect_right(list(accumulate(exponents)), order) + 1
 
 
 def catalog_series(name: str, order: int, gamma=None):
@@ -141,17 +127,15 @@ def catalog_series(name: str, order: int, gamma=None):
     return evaluate(cf, order)
 
 
-def expand_rational_gf(numer: Poly | Sequence, denom: Poly | Sequence, count: int) -> list[Scalar]:
+def expand_rational_gf(numer: Poly, denom: Poly, count: int) -> list[Scalar]:
     """First ``count`` Taylor coefficients of numer/denom, exact."""
     if count < 1:
         raise ValueError("at least one coefficient must be requested")
-    top = numer if isinstance(numer, Poly) else poly(numer)
-    bottom = denom if isinstance(denom, Poly) else poly(denom)
-    if bottom.is_zero or bottom.coeff(0) == 0:
+    if denom.coeff(0) == 0:
         raise ZeroConstantDenominator("denominator must not vanish at 0")
     order = count - 1
-    expansion = series_quotient(top.to_series(order), bottom.to_series(order))
-    return [simplify_scalar(c) for c in expansion.coeffs]
+    expansion = series_quotient(numer.to_series(order), denom.to_series(order))
+    return [as_scalar(c) for c in expansion.coeffs]
 
 
 # ---------------------------------------------------------------------------
@@ -229,16 +213,9 @@ def select_convention(plan=_ARBITRATION_PLAN) -> tuple[Convention | None, bool]:
     return (surviving[0] if surviving else None), False
 
 
-def _verdict(expected, computed) -> str:
-    return "confirmed" if expected == computed else "refuted"
-
-
-def _scalar_blob(value) -> object:
-    return scalar_to_json(as_scalar(value))
-
-
 def _claim(cid, location, expected, computed, note="") -> Claim:
-    return Claim(cid, location, expected, computed, _verdict(expected, computed), note)
+    verdict = "confirmed" if expected == computed else "refuted"
+    return Claim(cid, location, expected, computed, verdict, note)
 
 
 def _fibonacci_claims(max_n: int, convention: Convention) -> list[Claim]:
@@ -251,7 +228,7 @@ def _fibonacci_claims(max_n: int, convention: Convention) -> list[Claim]:
             "example 1",
             ["1", "1", "-2", "0", "72", "0", "0", "1944000", "0", "0", "0", "0",
              "1547934105600000000"],
-            [_scalar_blob(v) for v in oracle[:13]],
+            [scalar_to_json(v) for v in oracle[:13]],
             note="closed form agrees with the oracle at every position"
             if list(dense.dense) == oracle
             else "closed form and oracle disagree",
@@ -260,7 +237,7 @@ def _fibonacci_claims(max_n: int, convention: Convention) -> list[Claim]:
             "ex1-nonzero-values",
             "example 1",
             ["1", "1", "1", "-2", "72", "1944000"],
-            [_scalar_blob(closed_form_value(cf.a, (1, *cf.q), m, convention))
+            [scalar_to_json(closed_form_value(cf.a, (1, *cf.q), m, convention))
              for m in range(6)],
         ),
     ]
@@ -297,13 +274,13 @@ def _catalan_claims(convention: Convention) -> list[Claim]:
             "ex2-hankel-all-ones",
             "introduction",
             ["1"] * 7,
-            [_scalar_blob(v) for v in oracle],
+            [scalar_to_json(v) for v in oracle],
         ),
         _claim(
             "ex2-series-is-catalan",
             "example 2",
             [str(c) for c in catalan_numbers(13)],
-            [_scalar_blob(v) for v in series.coeffs],
+            [scalar_to_json(v) for v in series.coeffs],
         ),
         _claim(
             "ex2-index-multiset",
@@ -332,13 +309,13 @@ def _aerated_claims(convention: Convention) -> list[Claim]:
             "ex3-hankel-all-ones",
             "example 3",
             ["1"] * 10,
-            [_scalar_blob(v) for v in oracle],
+            [scalar_to_json(v) for v in oracle],
         ),
         _claim(
             "ex3-series-is-aerated-catalan",
             "example 3",
             [str(c) for c in aerated],
-            [_scalar_blob(v) for v in series.coeffs],
+            [scalar_to_json(v) for v in series.coeffs],
         ),
         _claim(
             "ex3-index-set",
@@ -377,8 +354,8 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
     # values further out are judged by the closed form plus rational spot
     # checks of the oracle at gamma = 2 (gamma = 1 cannot separate powers)
     symbolic = evaluate(catalog_cfraction("rogers-ramanujan", terms=5), 6)
-    h2 = simplify_scalar(hankel_det(symbolic.coeffs, 2))
-    h3 = simplify_scalar(hankel_det(symbolic.coeffs, 3))
+    h2 = hankel_det(symbolic.coeffs, 2)
+    h3 = hankel_det(symbolic.coeffs, 3)
     closed2 = closed_form_value(cf.a, qtilde, 2, convention)
     closed3 = closed_form_value(cf.a, qtilde, 3, convention)
     gamma2 = evaluate(catalog_cfraction("rogers-ramanujan", gamma=2, terms=7), 16)
@@ -387,8 +364,8 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
         _claim(
             "ex4-value-depth-2",
             "example 4",
-            _scalar_blob(-(GAMMA**6)),
-            _scalar_blob(h2),
+            scalar_to_json(-(GAMMA**6)),
+            scalar_to_json(h2),
             note=(
                 f"closed form gives {closed2}; at gamma=1 quoted and computed both "
                 f"equal {scalar_eval_gamma(h2, 1)}, at gamma=2 quoted gives "
@@ -401,8 +378,8 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
         _claim(
             "ex4-value-depth-3",
             "example 4",
-            _scalar_blob(GAMMA**12),
-            _scalar_blob(h3),
+            scalar_to_json(GAMMA**12),
+            scalar_to_json(h3),
             note=f"closed form gives {closed3}",
         )
     )
@@ -413,7 +390,7 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
             "ex4-value-depth-4",
             "example 4",
             str(scalar_eval_gamma(GAMMA**32, 2)),
-            _scalar_blob(oracle_g2[6]),
+            scalar_to_json(oracle_g2[6]),
             note=f"position 6 at gamma=2; closed form gives {closed4}, "
             f"which evaluates to {scalar_eval_gamma(closed4, 2)}",
         )
@@ -423,7 +400,7 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
             "ex4-value-depth-5",
             "example 4",
             str(scalar_eval_gamma(GAMMA**52, 2)),
-            _scalar_blob(oracle_g2[8]),
+            scalar_to_json(oracle_g2[8]),
             note=f"position 8 at gamma=2; closed form gives {closed5}, "
             f"which evaluates to {scalar_eval_gamma(closed5, 2)}",
         )

@@ -34,13 +34,11 @@ from .exact import (
     Poly,
     Scalar,
     Series,
-    as_scalar,
     int_from_json,
-    invert_scalar,
-    is_zero_scalar,
     list_from_json,
     monomial,
     poly,
+    ring_scalar,
     scalar_from_json,
     scalar_to_json,
     series_one,
@@ -90,11 +88,11 @@ class CFraction:
     status: Status
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(as_scalar(v) for v in self.a))
+        object.__setattr__(self, "a", tuple(ring_scalar(v) for v in self.a))
         object.__setattr__(self, "q", tuple(self.q))
         if len(self.a) != len(self.q):
             raise ValueError("coefficient and exponent lists differ in length")
-        if any(is_zero_scalar(v) for v in self.a):
+        if any(v == 0 for v in self.a):
             raise ValueError("partial numerators must be nonzero")
         if any(not isinstance(e, int) or e < 1 for e in self.q):
             raise ValueError("exponents must be positive integers")
@@ -139,7 +137,7 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
         a.append(lead)
         q.append(v)
         num = Series(den.coeffs[: diff.order - v + 1], diff.order - v)
-        den = series_scale(series_shift_down(diff, v), invert_scalar(lead))
+        den = series_scale(series_shift_down(diff, v), 1 / lead)
 
 
 def evaluate(cf: CFraction, order: int) -> Series:

@@ -12,14 +12,17 @@ One subcommand per pipeline stage, JSON in and out:
 
 ``-`` means standard input for any file argument.  All numeric input and
 output uses exact "p/q" strings; output is byte-stable for identical
-inputs.  Exit codes: 0 success or agreement, 1 disagreement found by
-compare/verify, 2 usage error, 3 computation error.
+inputs.  ``--order``, ``--max-n`` and ``--terms`` must lie between 0 and
+SIZE_CEILING.  Exit codes: 0 success or agreement, 1 disagreement found by
+compare/verify, 2 usage error, 3 computation error (an unexpected
+exception included, reported as one ``internal error:`` line).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .catalog import catalog_cfraction, report_to_json, verify_claims
@@ -36,6 +39,8 @@ from .hankel_oracle import hankel_transform
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
+# largest --order, --max-n or --terms; the work grows at least quadratically
+SIZE_CEILING = 1000
 
 
 def _read_json(path: str):
@@ -47,6 +52,14 @@ def _read_json(path: str):
 
 def _emit(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+
+
+def size(text: str) -> int:
+    """A size option, refused before any work when outside 0..SIZE_CEILING."""
+    value = int(text)
+    if not 0 <= value <= SIZE_CEILING:
+        raise argparse.ArgumentTypeError(f"{value} is not in 0..{SIZE_CEILING}")
+    return value
 
 
 def _convention_flag(parser: argparse.ArgumentParser) -> None:
@@ -75,29 +88,29 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="expand a continued fraction into a series")
     p.add_argument("--cfraction", required=True, help="fraction JSON file, or -")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=size, required=True)
 
     p = sub.add_parser("hankel", help="determinant transform of a series")
     p.add_argument("--series", required=True, help="series JSON file, or -")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=size, required=True)
 
     p = sub.add_parser("closed", help="closed-form dense transform of a fraction")
     p.add_argument("--cfraction", required=True, help="fraction JSON file, or -")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=size, required=True)
     _convention_flag(p)
 
     p = sub.add_parser("compare", help="oracle vs closed form; exit 0 iff equal")
     p.add_argument("--cfraction", required=True, help="fraction JSON file, or -")
-    p.add_argument("--max-n", type=int, required=True)
+    p.add_argument("--max-n", type=size, required=True)
     _convention_flag(p)
 
     p = sub.add_parser("catalog", help="emit a named example fraction")
     p.add_argument("name")
     p.add_argument("--gamma", help="rational parameter p/q (rogers-ramanujan only)")
-    p.add_argument("--terms", type=int, default=8)
+    p.add_argument("--terms", type=size, default=8)
 
     p = sub.add_parser("verify", help="check all recorded reference values")
-    p.add_argument("--max-n", type=int, default=12)
+    p.add_argument("--max-n", type=size, default=12)
 
     return parser
 
@@ -187,6 +200,12 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as exc:  # exit 1 would read as a disagreement
+        import traceback  # only here: importing it slows every start-up
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+        print(f"internal error: {exc!r} at {where}", file=sys.stderr)
+        return COMPUTATION_ERROR
 
 
 if __name__ == "__main__":

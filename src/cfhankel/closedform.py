@@ -32,16 +32,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .cfrac import CFraction
-from .exact import (
-    DomainError,
-    Scalar,
-    as_scalar,
-    invert_scalar,
-    is_zero_scalar,
-    scalar_pow,
-    scalar_to_json,
-    simplify_scalar,
-)
+from .exact import DomainError, Scalar, as_scalar, scalar_to_json
 
 
 class NegativePExponent(DomainError):
@@ -152,9 +143,9 @@ def b_from_a(a: Sequence) -> list[Scalar]:
     values = [as_scalar(v) for v in a]
     b: list[Scalar] = [Fraction(1)]
     for k, ak in enumerate(values):
-        if is_zero_scalar(ak):
+        if ak == 0:
             raise ZeroCoefficient(f"partial numerator a_{k} is zero")
-        b.append(simplify_scalar(invert_scalar(ak * b[-1])))
+        b.append(as_scalar(1 / (ak * b[-1])))
     return b
 
 
@@ -162,12 +153,9 @@ def a_from_b(b: Sequence) -> list[Scalar]:
     """Inverse of b_from_a: a_k = 1/(b_k * b_{k+1})."""
     values = [as_scalar(v) for v in b]
     for k, v in enumerate(values):
-        if is_zero_scalar(v):
+        if v == 0:
             raise ZeroCoefficient(f"ladder coefficient b_{k} is zero")
-    return [
-        simplify_scalar(invert_scalar(values[k] * values[k + 1]))
-        for k in range(len(values) - 1)
-    ]
+    return [as_scalar(1 / (values[k] * values[k + 1])) for k in range(len(values) - 1)]
 
 
 @dataclass(frozen=True)
@@ -178,7 +166,7 @@ class PFraction:
     p: tuple[int, ...]
 
     def __post_init__(self):
-        if any(is_zero_scalar(v) for v in self.b):
+        if any(v == 0 for v in self.b):
             raise ZeroCoefficient("ladder coefficients must be nonzero")
         if any(v < 0 for v in self.p):
             raise NegativePExponent(self.p.index(min(self.p)), min(self.p))
@@ -218,11 +206,11 @@ def closed_form_from_b(b: Sequence, p: Sequence[int], m: int) -> Scalar:
     value: Scalar = Fraction(-1) if sign_exp % 2 else Fraction(1)
     for i in range(1, m + 1):
         bi = as_scalar(b[i])
-        if is_zero_scalar(bi):
+        if bi == 0:
             raise ZeroCoefficient(f"ladder coefficient b[{i}] is zero")
         exponent = p[i] + 2 * sum(p[j] for j in range(i + 1, m + 1))
-        value = value * scalar_pow(bi, -exponent)
-    return simplify_scalar(value)
+        value = value * bi**-exponent
+    return as_scalar(value)
 
 
 @dataclass(frozen=True)
@@ -247,11 +235,12 @@ class MonomialValue:
     def instantiate(self, a: Sequence) -> Scalar:
         value: Scalar = Fraction(self.sign)
         for e, ak in zip(self.exponents, a):
-            if is_zero_scalar(as_scalar(ak)):
+            ak = as_scalar(ak)
+            if ak == 0:
                 raise ZeroCoefficient("partial numerators must be nonzero")
             if e:
-                value = value * scalar_pow(as_scalar(ak), e)
-        return simplify_scalar(value)
+                value = value * ak**e
+        return as_scalar(value)
 
 
 def closed_form_monomial(

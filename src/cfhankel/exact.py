@@ -9,6 +9,15 @@ Scalars come in three exact forms:
   where a construction needs a symbolic reciprocal without leaving exact
   arithmetic.
 
+All three answer one numeric protocol, so callers use operators and never
+ask which form they hold: ``x == 0``, ``1 / x``, ``x ** n`` for any
+integer n, and ``x / y``, which divides polynomials exactly when no
+remainder is left and into a reduced :class:`PolyFrac` otherwise.
+:func:`as_scalar` gives the normal form: constants are Fractions and a
+quotient with denominator 1 is its numerator.  Series, x-polynomials and
+continued fractions take coefficients of the polynomial ring only and
+refuse a :class:`PolyFrac` when built.
+
 A :class:`Series` couples a coefficient vector with the truncation order
 through which those coefficients are trusted.  Every operation propagates
 the trusted order pessimistically: a result never claims coefficients the
@@ -18,6 +27,7 @@ safe to share between threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -39,6 +49,30 @@ class InexactDivision(DomainError):
     """A division that must be exact left a remainder: a ring-arithmetic bug."""
 
 
+class NonPolynomialCoefficient(DomainError):
+    """A series, polynomial or fraction coefficient is a polynomial quotient."""
+
+
+# ---------------------------------------------------------------------------
+# dense coefficient tuples: gamma-polynomials, x-polynomials and series
+
+
+def _dense_mul(xs, ys, n: int) -> list:
+    """Coefficients 0..n-1 of the product of two dense coefficient tuples."""
+    out = [Fraction(0)] * n
+    for i, a in enumerate(xs[:n]):
+        if a == 0:
+            continue
+        for k, b in enumerate(ys[: n - i], i):
+            out[k] += a * b
+    return out
+
+
+def all_integral(values) -> bool:
+    """Whether every value is an integral Fraction, so ``int`` arithmetic serves."""
+    return all(isinstance(v, Fraction) and v.denominator == 1 for v in values)
+
+
 # ---------------------------------------------------------------------------
 # gamma-polynomials
 
@@ -46,9 +80,7 @@ class InexactDivision(DomainError):
 def _coerce_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {value!r} as a rational coefficient")
 
@@ -107,10 +139,6 @@ class ParamPoly:
         return ParamPoly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly((other,))
-        if not isinstance(other, ParamPoly):
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
@@ -123,27 +151,33 @@ class ParamPoly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return ParamPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return ParamPoly(out)
+        xs, ys = self.coeffs, other.coeffs
+        return ParamPoly(_dense_mul(xs, ys, len(xs) + len(ys) - 1))
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        """The exact quotient when the division leaves no remainder, else a PolyFrac."""
+        if isinstance(other, (int, Fraction)):
+            return self * (1 / Fraction(other))
+        if not isinstance(other, ParamPoly):
+            return NotImplemented
+        quo, rem = self.div_rem(other)
+        return quo if rem.is_zero else PolyFrac(self, other)
+
+    def __rtruediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return ParamPoly((other,)) / self
+        return NotImplemented
+
     def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("ParamPoly power requires a non-negative integer")
+        if not isinstance(exponent, int):
+            raise ValueError("ParamPoly power requires an integer")
+        if exponent < 0:
+            return 1 / self ** -exponent
         acc = ParamPoly((1,))
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                acc = acc * base
-            base = base * base
-            e >>= 1
+        for _ in range(exponent):
+            acc = acc * self
         return acc
 
     def div_rem(self, other: "ParamPoly") -> tuple["ParamPoly", "ParamPoly"]:
@@ -283,9 +317,7 @@ class PolyFrac:
         if not isinstance(exponent, int):
             raise ValueError("PolyFrac power requires an integer")
         if exponent < 0:
-            if self.is_zero:
-                raise ZeroDivisionError("negative power of zero")
-            return PolyFrac(self.den ** (-exponent), self.num ** (-exponent))
+            return 1 / self**-exponent
         return PolyFrac(self.num**exponent, self.den**exponent)
 
     def evaluate(self, value) -> Fraction:
@@ -316,54 +348,31 @@ Scalar = Union[Fraction, ParamPoly, PolyFrac]
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce ints and strings to Fraction; pass exact scalars through."""
-    if isinstance(value, (Fraction, ParamPoly, PolyFrac)):
+    """The normal form of an exact scalar; ints and strings become Fractions.
+
+    A quotient with denominator 1 becomes its numerator, and a polynomial
+    of degree 0 or less its constant.
+    """
+    if isinstance(value, Fraction):
         return value
+    if isinstance(value, PolyFrac):
+        if value.den.degree > 0:
+            return value
+        value = value.num
+    if isinstance(value, ParamPoly):
+        return value if value.degree > 0 else value.constant
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"{value!r} is not an exact scalar")
 
 
-def is_zero_scalar(value: Scalar) -> bool:
-    if isinstance(value, Fraction):
-        return value == 0
-    return value.is_zero
-
-
-def simplify_scalar(value: Scalar) -> Scalar:
-    """Collapse a scalar to its simplest exact representation."""
-    if isinstance(value, PolyFrac):
-        if value.den == _ONE_POLY:
-            value = value.num
-        else:
-            return value
-    if isinstance(value, ParamPoly):
-        if value.degree <= 0:
-            return value.constant
-        return value
-    return as_scalar(value)
-
-
-def invert_scalar(value: Scalar) -> Scalar:
-    """Exact multiplicative inverse; polynomials invert into PolyFrac."""
+def ring_scalar(value) -> Scalar:
+    """as_scalar, refusing a quotient: coefficients of series, x-polynomials
+    and continued fractions stay in the gamma-polynomial ring."""
     value = as_scalar(value)
-    if is_zero_scalar(value):
-        raise ZeroDivisionError("inverse of zero")
-    if isinstance(value, Fraction):
-        return Fraction(1) / value
-    if isinstance(value, ParamPoly):
-        if value.degree == 0:
-            return Fraction(1) / value.constant
-        return PolyFrac(_ONE_POLY, value)
-    return PolyFrac(value.den, value.num)
-
-
-def scalar_pow(base: Scalar, exponent: int) -> Scalar:
-    """base**exponent for any integer exponent, staying exact."""
-    base = as_scalar(base)
-    if exponent < 0 and isinstance(base, ParamPoly):
-        return invert_scalar(base) ** (-exponent)
-    return base**exponent
+    if isinstance(value, PolyFrac):
+        raise NonPolynomialCoefficient(f"coefficient {value} is not a polynomial in gamma")
+    return value
 
 
 def scalar_eval_gamma(value: Scalar, point) -> Fraction:
@@ -385,8 +394,8 @@ class Poly:
     coeffs: tuple[Scalar, ...]
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and is_zero_scalar(cs[-1]):
+        cs = [ring_scalar(c) for c in coeffs]
+        while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
@@ -411,8 +420,6 @@ class Poly:
         return Poly(-c for c in self.coeffs)
 
     def __sub__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
@@ -420,13 +427,8 @@ class Poly:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if is_zero_scalar(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(out)
+        xs, ys = self.coeffs, other.coeffs
+        return Poly(_dense_mul(xs, ys, len(xs) + len(ys) - 1))
 
     def shift(self, k: int) -> "Poly":
         """Multiply by x**k."""
@@ -442,7 +444,7 @@ class Poly:
             return "0"
         parts = []
         for k, c in enumerate(self.coeffs):
-            if is_zero_scalar(c):
+            if c == 0:
                 continue
             parts.append(f"({c})*x^{k}" if k else f"({c})")
         return " + ".join(parts)
@@ -453,7 +455,7 @@ def poly(values: Iterable) -> Poly:
 
 
 def monomial(coefficient, k: int) -> Poly:
-    return Poly((Fraction(0),) * k + (as_scalar(coefficient),))
+    return Poly((Fraction(0),) * k + (coefficient,))
 
 
 # ---------------------------------------------------------------------------
@@ -484,7 +486,7 @@ class Series:
 
 def series(values: Iterable, order: int | None = None) -> Series:
     """Build a Series, coercing values and zero-padding up to ``order``."""
-    cs = [as_scalar(v) for v in values]
+    cs = [ring_scalar(v) for v in values]
     if order is None:
         if not cs:
             raise ValueError("cannot infer the order of an empty series")
@@ -509,24 +511,14 @@ def series_sub(f: Series, g: Series) -> Series:
 
 
 def series_scale(f: Series, factor: Scalar) -> Series:
-    factor = as_scalar(factor)
+    factor = ring_scalar(factor)
     return Series(tuple(c * factor for c in f.coeffs), f.order)
 
 
 def series_mul(f: Series, g: Series) -> Series:
     """Truncated product; the result order is the smaller operand order."""
     n = min(f.order, g.order)
-    out = [Fraction(0)] * (n + 1)
-    for i in range(n + 1):
-        a = f.coeffs[i]
-        if is_zero_scalar(a):
-            continue
-        for j in range(n + 1 - i):
-            b = g.coeffs[j]
-            if is_zero_scalar(b):
-                continue
-            out[i + j] = out[i + j] + a * b
-    return Series(tuple(out), n)
+    return Series(tuple(_dense_mul(f.coeffs, g.coeffs, n + 1)), n)
 
 
 def series_valuation(f: Series) -> int | None:
@@ -537,21 +529,9 @@ def series_valuation(f: Series) -> int | None:
     whose first nonzero term lies beyond the trusted order.
     """
     for k, c in enumerate(f.coeffs):
-        if not is_zero_scalar(c):
+        if c != 0:
             return k
     return None
-
-
-def _invert_constant(c0: Scalar) -> Scalar:
-    if is_zero_scalar(c0):
-        raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
-    if isinstance(c0, Fraction):
-        return Fraction(1) / c0
-    if isinstance(c0, ParamPoly) and c0.degree == 0:
-        return Fraction(1) / c0.constant
-    raise NonInvertibleScalar(
-        f"constant term {c0} has no inverse inside the polynomial ring"
-    )
 
 
 def _quotient_coeffs(ns, ds, inv0) -> list:
@@ -576,11 +556,15 @@ def series_quotient(num: Series, den: Series) -> Series:
     n = min(num.order, den.order)
     ns, ds = num.coeffs[: n + 1], den.coeffs[: n + 1]
     d0 = ds[0]
-    if d0 in (1, -1) and all(isinstance(c, Fraction) and c.denominator == 1 for c in ns + ds):
+    if d0 in (1, -1) and all_integral(ns + ds):
         # a constant term of +-1 is its own inverse
         ints = _quotient_coeffs([c.numerator for c in ns], [c.numerator for c in ds], d0.numerator)
         return Series(tuple(Fraction(v) for v in ints), n)
-    inv0 = as_scalar(_invert_constant(d0))
+    if d0 == 0:
+        raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
+    inv0 = as_scalar(1 / d0)
+    if isinstance(inv0, PolyFrac):
+        raise NonInvertibleScalar(f"constant term {d0} has no inverse inside the polynomial ring")
     return Series(tuple(_quotient_coeffs(ns, ds, inv0)), n)
 
 
@@ -605,7 +589,7 @@ def series_eval_gamma(f: Series, point) -> Series:
 
 
 def scalar_to_json(value: Scalar):
-    value = simplify_scalar(value)
+    value = as_scalar(value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, ParamPoly):
@@ -627,9 +611,15 @@ def list_from_json(obj, what: str) -> list:
     return obj
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _rational_from_json(obj) -> Fraction:
     if isinstance(obj, bool) or not isinstance(obj, (str, int)):
         raise ValueError(f"not a scalar encoding: {obj!r}")
+    if isinstance(obj, str) and not _RATIONAL.fullmatch(obj):
+        # Fraction would also read "1e30000000", at unbounded cost
+        raise ValueError(f"not a rational p/q: {obj!r}")
     try:
         return Fraction(obj)
     except ZeroDivisionError:
@@ -639,7 +629,7 @@ def _rational_from_json(obj) -> Fraction:
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, dict) and set(obj) == {"coeffs"}:
         coeffs = list_from_json(obj["coeffs"], "polynomial coefficients")
-        return simplify_scalar(ParamPoly(_rational_from_json(c) for c in coeffs))
+        return as_scalar(ParamPoly(_rational_from_json(c) for c in coeffs))
     return _rational_from_json(obj)
 
 

@@ -10,9 +10,11 @@ differs.  A matrix whose entries are all integers, as every integral
 catalog sequence gives, is eliminated over Python ``int`` with ``divmod``
 checking each division.  Any other matrix, with a non-integral rational
 or a gamma-polynomial entry, is eliminated over ``Fraction`` and
-``ParamPoly``, which keeps symbolic intermediate growth under control
-compared to rational-function elimination.  The route is read off the
-entries alone; the result is a ``Fraction`` or ``ParamPoly`` either way.
+``ParamPoly`` by the scalars' own ``/``, which keeps symbolic intermediate
+growth under control compared to rational-function elimination; a
+quotient that leaves the polynomial ring raises ``InexactDivision``.  The
+route is read off the entries alone; the result is a ``Fraction`` or
+``ParamPoly`` either way.
 
 ``hankel_transform`` is the reference every closed-form value in this
 package is judged against.  A naive cofactor expansion is included purely
@@ -21,35 +23,18 @@ as an independent second route for cross-checking the elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .exact import (
-    DomainError,
-    InexactDivision,
-    ParamPoly,
-    Scalar,
-    as_scalar,
-    is_zero_scalar,
-    simplify_scalar,
-)
+from .exact import DomainError, InexactDivision, PolyFrac, Scalar, all_integral, as_scalar
 
 
 class InsufficientTerms(DomainError):
     """The sequence is too short for the requested matrix order."""
 
 
-@dataclass(frozen=True)
-class HankelMatrix:
-    rows: tuple[tuple[Scalar, ...], ...]
-    n: int
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
-
-
-def hankel_matrix(seq: Sequence, n: int) -> HankelMatrix:
+def hankel_matrix(seq: Sequence, n: int) -> tuple[tuple[Scalar, ...], ...]:
+    """Rows of the order-n Hankel matrix, entry (i, j) = seq[i + j]."""
     if n < 0:
         raise ValueError("matrix order must be non-negative")
     if len(seq) < 2 * n + 1:
@@ -57,24 +42,14 @@ def hankel_matrix(seq: Sequence, n: int) -> HankelMatrix:
             f"order {n} needs {2 * n + 1} terms, only {len(seq)} supplied"
         )
     values = [as_scalar(v) for v in seq]
-    rows = tuple(tuple(values[i + j] for j in range(n + 1)) for i in range(n + 1))
-    return HankelMatrix(rows, n)
+    return tuple(tuple(values[i + j] for j in range(n + 1)) for i in range(n + 1))
 
 
 def _exact_div(num: Scalar, den: Scalar) -> Scalar:
-    if is_zero_scalar(num):
-        return Fraction(0)
-    if isinstance(den, Fraction):
-        if isinstance(num, Fraction):
-            return num / den
-        return num * (Fraction(1) / den)
-    if isinstance(den, ParamPoly):
-        if den.degree == 0:
-            return num * (Fraction(1) / den.constant)
-        num_poly = num if isinstance(num, ParamPoly) else ParamPoly((num,))
-        quotient = num_poly.exact_div(den)
-        return simplify_scalar(quotient)
-    raise InexactDivision(f"cannot divide by {den!r} inside the domain")
+    quotient = num / den
+    if isinstance(quotient, PolyFrac):
+        raise InexactDivision(f"{num} is not divisible by {den}")
+    return quotient
 
 
 def _exact_div_int(num: int, den: int) -> int:
@@ -126,10 +101,10 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     m = [[as_scalar(v) for v in row] for row in rows]
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    if all(isinstance(v, Fraction) and v.denominator == 1 for row in m for v in row):
+    if all_integral(v for row in m for v in row):
         ints = [[v.numerator for v in row] for row in m]
         return Fraction(_bareiss(ints, 1, _exact_div_int))
-    return simplify_scalar(_bareiss(m, Fraction(1), _exact_div))
+    return as_scalar(_bareiss(m, Fraction(1), _exact_div))
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> Scalar:
@@ -145,18 +120,18 @@ def det_cofactor(rows: Sequence[Sequence]) -> Scalar:
             return grid[0][0]
         total: Scalar = Fraction(0)
         for j, top in enumerate(grid[0]):
-            if is_zero_scalar(top):
+            if top == 0:
                 continue
             minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
             term = top * expand(minor)
             total = total + term if j % 2 == 0 else total - term
         return total
 
-    return simplify_scalar(expand(m))
+    return as_scalar(expand(m))
 
 
 def hankel_det(seq: Sequence, n: int) -> Scalar:
-    return matrix_det(hankel_matrix(seq, n).rows)
+    return matrix_det(hankel_matrix(seq, n))
 
 
 def hankel_transform(seq: Sequence, max_n: int) -> list[Scalar]:

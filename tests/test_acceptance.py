@@ -23,7 +23,7 @@ from cfhankel.closedform import (
     index_profile,
     p_sequence,
 )
-from cfhankel.exact import GAMMA, ParamPoly, poly, series, series_eval_gamma, simplify_scalar
+from cfhankel.exact import GAMMA, ParamPoly, as_scalar, poly, series, series_eval_gamma
 from cfhankel.hankel_oracle import hankel_det, hankel_transform
 
 FIB_DENSE_12 = [1, 1, -2, 0, 72, 0, 0, 1944000, 0, 0, 0, 0, 1547934105600000000]
@@ -50,8 +50,8 @@ def _random_valid_cfraction(rng: random.Random) -> CFraction:
 def _oracle_equals_closed(cf: CFraction, max_n: int) -> bool:
     oracle = hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
     closed = dense_transform_of(cf, max_n)
-    return [simplify_scalar(v) for v in oracle] == [
-        simplify_scalar(v) for v in closed.dense
+    return [as_scalar(v) for v in oracle] == [
+        as_scalar(v) for v in closed.dense
     ]
 
 
@@ -101,14 +101,14 @@ def test_criterion_4_oracle_equality_catalog_and_random():
 
 def test_criterion_5_rogers_ramanujan_symbolic():
     symbolic = evaluate(catalog_cfraction("rogers-ramanujan", terms=5), 4)
-    h2 = simplify_scalar(hankel_det(symbolic.coeffs, 2))
+    h2 = as_scalar(hankel_det(symbolic.coeffs, 2))
     monomial = (
         isinstance(h2, ParamPoly)
         and sum(1 for c in h2.coeffs if c != 0) == 1
         and h2 == -(GAMMA**4)
     )
     cf = catalog_cfraction("rogers-ramanujan", terms=2)
-    closed = simplify_scalar(dense_transform_of(cf, 2).dense[2])
+    closed = as_scalar(dense_transform_of(cf, 2).dense[2])
     report = verify_claims(12)
     verdict = next(c.verdict for c in report.claims if c.id == "ex4-value-depth-2")
     quoted = -(GAMMA**6)

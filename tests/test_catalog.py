@@ -78,6 +78,28 @@ class TestConstructors:
             longer = catalog_cfraction(name, gamma=gamma, terms=terms + 3)
             assert evaluate(cf, 10) == evaluate(longer, 10)
 
+    def test_terms_for_order_matches_the_exponent_loop(self):
+        # the per-entry exponent table terms_for_order used to keep
+        def loop(name, order):
+            fib = fibonacci_numbers(order + 3)
+            q = {
+                "catalan": lambda k: 1,
+                "aerated-catalan": lambda k: 2,
+                "fibonacci-cf": lambda k: fib[k],
+                "rogers-ramanujan": lambda k: k,
+            }[name]
+            terms, agree = 0, 0
+            while agree <= order:
+                terms += 1
+                agree += q(terms)
+            return max(terms, 1)
+
+        for name in CATALOG_NAMES:
+            for order in range(-2, 120):
+                assert terms_for_order(name, order) == loop(name, order), (name, order)
+        with pytest.raises(UnknownName):
+            terms_for_order("motzkin", 3)
+
     def test_round_trips(self):
         assert catalog_round_trip("catalan")
         assert catalog_round_trip("aerated-catalan")

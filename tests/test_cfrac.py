@@ -23,7 +23,9 @@ from cfhankel.cfrac import (
 from cfhankel.exact import (
     GAMMA,
     DomainError,
+    NonPolynomialCoefficient,
     ParamPoly,
+    PolyFrac,
     Series,
     poly,
     series,
@@ -158,6 +160,11 @@ class TestCorrespond:
         with pytest.raises(NonInvertibleLeadingScalar):
             correspond(series([1, -GAMMA, GAMMA**2], 2))
 
+    def test_polynomial_quotient_coefficient_is_refused(self):
+        # used to end in a bare TypeError inside the extraction
+        with pytest.raises(NonPolynomialCoefficient):
+            correspond(series([1, PolyFrac(ParamPoly((1,)), GAMMA)], 2))
+
     def test_round_trip_random(self):
         rng = random.Random(11)
         for _ in range(30):
@@ -212,6 +219,14 @@ class TestEvaluate:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             evaluate(CFraction((), (), Terminated()), -1)
+
+    def test_polynomial_quotient_numerator_is_refused(self):
+        # used to end in a bare TypeError inside the expansion
+        with pytest.raises(NonPolynomialCoefficient):
+            evaluate(CFraction((PolyFrac(ParamPoly((1,)), GAMMA),), (1,), Terminated()), 3)
+        # a quotient with denominator 1 is its polynomial numerator
+        cf = CFraction((PolyFrac(GAMMA),), (1,), Terminated())
+        assert cf.a == (GAMMA,)
 
 
 class TestApproximants:

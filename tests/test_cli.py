@@ -2,8 +2,11 @@ import io
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cfhankel.cli import main
+from cfhankel import cli
+from cfhankel.catalog import CATALOG_NAMES
+from cfhankel.cli import SIZE_CEILING, main
 
 FIB_TAIL = "1547934105600000000"
 
@@ -220,6 +223,137 @@ class TestExitCodes:
     def test_missing_file(self, capsys):
         code, _, _ = run(capsys, "expand", "--series", "/nonexistent/series.json")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--cfraction", "-", "--order"),
+            ("hankel", "--series", "-", "--max-n"),
+            ("closed", "--cfraction", "-", "--max-n"),
+            ("compare", "--cfraction", "-", "--max-n"),
+            ("catalog", "catalan", "--terms"),
+            ("verify", "--max-n"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_size_above_the_ceiling(self, capsys, monkeypatch, argv):
+        # refused while parsing: stdin is never read
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, *argv, str(SIZE_CEILING + 1))
+        assert code == 2
+        assert out == "" and f"0..{SIZE_CEILING}" in err
+
+    @pytest.mark.parametrize("text", ["1e30000000", "1.5", " 1", "1_0", "0x10", "1/-2", "\u0661"])
+    def test_rational_must_be_p_over_q(self, capsys, monkeypatch, text):
+        # Fraction reads all of these; "1e30000000" took a minute to decode
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps({"coeffs": ["1", text]})))
+        code, out, err = run(capsys, "hankel", "--series", "-", "--max-n", "0")
+        assert code == 2
+        assert out == "" and "not a rational" in err
+
+    def test_unexpected_exception_is_an_internal_error(self, capsys, monkeypatch):
+        def broken(args):
+            raise KeyError("boom\nsecond line")
+
+        monkeypatch.setitem(cli._RUNNERS, "verify", broken)
+        code, out, err = run(capsys, "verify")
+        assert code == 3
+        assert out == "" and err.startswith("internal error: KeyError(") and err.count("\n") == 1
+        assert " at test_cli.py:" in err
+
+
+def json_values():
+    """Arbitrary JSON, with keys and strings the decoders look for."""
+    leaves = st.one_of(
+        st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False),
+        st.sampled_from(["1", "-1", "2/3", "0", "1/0", "terminated", "x"]), st.text(max_size=3),
+    )
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.dictionaries(st.sampled_from(["coeffs", "order", "a", "q", "status", "truncated"]),
+                            inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+VALID_SCALARS = st.one_of(
+    st.sampled_from(["1", "-1", "1/2", "-2/3", "0", "3"]),
+    st.integers(-3, 3),
+    st.lists(st.sampled_from(["0", "1", "-1", "1/2"]), max_size=3).map(lambda cs: {"coeffs": cs}),
+)
+
+
+def series_like(scalar, junk):
+    coeffs = st.lists(scalar, max_size=6)
+    return st.fixed_dictionaries(
+        {"coeffs": st.one_of(coeffs.map(lambda cs: ["1", *cs]), coeffs, junk)},
+        optional={"order": st.one_of(st.integers(-2, 6), junk)},
+    )
+
+
+def fraction_like(scalar, exponent, junk):
+    terms = st.lists(st.tuples(scalar, exponent), max_size=4)
+    truncated = st.integers(-1, 8).map(lambda n: {"truncated": n})
+    return st.builds(
+        lambda aq, status: {"a": [a for a, _ in aq], "q": [q for _, q in aq], "status": status},
+        terms,
+        st.one_of(st.just("terminated"), truncated, junk),
+    )
+
+
+def encodings(kind):
+    """Valid encodings, encodings with arbitrary JSON mixed in, and arbitrary JSON."""
+    junk = json_values()
+    near_scalars = st.one_of(VALID_SCALARS, junk)
+    if kind == "series":
+        valid, near = series_like(VALID_SCALARS, st.nothing()), series_like(near_scalars, junk)
+    else:
+        valid = fraction_like(VALID_SCALARS, st.integers(1, 3), st.nothing())
+        near = fraction_like(near_scalars, st.one_of(st.integers(-1, 3), junk), junk)
+    return st.one_of(valid, near, junk)
+
+
+SUBCOMMANDS = {
+    "expand": (("expand", "--series", "-"), "series"),
+    "expand-exact": (("expand", "--series", "-", "--exact"), "series"),
+    "eval": (("eval", "--cfraction", "-", "--order", "6"), "fraction"),
+    "hankel": (("hankel", "--series", "-", "--max-n", "2"), "series"),
+    "closed": (("closed", "--cfraction", "-", "--max-n", "4"), "fraction"),
+    "compare": (("compare", "--cfraction", "-", "--max-n", "3"), "fraction"),
+}
+
+
+class TestDecoderFuzz:
+    """Arbitrary and near-valid JSON through every decoder: a verdict or a
+    clean refusal, never an internal error."""
+
+    @pytest.mark.parametrize("name", sorted(SUBCOMMANDS))
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_json_input(self, capsys, monkeypatch, name, data):
+        argv, kind = SUBCOMMANDS[name]
+        payload = data.draw(encodings(kind))
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(payload)))
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert "internal error" not in err and "Traceback" not in err
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        name=st.one_of(st.sampled_from(CATALOG_NAMES), st.text(max_size=5)),
+        gamma=st.one_of(st.none(), st.sampled_from(["2", "0", "1/0", "-1/3"]), st.text(max_size=4)),
+        terms=st.one_of(st.integers(-2, 12).map(str), st.text(max_size=4)),
+    )
+    def test_catalog_arguments(self, capsys, name, gamma, terms):
+        argv = ["catalog", name, "--terms", terms]
+        if gamma is not None:
+            argv += ["--gamma", gamma]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3)
+        assert "internal error" not in err and "Traceback" not in err
 
 
 class TestOutputStability:

@@ -8,15 +8,15 @@ from cfhankel.exact import (
     GAMMA,
     InexactDivision,
     NonInvertibleScalar,
+    NonPolynomialCoefficient,
     ParamPoly,
     PolyFrac,
     Series,
     ZeroConstantTerm,
-    invert_scalar,
+    as_scalar,
     param_gcd,
     poly,
     scalar_from_json,
-    scalar_pow,
     scalar_to_json,
     series,
     series_add,
@@ -30,7 +30,6 @@ from cfhankel.exact import (
     series_sub,
     series_to_json,
     series_valuation,
-    simplify_scalar,
 )
 
 
@@ -113,18 +112,55 @@ class TestPolyFrac:
         assert f.den == ParamPoly((0, 1))
 
     def test_negative_powers(self):
-        inv = scalar_pow(GAMMA, -2)
+        inv = GAMMA**-2
         assert isinstance(inv, PolyFrac)
-        assert simplify_scalar(inv * GAMMA**2) == 1
+        assert as_scalar(inv * GAMMA**2) == 1
 
     def test_invert_scalar(self):
-        assert invert_scalar(Fraction(2)) == Fraction(1, 2)
-        assert invert_scalar(ParamPoly((3,))) == Fraction(1, 3)
-        assert simplify_scalar(invert_scalar(GAMMA) * GAMMA) == 1
+        assert 1 / Fraction(2) == Fraction(1, 2)
+        assert as_scalar(1 / ParamPoly((3,))) == Fraction(1, 3)
+        assert as_scalar(1 / GAMMA * GAMMA) == 1
 
     def test_equality_across_forms(self):
         assert PolyFrac(GAMMA, ParamPoly((1,))) == GAMMA
-        assert simplify_scalar(PolyFrac(ParamPoly((6,)), ParamPoly((4,)))) == Fraction(3, 2)
+        assert as_scalar(PolyFrac(ParamPoly((6,)), ParamPoly((4,)))) == Fraction(3, 2)
+
+
+def scalars():
+    """Nonzero Fractions, gamma-polynomials and polynomial quotients."""
+    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    polys = st.lists(rationals, min_size=1, max_size=3).map(ParamPoly)
+    nonzero = st.one_of(rationals, polys).filter(lambda v: v != 0)
+    return st.one_of(nonzero, st.tuples(nonzero, nonzero).map(lambda t: PolyFrac(t[0]) / t[1]))
+
+
+class TestScalarProtocol:
+    def test_polynomial_division(self):
+        assert (GAMMA**2 - 1) / (GAMMA + 1) == GAMMA - 1
+        assert GAMMA / 2 == ParamPoly((0, Fraction(1, 2)))
+        assert 2 / ParamPoly((4,)) == ParamPoly((Fraction(1, 2),))
+        quotient = (GAMMA + 1) / GAMMA
+        assert isinstance(quotient, PolyFrac)
+        assert (quotient.num, quotient.den) == (GAMMA + 1, GAMMA)
+        with pytest.raises(ZeroDivisionError):
+            GAMMA / ParamPoly()
+        with pytest.raises(ZeroDivisionError):
+            ParamPoly() ** -1
+
+    def test_normal_form(self):
+        assert type(as_scalar(ParamPoly((3,)))) is Fraction
+        assert as_scalar(ParamPoly()) == 0 and type(as_scalar(ParamPoly())) is Fraction
+        assert as_scalar(PolyFrac(GAMMA)) == GAMMA and type(as_scalar(PolyFrac(GAMMA))) is ParamPoly
+        assert type(as_scalar(PolyFrac(ParamPoly((2,))))) is Fraction
+        assert type(as_scalar(1 / GAMMA)) is PolyFrac
+
+    @given(scalars(), scalars(), st.integers(-3, 3))
+    def test_operators_agree(self, x, y, n):
+        assert x != 0
+        assert as_scalar(x / y * y) == as_scalar(x)
+        assert as_scalar(1 / x * x) == 1
+        assert as_scalar(x**n * x**-n) == 1
+        assert as_scalar(x**n) == as_scalar(1 / x ** -n)
 
 
 class TestSeries:
@@ -244,6 +280,10 @@ class TestPoly:
         q = poly([1, -1])
         assert p * q == poly([1, 0, -1])
         assert p.shift(2) == poly([0, 0, 1, 1])
+
+    def test_polynomial_quotient_coefficient_is_refused(self):
+        with pytest.raises(NonPolynomialCoefficient):
+            poly([1, PolyFrac(ParamPoly((1,)), GAMMA)])
 
     def test_to_series_pads(self):
         assert poly([1, 2]).to_series(4) == series([1, 2, 0, 0, 0], 4)

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from cfhankel import hankel_oracle
 from cfhankel.exact import GAMMA, InexactDivision, ParamPoly, series_eval_gamma, series
 from cfhankel.hankel_oracle import (
-    HankelMatrix,
     InsufficientTerms,
     det_cofactor,
     hankel_det,
@@ -29,11 +28,11 @@ def rand_poly(rng):
 
 class TestMatrixConstruction:
     def test_symmetry_and_entries(self):
-        m = hankel_matrix([1, 2, 3, 4, 5], 2)
-        assert m.n == 2
+        rows = hankel_matrix([1, 2, 3, 4, 5], 2)
+        assert len(rows) == 3
         for i in range(3):
             for j in range(3):
-                assert m.entry(i, j) == m.entry(j, i) == i + j + 1
+                assert rows[i][j] == rows[j][i] == i + j + 1
 
     def test_insufficient_terms(self):
         with pytest.raises(InsufficientTerms):
@@ -52,7 +51,7 @@ class TestDeterminants:
 
     def test_rogers_ramanujan_symbolic(self):
         # cofactor expansion of the 3x3 matrix gives -gamma^4; Bareiss must agree
-        rows = hankel_matrix(ROGERS_RAMANUJAN_5, 2).rows
+        rows = hankel_matrix(ROGERS_RAMANUJAN_5, 2)
         expected = -(GAMMA**4)
         assert det_cofactor(rows) == expected
         assert matrix_det(rows) == expected
@@ -76,6 +75,14 @@ class TestDeterminants:
                 rows = [[rand_poly(rng) for _ in range(size)] for _ in range(size)]
                 assert matrix_det(rows) == det_cofactor(rows)
 
+    def test_exact_division_over_polynomials(self):
+        assert hankel_oracle._exact_div(GAMMA**2 - 1, GAMMA + 1) == GAMMA - 1
+        assert hankel_oracle._exact_div(Fraction(3), Fraction(2)) == Fraction(3, 2)
+        with pytest.raises(InexactDivision):
+            hankel_oracle._exact_div(GAMMA + 1, GAMMA)
+        with pytest.raises(InexactDivision):
+            hankel_oracle._exact_div(Fraction(1), GAMMA)
+
     def test_zero_pivot_column(self):
         rows = [
             [Fraction(0), Fraction(1), Fraction(1)],
@@ -92,9 +99,9 @@ class TestDeterminants:
         rng = random.Random(31)
         for _ in range(10):
             seq = [rand_fraction(rng) for _ in range(7)]
-            m = hankel_matrix(seq, 3)
-            base = matrix_det(m.rows)
-            scaled = [list(row) for row in m.rows]
+            rows = hankel_matrix(seq, 3)
+            base = matrix_det(rows)
+            scaled = [list(row) for row in rows]
             scaled[2] = [Fraction(5) * v for v in scaled[2]]
             assert matrix_det(scaled) == 5 * base
 
@@ -165,7 +172,7 @@ class TestIntegerRoute:
             raise AssertionError("integer matrix took the rational route")
 
         monkeypatch.setattr(hankel_oracle, "_exact_div", refuse)
-        rows = hankel_matrix([1, 1, 2, 5, 14, 42, 132], 3).rows
+        rows = hankel_matrix([1, 1, 2, 5, 14, 42, 132], 3)
         det = matrix_det(rows)
         assert det == 1 and isinstance(det, Fraction)
 
