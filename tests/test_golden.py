@@ -49,6 +49,10 @@ CASES = {
     "mixed-expand": ("mixed.json", [MIXED_EVAL, ("expand", "--series", "-")]),
     "mixed-hankel": ("mixed.json", [MIXED_EVAL, ("hankel", "--series", "-", "--max-n", "5")]),
     "mixed-compare": ("mixed.json", [("compare", "--cfraction", "-", "--max-n", "5")]),
+    "rational-0-hankel": (
+        "rational-0.json",
+        [("eval", "--cfraction", "-", "--order", "24"), ("hankel", "--series", "-", "--max-n", "12")],
+    ),
     **{
         f"rational-{i}-roundtrip": (
             f"rational-{i}.json",
