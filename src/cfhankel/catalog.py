@@ -350,9 +350,9 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
         ),
     ]
 
-    # symbolic determinants stay cheap through position 3; the quoted
-    # values further out are judged by the closed form plus rational spot
-    # checks of the oracle at gamma = 2 (gamma = 1 cannot separate powers)
+    # positions 2 and 3 are judged by symbolic determinants; the quoted
+    # values further out by the closed form plus rational spot checks of
+    # the oracle at gamma = 2 (gamma = 1 cannot separate powers)
     symbolic = evaluate(catalog_cfraction("rogers-ramanujan", terms=5), 6)
     h2 = hankel_det(symbolic.coeffs, 2)
     h3 = hankel_det(symbolic.coeffs, 3)

@@ -2,19 +2,16 @@
 
 The matrix of order n built from a sequence has entry (i, j) equal to
 seq[i + j], so it needs 2n + 1 leading terms.  Determinants are computed
-by fraction-free (Bareiss) elimination, which stays inside the coefficient
-domain: every division it performs is exact over an integral domain, and
-an inexact one aborts loudly because it can only mean broken scalar
-arithmetic.  One elimination serves every domain; only the exact division
-differs.  A matrix whose entries are all integers, as every integral
-catalog sequence gives, is eliminated over Python ``int`` with ``divmod``
-checking each division.  Any other matrix, with a non-integral rational
-or a gamma-polynomial entry, is eliminated over ``Fraction`` and
-``ParamPoly`` by the scalars' own ``/``, which keeps symbolic intermediate
-growth under control compared to rational-function elimination; a
-quotient that leaves the polynomial ring raises ``InexactDivision``.  The
-route is read off the entries alone; the result is a ``Fraction`` or
-``ParamPoly`` either way.
+by fraction-free (Bareiss) elimination over Python ``int``, where every
+division is exact and checked with ``divmod``: a remainder aborts loudly,
+because it can only mean broken arithmetic.  A matrix whose entries are
+all integers, as every integral catalog sequence gives, is eliminated as
+it is.  Any other matrix, with a non-integral rational or a
+gamma-polynomial entry, first has its denominators cleared and each entry
+packed into one integer by Kronecker substitution, evaluating it at
+gamma = 2**B for a B at which no coefficient of any intermediate can
+overflow its digit.  The route is read off the entries alone; the result
+is a ``Fraction`` or ``ParamPoly`` either way.
 
 ``hankel_transform`` is the reference every closed-form value in this
 package is judged against.  A naive cofactor expansion is included purely
@@ -24,9 +21,12 @@ as an independent second route for cross-checking the elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
 from typing import Sequence
 
-from .exact import DomainError, InexactDivision, PolyFrac, Scalar, all_integral, as_scalar
+from .exact import (
+    DomainError, InexactDivision, ParamPoly, Scalar, all_integral, as_scalar, ring_scalar
+)
 
 
 class InsufficientTerms(DomainError):
@@ -45,13 +45,6 @@ def hankel_matrix(seq: Sequence, n: int) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(values[i + j] for j in range(n + 1)) for i in range(n + 1))
 
 
-def _exact_div(num: Scalar, den: Scalar) -> Scalar:
-    quotient = num / den
-    if isinstance(quotient, PolyFrac):
-        raise InexactDivision(f"{num} is not divisible by {den}")
-    return quotient
-
-
 def _exact_div_int(num: int, den: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
@@ -59,16 +52,15 @@ def _exact_div_int(num: int, den: int) -> int:
     return quotient
 
 
-def _bareiss(m: list[list], one, div):
-    """Determinant of the square matrix ``m``, eliminated in place.
+def _bareiss(m: list[list[int]]) -> int:
+    """Determinant of the square integer matrix ``m``, eliminated in place.
 
-    ``one`` is the unit of the entries' domain and ``div`` its exact
-    division.  Zero pivots are repaired by a signed row exchange; a fully
-    zero pivot column settles the determinant as 0 immediately.
+    Zero pivots are repaired by a signed row exchange; a fully zero pivot
+    column settles the determinant as 0 immediately.
     """
     n = len(m)
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if m[k][k] == 0:
             for r in range(k + 1, n):
@@ -83,28 +75,65 @@ def _bareiss(m: list[list], one, div):
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = div(pivot * row_i[j] - head * m[k][j], prev)
+                row_i[j] = _exact_div_int(pivot * row_i[j] - head * m[k][j], prev)
         prev = pivot
     result = m[n - 1][n - 1]
     return -result if sign < 0 else result
 
 
-def matrix_det(rows: Sequence[Sequence]) -> Scalar:
-    """Fraction-free elimination determinant over rationals or polynomials.
+def _pack(coeffs: Sequence[int], bits: int) -> int:
+    """The integer polynomial ``coeffs`` (lowest first) at gamma = 2**bits."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
 
-    All-integer matrices are eliminated over ``int``; the value is returned
-    as a ``Fraction`` all the same.
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """Balanced base-2**bits digits of ``value``, lowest first: the inverse
+    of ``_pack`` for coefficients of absolute value below 2**(bits - 1)."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
+
+
+def matrix_det(rows: Sequence[Sequence]) -> Scalar:
+    """Fraction-free elimination determinant over the rationals or Q[gamma].
+
+    Every matrix is eliminated over ``int``: an all-integer one as it is,
+    any other scaled by the lcm L of its coefficient denominators with each
+    entry packed into one integer; that determinant is unpacked and divided
+    by L**n.  The value is a ``Fraction`` or ``ParamPoly`` either way.
     """
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m = [[as_scalar(v) for v in row] for row in rows]
+    m = [[ring_scalar(v) for v in row] for row in rows]
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if all_integral(v for row in m for v in row):
         ints = [[v.numerator for v in row] for row in m]
-        return Fraction(_bareiss(ints, 1, _exact_div_int))
-    return as_scalar(_bareiss(m, Fraction(1), _exact_div))
+        return Fraction(_bareiss(ints))
+    polys = [[v.coeffs if isinstance(v, ParamPoly) else (v,) for v in row] for row in m]
+    scale = lcm(*(c.denominator for row in polys for p in row for c in p))
+    polys = [[[c.numerator * (scale // c.denominator) for c in p] for p in row] for row in polys]
+    # Every entry of the elimination is a minor of the matrix (Sylvester's
+    # identity).  By the Leibniz expansion and |fg|_1 <= |f|_1 |g|_1, every
+    # minor has |.|_1 <= M, the product over rows of max(1, row sum of
+    # |a_ij|_1).  So every numerator pivot*a - head*b has |.|_1 <= 2 M**2
+    # < 2**(bits - 1): each of its digits, and each minor's, is recovered
+    # exactly, packing is injective (a zero test reads the polynomial's
+    # zero), and every exact division of polynomials stays exact in int.
+    bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
+    bits = 2 * bound.bit_length() + 2
+    det = _bareiss([[_pack(p, bits) for p in row] for row in polys])
+    return as_scalar(ParamPoly(_unpack(det, bits)) * Fraction(1, scale**n))
 
 
 def det_cofactor(rows: Sequence[Sequence]) -> Scalar:

@@ -142,6 +142,9 @@ class TestScalarProtocol:
         quotient = (GAMMA + 1) / GAMMA
         assert isinstance(quotient, PolyFrac)
         assert (quotient.num, quotient.den) == (GAMMA + 1, GAMMA)
+        assert isinstance(1 / GAMMA, PolyFrac)
+        constant = as_scalar(ParamPoly((3,)) / ParamPoly((2,)))
+        assert constant == Fraction(3, 2) and type(constant) is Fraction
         with pytest.raises(ZeroDivisionError):
             GAMMA / ParamPoly()
         with pytest.raises(ZeroDivisionError):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfhankel import hankel_oracle
-from cfhankel.exact import GAMMA, InexactDivision, ParamPoly, series_eval_gamma, series
+from cfhankel.exact import (
+    GAMMA,
+    InexactDivision,
+    NonPolynomialCoefficient,
+    ParamPoly,
+    series_eval_gamma,
+    series,
+)
 from cfhankel.hankel_oracle import (
     InsufficientTerms,
     det_cofactor,
@@ -75,13 +82,9 @@ class TestDeterminants:
                 rows = [[rand_poly(rng) for _ in range(size)] for _ in range(size)]
                 assert matrix_det(rows) == det_cofactor(rows)
 
-    def test_exact_division_over_polynomials(self):
-        assert hankel_oracle._exact_div(GAMMA**2 - 1, GAMMA + 1) == GAMMA - 1
-        assert hankel_oracle._exact_div(Fraction(3), Fraction(2)) == Fraction(3, 2)
-        with pytest.raises(InexactDivision):
-            hankel_oracle._exact_div(GAMMA + 1, GAMMA)
-        with pytest.raises(InexactDivision):
-            hankel_oracle._exact_div(Fraction(1), GAMMA)
+    def test_polynomial_quotient_entry_is_refused(self):
+        with pytest.raises(NonPolynomialCoefficient):
+            matrix_det([[1 / GAMMA]])
 
     def test_zero_pivot_column(self):
         rows = [
@@ -168,10 +171,10 @@ class TestIntegerRoute:
             hankel_oracle._exact_div_int(-7, 2)
 
     def test_integer_matrix_avoids_rational_division(self, monkeypatch):
-        def refuse(num, den):
-            raise AssertionError("integer matrix took the rational route")
+        def refuse(coeffs, bits):
+            raise AssertionError("integer matrix was packed")
 
-        monkeypatch.setattr(hankel_oracle, "_exact_div", refuse)
+        monkeypatch.setattr(hankel_oracle, "_pack", refuse)
         rows = hankel_matrix([1, 1, 2, 5, 14, 42, 132], 3)
         det = matrix_det(rows)
         assert det == 1 and isinstance(det, Fraction)
@@ -192,11 +195,79 @@ class TestIntegerRoute:
         n = len(rows)
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         rows[i][j] += Fraction(1, data.draw(st.integers(2, 5)))
+        packed, pack = [], hankel_oracle._pack
 
-        def refuse(num, den):
-            raise AssertionError("non-integral matrix took the integer route")
+        def spy(coeffs, bits):
+            packed.append(coeffs)
+            return pack(coeffs, bits)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hankel_oracle, "_exact_div_int", refuse)
+            patch.setattr(hankel_oracle, "_pack", spy)
             det = matrix_det(rows)
+        assert len(packed) == n * n
         assert det == det_cofactor(rows)
+
+
+@st.composite
+def poly_matrices(draw, max_size=4, max_degree=2):
+    """Small matrices of gamma-polynomials, many with zero entries or row swaps.
+
+    Coefficients are p/q with p in -3..3, so zeros and negative coefficients
+    are common, and q is 1 for an integral matrix or in 1..3 otherwise;
+    ``shape`` then zeroes the first column above the last row (a row swap at
+    the first step) or the leading block of half the rows and columns (a
+    swap that must reach past it).
+    """
+    n = draw(st.integers(1, max_size))
+    denominators = draw(st.sampled_from([[1], [1, 2, 3]]))
+    coeff = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(denominators))
+    entry = st.lists(coeff, max_size=max_degree + 1).map(ParamPoly)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["as-drawn", "zero-lead", "zero-block"]))
+    if shape == "zero-lead":
+        for row in rows[:-1]:
+            row[0] = ParamPoly()
+    elif shape == "zero-block":
+        k = (n + 1) // 2
+        for row in rows[:k]:
+            row[:k] = [ParamPoly()] * k
+    return rows
+
+
+def sympy_value(sympy, value):
+    """A Fraction or ParamPoly as a sympy expression in the symbol gamma."""
+    gamma = sympy.Symbol("gamma")
+    coeffs = value.coeffs if isinstance(value, ParamPoly) else (value,)
+    return sum(sympy.Rational(c.numerator, c.denominator) * gamma**k for k, c in enumerate(coeffs))
+
+
+class TestPackedRoute:
+    @given(poly_matrices())
+    def test_matches_cofactor(self, rows):
+        assert matrix_det(rows) == det_cofactor(rows)
+
+    @given(st.one_of(poly_matrices(max_size=3, max_degree=0), poly_matrices(max_size=3)))
+    def test_matches_sympy(self, sympy, rows):
+        expected = sympy.Matrix([[sympy_value(sympy, v) for v in row] for row in rows]).det()
+        assert sympy.expand(expected - sympy_value(sympy, matrix_det(rows))) == 0
+
+    @given(st.integers(2, 80), st.data())
+    def test_pack_round_trip_at_the_digit_bound(self, bits, data):
+        edge = 2 ** (bits - 1) - 1
+        digit = st.sampled_from([edge, -edge, 1, -1, 0])
+        coeffs = data.draw(st.lists(digit, max_size=6)) + [data.draw(st.sampled_from([edge, -edge]))]
+        assert hankel_oracle._unpack(hankel_oracle._pack(coeffs, bits), bits) == coeffs
+        # one past the bound, a digit is no longer recovered
+        assert hankel_oracle._unpack(hankel_oracle._pack([edge + 1], bits), bits) != [edge + 1]
+
+    @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=4), min_size=1, max_size=5))
+    def test_diagonal_determinant_meets_the_norm_bound(self, diagonal):
+        # positive coefficients: the determinant's |.|_1 is the product M of
+        # the row sums exactly, the largest value the bound allows
+        entries = [ParamPoly(cs + [1]) for cs in diagonal]
+        n = len(entries)
+        rows = [[entries[i] if i == j else ParamPoly() for j in range(n)] for i in range(n)]
+        expected = ParamPoly((1,))
+        for entry in entries:
+            expected = expected * entry
+        assert matrix_det(rows) == expected
