@@ -82,6 +82,26 @@ class TestDeterminants:
                 rows = [[rand_poly(rng) for _ in range(size)] for _ in range(size)]
                 assert matrix_det(rows) == det_cofactor(rows)
 
+    def test_exact_division_over_polynomials(self):
+        # Packed at gamma = 2**bits, a polynomial division that is exact in
+        # Z[gamma] stays exact in int, and one that is not raises.
+        bits = 8
+        pack, div = hankel_oracle._pack, hankel_oracle._exact_div_int
+        quotient = div(pack([-1, 0, 1], bits), pack([1, 1], bits))
+        assert hankel_oracle._unpack(quotient, bits) == [-1, 1]
+        with pytest.raises(InexactDivision):
+            div(pack([1, 1], bits), pack([0, 1], bits))
+        with pytest.raises(InexactDivision):
+            div(pack([1], bits), pack([0, 1], bits))
+        # A Bareiss step of this matrix divides by the pivot gamma + 1/2.
+        half = Fraction(1, 2)
+        rows = [
+            [GAMMA + half, GAMMA, 1],
+            [GAMMA, GAMMA**2, half],
+            [1, GAMMA - 1, GAMMA],
+        ]
+        assert matrix_det(rows) == det_cofactor(rows)
+
     def test_polynomial_quotient_entry_is_refused(self):
         with pytest.raises(NonPolynomialCoefficient):
             matrix_det([[1 / GAMMA]])
