@@ -25,9 +25,9 @@ the whole catalog, and the report records its outcome.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .cfrac import CFraction, Terminated, correspond, evaluate
 from .closedform import (
@@ -142,8 +142,7 @@ def expand_rational_gf(numer: Poly, denom: Poly, count: int) -> list[Scalar]:
 # claim verification
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     id: str
     location: str
     expected: object
@@ -152,8 +151,7 @@ class Claim:
     note: str = ""
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     convention: Convention | None
     convention_consistent: bool
     claims: tuple[Claim, ...]

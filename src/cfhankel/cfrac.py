@@ -24,9 +24,9 @@ never exceeds the input's trusted order.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from typing import NamedTuple
 
 from .exact import (
     DomainError,
@@ -34,6 +34,7 @@ from .exact import (
     Poly,
     Scalar,
     Series,
+    Value,
     int_from_json,
     list_from_json,
     monomial,
@@ -62,42 +63,40 @@ class IndexOutOfRange(DomainError):
     """Approximant index outside the stored partial quotients."""
 
 
-@dataclass(frozen=True)
-class Terminated:
+class Terminated(Value):
     """The extraction process reached an exactly vanishing remainder."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class Truncated:
+
+class Truncated(Value):
     """Extraction stopped at the edge of the trusted input window."""
 
-    reliable_order: int
+    __slots__ = ("reliable_order",)
 
-    def __post_init__(self):
-        if int_from_json(self.reliable_order, "reliable order") < 0:
-            raise ValueError(f"reliable order must be non-negative, got {self.reliable_order}")
+    def __init__(self, reliable_order: int):
+        if int_from_json(reliable_order, "reliable order") < 0:
+            raise ValueError(f"reliable order must be non-negative, got {reliable_order}")
+        self._set(reliable_order)
 
 
 Status = Terminated | Truncated
 
 
-@dataclass(frozen=True)
-class CFraction:
-    a: tuple[Scalar, ...]
-    q: tuple[int, ...]
-    status: Status
+class CFraction(Value):
+    __slots__ = ("a", "q", "status")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(ring_scalar(v) for v in self.a))
-        object.__setattr__(self, "q", tuple(self.q))
-        if len(self.a) != len(self.q):
+    def __init__(self, a: tuple[Scalar, ...], q: tuple[int, ...], status: Status):
+        a, q = tuple(ring_scalar(v) for v in a), tuple(q)
+        if len(a) != len(q):
             raise ValueError("coefficient and exponent lists differ in length")
-        if any(v == 0 for v in self.a):
+        if any(v == 0 for v in a):
             raise ValueError("partial numerators must be nonzero")
-        if any(not isinstance(e, int) or e < 1 for e in self.q):
+        if any(not isinstance(e, int) or e < 1 for e in q):
             raise ValueError("exponents must be positive integers")
-        if not isinstance(self.status, (Terminated, Truncated)):
+        if not isinstance(status, (Terminated, Truncated)):
             raise ValueError("status must be Terminated or Truncated")
+        self._set(a, q, status)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -160,8 +159,7 @@ def evaluate(cf: CFraction, order: int) -> Series:
     return series_quotient(pair.B.to_series(cap), pair.A.to_series(cap))
 
 
-@dataclass(frozen=True)
-class ApproximantPair:
+class ApproximantPair(NamedTuple):
     """Numerator/denominator polynomials A_n, B_n of the n-th approximant."""
 
     A: Poly

@@ -25,17 +25,12 @@ import json
 import os
 import sys
 
-from .catalog import catalog_cfraction, report_to_json, verify_claims
 from .cfrac import cfraction_from_json, cfraction_to_json, correspond, evaluate
 from .closedform import Convention, DEFAULT_CONVENTION, dense_to_json, dense_transform_of
-from .exact import (
-    DomainError,
-    scalar_from_json,
-    scalar_to_json,
-    series_from_json,
-    series_to_json,
-)
-from .hankel_oracle import hankel_transform
+from .exact import DomainError, scalar_from_json, scalar_to_json, series_from_json, series_to_json
+
+# hankel_oracle and catalog are imported by the runners that use them, so
+# that a process pays at start-up only for the modules its subcommand runs
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
@@ -128,6 +123,8 @@ def _run_eval(args) -> int:
 
 
 def _run_hankel(args) -> int:
+    from .hankel_oracle import hankel_transform
+
     f = series_from_json(_read_json(args.series))
     transform = hankel_transform(f.coeffs, args.max_n)
     _emit({"max_n": args.max_n, "transform": [scalar_to_json(v) for v in transform]})
@@ -142,6 +139,8 @@ def _run_closed(args) -> int:
 
 
 def _run_compare(args) -> int:
+    from .hankel_oracle import hankel_transform
+
     cf = cfraction_from_json(_read_json(args.cfraction))
     convention = Convention(args.convention)
     expansion = evaluate(cf, 2 * args.max_n)
@@ -161,6 +160,8 @@ def _run_compare(args) -> int:
 
 
 def _run_catalog(args) -> int:
+    from .catalog import catalog_cfraction
+
     gamma = scalar_from_json(args.gamma) if args.gamma is not None else None
     cf = catalog_cfraction(args.name, gamma=gamma, terms=args.terms)
     _emit(cfraction_to_json(cf))
@@ -168,6 +169,8 @@ def _run_catalog(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from .catalog import report_to_json, verify_claims
+
     report = verify_claims(args.max_n)
     _emit(report_to_json(report))
     refuted = any(c.verdict == "refuted" for c in report.claims)

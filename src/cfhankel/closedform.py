@@ -25,14 +25,13 @@ guessing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cfrac import CFraction
-from .exact import DomainError, Scalar, as_scalar, scalar_to_json
+from .exact import DomainError, Scalar, Value, as_scalar, scalar_to_json
 
 
 class NegativePExponent(DomainError):
@@ -96,8 +95,7 @@ def p_sequence(qtilde: Sequence[int], count: int | None = None) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class IndexProfile:
+class IndexProfile(NamedTuple):
     """Index bookkeeping for the non-zero transform positions.
 
     ``m`` holds the partial sums p_0 + ... + p_n; ``dense_pos`` the same
@@ -158,18 +156,17 @@ def a_from_b(b: Sequence) -> list[Scalar]:
     return [as_scalar(1 / (values[k] * values[k + 1])) for k in range(len(values) - 1)]
 
 
-@dataclass(frozen=True)
-class PFraction:
+class PFraction(Value):
     """Reciprocal-ladder data; b stores b_1, b_2, ... with b_0 = 1 implicit."""
 
-    b: tuple[Scalar, ...]
-    p: tuple[int, ...]
+    __slots__ = ("b", "p")
 
-    def __post_init__(self):
-        if any(v == 0 for v in self.b):
+    def __init__(self, b: tuple[Scalar, ...], p: tuple[int, ...]):
+        if any(v == 0 for v in b):
             raise ZeroCoefficient("ladder coefficients must be nonzero")
-        if any(v < 0 for v in self.p):
-            raise NegativePExponent(self.p.index(min(self.p)), min(self.p))
+        if any(v < 0 for v in p):
+            raise NegativePExponent(p.index(min(p)), min(p))
+        self._set(b, p)
 
 
 def pfraction_from_cfraction(cf: CFraction) -> PFraction:
@@ -213,8 +210,7 @@ def closed_form_from_b(b: Sequence, p: Sequence[int], m: int) -> Scalar:
     return as_scalar(value)
 
 
-@dataclass(frozen=True)
-class MonomialValue:
+class MonomialValue(NamedTuple):
     """A transform value as sign times a monomial in the partial numerators.
 
     ``exponents[k-1]`` is the power of a_k; instantiating multiplies them
@@ -228,9 +224,6 @@ class MonomialValue:
     @property
     def total_exponent(self) -> int:
         return sum(self.exponents)
-
-    def exponent_of(self, k: int) -> int:
-        return self.exponents[k - 1]
 
     def instantiate(self, a: Sequence) -> Scalar:
         value: Scalar = Fraction(self.sign)
@@ -279,15 +272,13 @@ def closed_form_value(
     return closed_form_monomial(qtilde, m, convention).instantiate(a[:m])
 
 
-@dataclass(frozen=True)
-class ProfilePoint:
+class ProfilePoint(NamedTuple):
     n: int
     value: Scalar
     multiplicity: int
 
 
-@dataclass(frozen=True)
-class DenseTransform:
+class DenseTransform(NamedTuple):
     dense: tuple[Scalar, ...]
     profile: tuple[ProfilePoint, ...]
     convention: Convention

@@ -28,7 +28,6 @@ safe to share between threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -51,6 +50,40 @@ class InexactDivision(DomainError):
 
 class NonPolynomialCoefficient(DomainError):
     """A series, polynomial or fraction coefficient is a polynomial quotient."""
+
+
+class Value:
+    """Immutable value: ``__init__`` sets the fields named by ``__slots__``
+    once, through ``_set``; equality and hashing go by the tuple of fields."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._fields()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +118,14 @@ def _coerce_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {value!r} as a rational coefficient")
 
 
-@dataclass(frozen=True)
-class ParamPoly:
+class ParamPoly(Value):
     """Dense polynomial in the formal parameter ``gamma`` over the rationals.
 
     Trailing zero coefficients are stripped; the zero polynomial stores an
     empty tuple.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_coerce_fraction(c) for c in coeffs]
@@ -260,12 +292,10 @@ def param_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
     return a * (Fraction(1) / a.coeffs[-1])
 
 
-@dataclass(frozen=True)
-class PolyFrac:
+class PolyFrac(Value):
     """Reduced quotient of two gamma-polynomials; denominator kept monic."""
 
-    num: ParamPoly
-    den: ParamPoly
+    __slots__ = ("num", "den")
 
     def __init__(self, num, den=_ONE_POLY):
         num = num if isinstance(num, ParamPoly) else ParamPoly((num,))
@@ -280,8 +310,7 @@ class PolyFrac:
                 num, den = num.exact_div(g), den.exact_div(g)
             scale = Fraction(1) / den.coeffs[-1]
             num, den = num * scale, den * scale
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        self._set(num, den)
 
     @property
     def is_zero(self) -> bool:
@@ -387,11 +416,10 @@ def scalar_eval_gamma(value: Scalar, point) -> Fraction:
 # polynomials in x (no truncation), used for approximants and rational g.f.s
 
 
-@dataclass(frozen=True)
-class Poly:
+class Poly(Value):
     """Dense polynomial in x over exact scalars; trailing zeros stripped."""
 
-    coeffs: tuple[Scalar, ...]
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [ring_scalar(c) for c in coeffs]
@@ -462,20 +490,17 @@ def monomial(coefficient, k: int) -> Poly:
 # truncated power series
 
 
-@dataclass(frozen=True)
-class Series:
+class Series(Value):
     """Coefficients trusted for x^0 .. x^order; len(coeffs) == order + 1."""
 
-    coeffs: tuple[Scalar, ...]
-    order: int
+    __slots__ = ("coeffs", "order")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, coeffs: tuple[Scalar, ...], order: int):
+        if order < 0:
             raise ValueError("series order must be non-negative")
-        if len(self.coeffs) != self.order + 1:
-            raise ValueError(
-                f"series stores {len(self.coeffs)} coefficients but claims order {self.order}"
-            )
+        if len(coeffs) != order + 1:
+            raise ValueError(f"series stores {len(coeffs)} coefficients but claims order {order}")
+        self._set(coeffs, order)
 
     def coeff(self, k: int) -> Scalar:
         return self.coeffs[k]
