@@ -19,7 +19,7 @@ _EXPORTS = {
         ("catalog", "CATALOG_NAMES VerificationReport catalan_numbers catalog_cfraction"
                     " catalog_series expand_rational_gf fibonacci_numbers report_to_json"
                     " select_convention terms_for_order verify_claims"),
-        ("exact", "GAMMA ParamPoly Poly PolyFrac Series poly series series_from_json"
+        ("exact", "GAMMA ParamPoly Poly Series poly series series_from_json"
                   " series_mul series_quotient series_reciprocal series_to_json"
                   " series_valuation"),
         ("hankel_oracle", "det_cofactor hankel_det hankel_matrix hankel_transform matrix_det"),

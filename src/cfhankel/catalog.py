@@ -49,7 +49,6 @@ from .exact import (
     scalar_to_json,
     series_quotient,
 )
-from .hankel_oracle import hankel_det, hankel_transform
 
 
 class UnknownName(DomainError):
@@ -176,6 +175,8 @@ def report_to_json(report: VerificationReport) -> dict:
 
 
 def _oracle_dense(cf: CFraction, max_n: int) -> list[Scalar]:
+    from .hankel_oracle import hankel_transform
+
     return hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
 
 
@@ -331,6 +332,8 @@ def _aerated_claims(convention: Convention) -> list[Claim]:
 
 
 def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
+    from .hankel_oracle import hankel_det, hankel_transform
+
     cf = catalog_cfraction("rogers-ramanujan", terms=10)
     qtilde = (1, *cf.q)
     claims = [

@@ -30,16 +30,16 @@ from typing import NamedTuple
 
 from .exact import (
     DomainError,
-    ParamPoly,
+    NonInvertibleScalar,
     Poly,
     Scalar,
     Series,
     Value,
+    as_scalar,
     int_from_json,
     list_from_json,
     monomial,
     poly,
-    ring_scalar,
     scalar_from_json,
     scalar_to_json,
     series_one,
@@ -87,7 +87,7 @@ class CFraction(Value):
     __slots__ = ("a", "q", "status")
 
     def __init__(self, a: tuple[Scalar, ...], q: tuple[int, ...], status: Status):
-        a, q = tuple(ring_scalar(v) for v in a), tuple(q)
+        a, q = tuple(as_scalar(v) for v in a), tuple(q)
         if len(a) != len(q):
             raise ValueError("coefficient and exponent lists differ in length")
         if any(v == 0 for v in a):
@@ -129,14 +129,16 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
             status = Terminated() if exact else Truncated(f.order)
             return CFraction(tuple(a), tuple(q), status)
         lead = diff.coeffs[v]
-        if isinstance(lead, ParamPoly) and lead.degree >= 1:
+        try:
+            inverse = 1 / lead
+        except NonInvertibleScalar:
             raise NonInvertibleLeadingScalar(
                 f"leading coefficient {lead} cannot be inverted in the polynomial ring"
-            )
+            ) from None
         a.append(lead)
         q.append(v)
         num = Series(den.coeffs[: diff.order - v + 1], diff.order - v)
-        den = series_scale(series_shift_down(diff, v), 1 / lead)
+        den = series_scale(series_shift_down(diff, v), inverse)
 
 
 def evaluate(cf: CFraction, order: int) -> Series:

@@ -135,8 +135,9 @@ def b_from_a(a: Sequence) -> list[Scalar]:
 
     ``a`` starts with the leading coefficient a_0 (1 for fractions with a
     plain unit numerator).  Starting from b_0 = 1, each next value is
-    forced by a_k * b_k * b_{k+1} = 1.  Symbolic inverses stay exact as
-    reduced polynomial quotients.
+    forced by a_k * b_k * b_{k+1} = 1.  The ladder is a rational
+    cross-check: its b_k are reciprocals, so a non-constant symbolic a_k
+    raises NonInvertibleScalar.
     """
     values = [as_scalar(v) for v in a]
     b: list[Scalar] = [Fraction(1)]
@@ -190,7 +191,9 @@ def closed_form_from_b(b: Sequence, p: Sequence[int], m: int) -> Scalar:
     introduced at ladder level i is element i+1, so passing ``b[1:]``
     instead aligns each exponent with its own level's coefficient; on that
     alignment the result equals (-1)^n times the Hankel value at position
-    n = p_1 + ... + p_m (the relation the tests pin down).
+    n = p_1 + ... + p_m (the relation the tests pin down).  The b[i] are
+    raised to negative powers, so they must be rationals (or constants): a
+    non-constant symbolic b[i] raises NonInvertibleScalar.
     """
     if m < 0:
         raise ValueError("level count must be non-negative")

@@ -1,22 +1,19 @@
 """Exact scalars and truncated power series.
 
-Scalars come in three exact forms:
+Scalars are elements of the ring Q[gamma], in two exact forms:
 
 * ``fractions.Fraction`` for plain rational values,
 * :class:`ParamPoly` for univariate polynomials in one formal parameter
-  (printed as ``gamma``) with rational coefficients,
-* :class:`PolyFrac` for reduced quotients of two such polynomials, used
-  where a construction needs a symbolic reciprocal without leaving exact
-  arithmetic.
+  (printed as ``gamma``) with rational coefficients.
 
-All three answer one numeric protocol, so callers use operators and never
-ask which form they hold: ``x == 0``, ``1 / x``, ``x ** n`` for any
-integer n, and ``x / y``, which divides polynomials exactly when no
-remainder is left and into a reduced :class:`PolyFrac` otherwise.
-:func:`as_scalar` gives the normal form: constants are Fractions and a
-quotient with denominator 1 is its numerator.  Series, x-polynomials and
-continued fractions take coefficients of the polynomial ring only and
-refuse a :class:`PolyFrac` when built.
+Both answer one numeric protocol, so callers use operators and never ask
+which form they hold: ``x == 0``, ``x * y``, ``x ** n`` for any integer
+n, and ``x / y`` and ``1 / x``.  Division is by units only: a non-zero
+constant divides, a non-constant polynomial raises
+:class:`NonInvertibleScalar` (even where it would divide exactly) and
+zero raises ``ZeroDivisionError``.  Nothing the package computes leaves
+the ring, so there is no quotient form.  :func:`as_scalar` gives the
+normal form: a polynomial of degree 0 or less is its constant Fraction.
 
 A :class:`Series` couples a coefficient vector with the truncation order
 through which those coefficients are trusted.  Every operation propagates
@@ -46,10 +43,6 @@ class NonInvertibleScalar(DomainError):
 
 class InexactDivision(DomainError):
     """A division that must be exact left a remainder: a ring-arithmetic bug."""
-
-
-class NonPolynomialCoefficient(DomainError):
-    """A series, polynomial or fraction coefficient is a polynomial quotient."""
 
 
 class Value:
@@ -189,13 +182,15 @@ class ParamPoly(Value):
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        """The exact quotient when the division leaves no remainder, else a PolyFrac."""
-        if isinstance(other, (int, Fraction)):
-            return self * (1 / Fraction(other))
-        if not isinstance(other, ParamPoly):
+        """Division by a unit of Q[gamma], a non-zero constant; any other
+        divisor is refused, even one that would divide exactly."""
+        if isinstance(other, ParamPoly):
+            if other.degree > 0:
+                raise NonInvertibleScalar(f"{other} has no inverse in the polynomial ring")
+            other = other.constant
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        quo, rem = self.div_rem(other)
-        return quo if rem.is_zero else PolyFrac(self, other)
+        return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -211,29 +206,6 @@ class ParamPoly(Value):
         for _ in range(exponent):
             acc = acc * self
         return acc
-
-    def div_rem(self, other: "ParamPoly") -> tuple["ParamPoly", "ParamPoly"]:
-        """Quotient and remainder of dense polynomial division."""
-        if not isinstance(other, ParamPoly) or other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for k in range(len(rem) - 1, d - 1, -1):
-            c = rem[k] / lead
-            if c == 0:
-                continue
-            quo[k - d] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k - d + j] -= c * b
-        return ParamPoly(quo), ParamPoly(rem)
-
-    def exact_div(self, other: "ParamPoly") -> "ParamPoly":
-        quo, rem = self.div_rem(other)
-        if not rem.is_zero:
-            raise InexactDivision(f"{self} is not divisible by {other}")
-        return quo
 
     def __eq__(self, other):
         if isinstance(other, ParamPoly):
@@ -280,128 +252,19 @@ class ParamPoly(Value):
 #: the formal parameter itself
 GAMMA = ParamPoly((0, 1))
 
-_ONE_POLY = ParamPoly((1,))
-
-
-def param_gcd(a: ParamPoly, b: ParamPoly) -> ParamPoly:
-    """Monic greatest common divisor by the Euclidean algorithm."""
-    while not b.is_zero:
-        a, b = b, a.div_rem(b)[1]
-    if a.is_zero:
-        return a
-    return a * (Fraction(1) / a.coeffs[-1])
-
-
-class PolyFrac(Value):
-    """Reduced quotient of two gamma-polynomials; denominator kept monic."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=_ONE_POLY):
-        num = num if isinstance(num, ParamPoly) else ParamPoly((num,))
-        den = den if isinstance(den, ParamPoly) else ParamPoly((den,))
-        if den.is_zero:
-            raise ZeroDivisionError("zero denominator in polynomial quotient")
-        if num.is_zero:
-            num, den = ParamPoly(), _ONE_POLY
-        else:
-            g = param_gcd(num, den)
-            if g.degree > 0:
-                num, den = num.exact_div(g), den.exact_div(g)
-            scale = Fraction(1) / den.coeffs[-1]
-            num, den = num * scale, den * scale
-        self._set(num, den)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            other = PolyFrac(other)
-        if not isinstance(other, PolyFrac):
-            return NotImplemented
-        return PolyFrac(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return PolyFrac(-self.num, self.den)
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            other = PolyFrac(other)
-        if not isinstance(other, PolyFrac):
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by zero polynomial quotient")
-        return PolyFrac(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            return PolyFrac(other) / self
-        return NotImplemented
-
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int):
-            raise ValueError("PolyFrac power requires an integer")
-        if exponent < 0:
-            return 1 / self**-exponent
-        return PolyFrac(self.num**exponent, self.den**exponent)
-
-    def evaluate(self, value) -> Fraction:
-        return self.num.evaluate(value) / self.den.evaluate(value)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ParamPoly)):
-            other = PolyFrac(other)
-        if not isinstance(other, PolyFrac):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        if self.den == _ONE_POLY:
-            return hash(self.num)
-        return hash((self.num.coeffs, self.den.coeffs))
-
-    def __str__(self):
-        if self.den == _ONE_POLY:
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-    def __repr__(self):
-        return f"PolyFrac({self.num!r}, {self.den!r})"
-
-
-Scalar = Union[Fraction, ParamPoly, PolyFrac]
+Scalar = Union[Fraction, ParamPoly]
 
 
 def as_scalar(value) -> Scalar:
-    """The normal form of an exact scalar; ints and strings become Fractions.
-
-    A quotient with denominator 1 becomes its numerator, and a polynomial
-    of degree 0 or less its constant.
-    """
+    """The normal form of an exact scalar: ints, strings and polynomials of
+    degree 0 or less become Fractions."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, PolyFrac):
-        if value.den.degree > 0:
-            return value
-        value = value.num
     if isinstance(value, ParamPoly):
         return value if value.degree > 0 else value.constant
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"{value!r} is not an exact scalar")
-
-
-def ring_scalar(value) -> Scalar:
-    """as_scalar, refusing a quotient: coefficients of series, x-polynomials
-    and continued fractions stay in the gamma-polynomial ring."""
-    value = as_scalar(value)
-    if isinstance(value, PolyFrac):
-        raise NonPolynomialCoefficient(f"coefficient {value} is not a polynomial in gamma")
-    return value
 
 
 def scalar_eval_gamma(value: Scalar, point) -> Fraction:
@@ -422,7 +285,7 @@ class Poly(Value):
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [ring_scalar(c) for c in coeffs]
+        cs = [as_scalar(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -511,7 +374,7 @@ class Series(Value):
 
 def series(values: Iterable, order: int | None = None) -> Series:
     """Build a Series, coercing values and zero-padding up to ``order``."""
-    cs = [ring_scalar(v) for v in values]
+    cs = [as_scalar(v) for v in values]
     if order is None:
         if not cs:
             raise ValueError("cannot infer the order of an empty series")
@@ -536,7 +399,7 @@ def series_sub(f: Series, g: Series) -> Series:
 
 
 def series_scale(f: Series, factor: Scalar) -> Series:
-    factor = ring_scalar(factor)
+    factor = as_scalar(factor)
     return Series(tuple(c * factor for c in f.coeffs), f.order)
 
 
@@ -587,10 +450,8 @@ def series_quotient(num: Series, den: Series) -> Series:
         return Series(tuple(Fraction(v) for v in ints), n)
     if d0 == 0:
         raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
-    inv0 = as_scalar(1 / d0)
-    if isinstance(inv0, PolyFrac):
-        raise NonInvertibleScalar(f"constant term {d0} has no inverse inside the polynomial ring")
-    return Series(tuple(_quotient_coeffs(ns, ds, inv0)), n)
+    # a non-constant gamma-polynomial d0 raises NonInvertibleScalar here
+    return Series(tuple(_quotient_coeffs(ns, ds, as_scalar(1 / d0))), n)
 
 
 def series_reciprocal(f: Series) -> Series:
@@ -615,11 +476,9 @@ def series_eval_gamma(f: Series, point) -> Series:
 
 def scalar_to_json(value: Scalar):
     value = as_scalar(value)
-    if isinstance(value, Fraction):
-        return str(value)
     if isinstance(value, ParamPoly):
         return {"coeffs": [str(c) for c in value.coeffs]}
-    raise ValueError(f"{value} has no wire format (unreduced quotient)")
+    return str(value)
 
 
 def int_from_json(obj, what: str) -> int:

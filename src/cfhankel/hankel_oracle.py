@@ -9,8 +9,8 @@ all integers, as every integral catalog sequence gives, is eliminated as
 it is.  Any other matrix, with a non-integral rational or a
 gamma-polynomial entry, first has its denominators cleared and each entry
 packed into one integer by Kronecker substitution, evaluating it at
-gamma = 2**B for a B at which no coefficient of any intermediate can
-overflow its digit.  The route is read off the entries alone; the result
+gamma = 2**B for a B at which every minor's coefficients fit their
+digits.  The route is read off the entries alone; the result
 is a ``Fraction`` or ``ParamPoly`` either way.
 
 ``hankel_transform`` is the reference every closed-form value in this
@@ -24,9 +24,7 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .exact import (
-    DomainError, InexactDivision, ParamPoly, Scalar, all_integral, as_scalar, ring_scalar
-)
+from .exact import DomainError, InexactDivision, ParamPoly, Scalar, all_integral, as_scalar
 
 
 class InsufficientTerms(DomainError):
@@ -45,7 +43,7 @@ def hankel_matrix(seq: Sequence, n: int) -> tuple[tuple[Scalar, ...], ...]:
     return tuple(tuple(values[i + j] for j in range(n + 1)) for i in range(n + 1))
 
 
-def _exact_div_int(num: int, den: int) -> int:
+def _checked_div(num: int, den: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
         raise InexactDivision(f"{num} is not divisible by {den}")
@@ -75,7 +73,7 @@ def _bareiss(m: list[list[int]]) -> int:
             row_i = m[i]
             head = row_i[k]
             for j in range(k + 1, n):
-                row_i[j] = _exact_div_int(pivot * row_i[j] - head * m[k][j], prev)
+                row_i[j] = _checked_div(pivot * row_i[j] - head * m[k][j], prev)
         prev = pivot
     result = m[n - 1][n - 1]
     return -result if sign < 0 else result
@@ -114,7 +112,7 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m = [[ring_scalar(v) for v in row] for row in rows]
+    m = [[as_scalar(v) for v in row] for row in rows]
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
     if all_integral(v for row in m for v in row):
@@ -124,14 +122,17 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     scale = lcm(*(c.denominator for row in polys for p in row for c in p))
     polys = [[[c.numerator * (scale // c.denominator) for c in p] for p in row] for row in polys]
     # Every entry of the elimination is a minor of the matrix (Sylvester's
-    # identity).  By the Leibniz expansion and |fg|_1 <= |f|_1 |g|_1, every
-    # minor has |.|_1 <= M, the product over rows of max(1, row sum of
-    # |a_ij|_1).  So every numerator pivot*a - head*b has |.|_1 <= 2 M**2
-    # < 2**(bits - 1): each of its digits, and each minor's, is recovered
-    # exactly, packing is injective (a zero test reads the polynomial's
-    # zero), and every exact division of polynomials stays exact in int.
+    # identity), so every Bareiss division is exact in Z[gamma].  Evaluation
+    # at gamma = 2**bits is a ring homomorphism Z[gamma] -> Z, so the packed
+    # elimination computes the packed minors exactly and without remainder;
+    # the numerators pivot*a - head*b need not be digit-exact.  Only minors
+    # are tested for zero or unpacked.  By the Leibniz expansion and
+    # |fg|_1 <= |f|_1 |g|_1, each has |.|_1 <= M, the product over rows of
+    # max(1, row sum of |a_ij|_1), and M < 2**(bits - 1): its balanced
+    # digits are its coefficients, so a zero test reads the polynomial's
+    # zero and every pivot is chosen as over Z[gamma].
     bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
-    bits = 2 * bound.bit_length() + 2
+    bits = bound.bit_length() + 1
     det = _bareiss([[_pack(p, bits) for p in row] for row in polys])
     return as_scalar(ParamPoly(_unpack(det, bits)) * Fraction(1, scale**n))
 

@@ -23,9 +23,7 @@ from cfhankel.cfrac import (
 from cfhankel.exact import (
     GAMMA,
     DomainError,
-    NonPolynomialCoefficient,
     ParamPoly,
-    PolyFrac,
     Series,
     poly,
     series,
@@ -160,10 +158,11 @@ class TestCorrespond:
         with pytest.raises(NonInvertibleLeadingScalar):
             correspond(series([1, -GAMMA, GAMMA**2], 2))
 
-    def test_polynomial_quotient_coefficient_is_refused(self):
-        # used to end in a bare TypeError inside the extraction
-        with pytest.raises(NonPolynomialCoefficient):
-            correspond(series([1, PolyFrac(ParamPoly((1,)), GAMMA)], 2))
+    def test_constant_polynomial_lead_is_inverted(self):
+        # series_sub keeps a degree-0 ParamPoly as it is, so a leading
+        # coefficient can be a constant polynomial: a unit of Q[gamma]
+        f = Series((Fraction(1), ParamPoly((2,)), ParamPoly((3,))), 2)
+        assert correspond(f) == correspond(series([1, 2, 3]))
 
     def test_round_trip_random(self):
         rng = random.Random(11)
@@ -174,6 +173,12 @@ class TestCorrespond:
             f = series(coeffs, 12)
             cf = correspond(f)
             assert evaluate(cf, 12) == f
+
+    @given(st.lists(st.fractions(min_value=-9, max_value=9, max_denominator=9), max_size=16))
+    def test_round_trip_property(self, tail):
+        # zero coefficients are common, so q_k > 1 and zero tails occur
+        f = series([1, *tail])
+        assert evaluate(correspond(f), f.order) == f
 
     def test_reverse_round_trip_random(self):
         rng = random.Random(13)
@@ -219,14 +224,6 @@ class TestEvaluate:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             evaluate(CFraction((), (), Terminated()), -1)
-
-    def test_polynomial_quotient_numerator_is_refused(self):
-        # used to end in a bare TypeError inside the expansion
-        with pytest.raises(NonPolynomialCoefficient):
-            evaluate(CFraction((PolyFrac(ParamPoly((1,)), GAMMA),), (1,), Terminated()), 3)
-        # a quotient with denominator 1 is its polynomial numerator
-        cf = CFraction((PolyFrac(GAMMA),), (1,), Terminated())
-        assert cf.a == (GAMMA,)
 
 
 class TestApproximants:

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from cfhankel.cfrac import CFraction, Terminated, evaluate
 from cfhankel import closedform
@@ -25,7 +26,7 @@ from cfhankel.closedform import (
     p_sequence,
     pfraction_from_cfraction,
 )
-from cfhankel.exact import GAMMA, PolyFrac, as_scalar
+from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, as_scalar
 from cfhankel.hankel_oracle import hankel_transform
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21]  # F_1..F_8
@@ -126,14 +127,16 @@ class TestCoefficientConversion:
         b = b_from_a([Fraction(1)] + [Fraction(v) for v in FIB[:6]])
         assert b == [1, 1, 1, 1, Fraction(1, 2), Fraction(2, 3), Fraction(3, 10), Fraction(5, 12)]
 
-    def test_symbolic_quotients(self):
-        b = b_from_a([1, GAMMA, GAMMA, GAMMA, GAMMA])
-        assert b[0] == 1 and b[1] == 1 and b[3] == 1
-        assert isinstance(b[2], PolyFrac)
-        assert as_scalar(b[2] * GAMMA) == 1
-        assert b[4] == b[2]
-        back = a_from_b(b)
-        assert back == [1, GAMMA, GAMMA, GAMMA, GAMMA]
+    def test_symbolic_numerators_are_refused(self):
+        # b_2 = 1/gamma would leave Q[gamma]; the ladder is a rational cross-check
+        with pytest.raises(NonInvertibleScalar):
+            b_from_a([1, GAMMA])
+        with pytest.raises(NonInvertibleScalar):
+            a_from_b([1, 1, GAMMA])
+        with pytest.raises(NonInvertibleScalar):
+            closed_form_from_b([1, GAMMA], [1, 1], 1)
+        # a constant polynomial is a unit
+        assert b_from_a([1, ParamPoly((2,))]) == [1, 1, Fraction(1, 2)]
 
     def test_defining_relation(self):
         rng = random.Random(47)
@@ -144,6 +147,13 @@ class TestCoefficientConversion:
             for k, ak in enumerate(a):
                 assert as_scalar(ak * b[k] * b[k + 1]) == 1
             assert a_from_b(b) == a
+
+    @given(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: v != 0),
+        max_size=10,
+    ))
+    def test_inverse_pair_property(self, a):
+        assert a_from_b(b_from_a(a)) == a
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroCoefficient):

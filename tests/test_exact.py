@@ -6,15 +6,11 @@ from hypothesis import given, strategies as st
 
 from cfhankel.exact import (
     GAMMA,
-    InexactDivision,
     NonInvertibleScalar,
-    NonPolynomialCoefficient,
     ParamPoly,
-    PolyFrac,
     Series,
     ZeroConstantTerm,
     as_scalar,
-    param_gcd,
     poly,
     scalar_from_json,
     scalar_to_json,
@@ -87,62 +83,26 @@ class TestParamPoly:
             assert (p * q).evaluate(r) == p.evaluate(r) * q.evaluate(r)
             assert (p + q).evaluate(r) == p.evaluate(r) + q.evaluate(r)
 
-    def test_exact_division(self):
-        p = ParamPoly((-1, 0, 1))  # gamma^2 - 1
-        q = ParamPoly((1, 1))
-        assert p.exact_div(q) == ParamPoly((-1, 1))
-        with pytest.raises(InexactDivision):
-            ParamPoly((1, 1, 1)).exact_div(ParamPoly((0, 1)))
-
-    def test_gcd_is_monic(self):
-        a = ParamPoly((0, 2, 2))  # 2*gamma*(gamma+1)
-        b = ParamPoly((0, 0, 3, 3))  # 3*gamma^2*(gamma+1)
-        g = param_gcd(a, b)
-        assert g == ParamPoly((0, 1, 1))
-
     def test_str(self):
         assert str(ParamPoly((1, -1, Fraction(3, 2)))) == "3/2*gamma^2 - gamma + 1"
 
 
-class TestPolyFrac:
-    def test_reduction_and_monic_denominator(self):
-        f = PolyFrac(ParamPoly((0, 2, 2)), ParamPoly((0, 0, 4)))
-        # (2g + 2g^2) / (4g^2) -> (1/2 + g/2) / g
-        assert f.num == ParamPoly((Fraction(1, 2), Fraction(1, 2)))
-        assert f.den == ParamPoly((0, 1))
-
-    def test_negative_powers(self):
-        inv = GAMMA**-2
-        assert isinstance(inv, PolyFrac)
-        assert as_scalar(inv * GAMMA**2) == 1
-
-    def test_invert_scalar(self):
-        assert 1 / Fraction(2) == Fraction(1, 2)
-        assert as_scalar(1 / ParamPoly((3,))) == Fraction(1, 3)
-        assert as_scalar(1 / GAMMA * GAMMA) == 1
-
-    def test_equality_across_forms(self):
-        assert PolyFrac(GAMMA, ParamPoly((1,))) == GAMMA
-        assert as_scalar(PolyFrac(ParamPoly((6,)), ParamPoly((4,)))) == Fraction(3, 2)
-
-
-def scalars():
-    """Nonzero Fractions, gamma-polynomials and polynomial quotients."""
-    rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
-    polys = st.lists(rationals, min_size=1, max_size=3).map(ParamPoly)
-    nonzero = st.one_of(rationals, polys).filter(lambda v: v != 0)
-    return st.one_of(nonzero, st.tuples(nonzero, nonzero).map(lambda t: PolyFrac(t[0]) / t[1]))
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+#: any scalar of Q[gamma]: Fractions and gamma-polynomials, zero included
+SCALARS = st.one_of(RATIONALS, st.lists(RATIONALS, max_size=3).map(ParamPoly))
+#: the units of Q[gamma]: non-zero Fractions and non-zero constant polynomials
+UNITS = RATIONALS.filter(lambda v: v != 0).flatmap(
+    lambda v: st.sampled_from([v, ParamPoly((v,))])
+)
 
 
 class TestScalarProtocol:
     def test_polynomial_division(self):
-        assert (GAMMA**2 - 1) / (GAMMA + 1) == GAMMA - 1
+        # a constant divides, whichever form it takes
         assert GAMMA / 2 == ParamPoly((0, Fraction(1, 2)))
         assert 2 / ParamPoly((4,)) == ParamPoly((Fraction(1, 2),))
-        quotient = (GAMMA + 1) / GAMMA
-        assert isinstance(quotient, PolyFrac)
-        assert (quotient.num, quotient.den) == (GAMMA + 1, GAMMA)
-        assert isinstance(1 / GAMMA, PolyFrac)
+        assert 1 / ParamPoly((3,)) == Fraction(1, 3)
+        assert ParamPoly((2,)) ** -2 == Fraction(1, 4)
         constant = as_scalar(ParamPoly((3,)) / ParamPoly((2,)))
         assert constant == Fraction(3, 2) and type(constant) is Fraction
         with pytest.raises(ZeroDivisionError):
@@ -150,20 +110,45 @@ class TestScalarProtocol:
         with pytest.raises(ZeroDivisionError):
             ParamPoly() ** -1
 
+    def test_non_units_are_refused(self):
+        with pytest.raises(NonInvertibleScalar):
+            1 / GAMMA
+        with pytest.raises(NonInvertibleScalar):
+            GAMMA**-1
+        # refused even where the division would be exact
+        with pytest.raises(NonInvertibleScalar):
+            (GAMMA**2 - 1) / (GAMMA + 1)
+        with pytest.raises(NonInvertibleScalar):
+            Fraction(1, 2) / (GAMMA + 1)
+
     def test_normal_form(self):
         assert type(as_scalar(ParamPoly((3,)))) is Fraction
         assert as_scalar(ParamPoly()) == 0 and type(as_scalar(ParamPoly())) is Fraction
-        assert as_scalar(PolyFrac(GAMMA)) == GAMMA and type(as_scalar(PolyFrac(GAMMA))) is ParamPoly
-        assert type(as_scalar(PolyFrac(ParamPoly((2,))))) is Fraction
-        assert type(as_scalar(1 / GAMMA)) is PolyFrac
+        assert as_scalar(GAMMA) is GAMMA
+        assert as_scalar(3) == Fraction(3) and as_scalar("-1/2") == Fraction(-1, 2)
+        with pytest.raises(TypeError):
+            as_scalar(0.5)
 
-    @given(scalars(), scalars(), st.integers(-3, 3))
+    @given(UNITS, UNITS, st.integers(-3, 3))
     def test_operators_agree(self, x, y, n):
-        assert x != 0
         assert as_scalar(x / y * y) == as_scalar(x)
         assert as_scalar(1 / x * x) == 1
         assert as_scalar(x**n * x**-n) == 1
         assert as_scalar(x**n) == as_scalar(1 / x ** -n)
+
+    @given(SCALARS, SCALARS, st.integers(1, 3))
+    def test_division_raises_exactly_for_non_units(self, x, y, n):
+        if isinstance(y, ParamPoly) and y.degree > 0:
+            with pytest.raises(NonInvertibleScalar):
+                x / y
+            with pytest.raises(NonInvertibleScalar):
+                y**-n
+        elif y == 0:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        else:
+            assert as_scalar(x / y * y) == as_scalar(x)
+            assert as_scalar(y**-n * y**n) == 1
 
 
 class TestSeries:
@@ -200,6 +185,12 @@ class TestSeries:
             series_reciprocal(series([0, 1], 1))
         with pytest.raises(NonInvertibleScalar):
             series_reciprocal(series([GAMMA, 1], 1))
+
+    def test_constant_polynomial_lead_is_a_unit(self):
+        # Series() keeps its coefficients as given, so a degree-0 ParamPoly
+        # can stand where the normal form has a Fraction
+        den = Series((ParamPoly((2,)), ParamPoly((0, 1))), 1)
+        assert series_reciprocal(den) == series([Fraction(1, 2), -GAMMA / 4], 1)
 
     def test_reciprocal_involution(self):
         rng = random.Random(3)
@@ -283,10 +274,6 @@ class TestPoly:
         q = poly([1, -1])
         assert p * q == poly([1, 0, -1])
         assert p.shift(2) == poly([0, 0, 1, 1])
-
-    def test_polynomial_quotient_coefficient_is_refused(self):
-        with pytest.raises(NonPolynomialCoefficient):
-            poly([1, PolyFrac(ParamPoly((1,)), GAMMA)])
 
     def test_to_series_pads(self):
         assert poly([1, 2]).to_series(4) == series([1, 2, 0, 0, 0], 4)

@@ -11,7 +11,7 @@ from hypothesis import given, strategies as st
 from cfhankel.catalog import Claim
 from cfhankel.cfrac import CFraction, Terminated, Truncated
 from cfhankel.closedform import NegativePExponent, PFraction, ZeroCoefficient
-from cfhankel.exact import ParamPoly, Poly, PolyFrac, Series
+from cfhankel.exact import ParamPoly, Poly, Series
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero = rationals.filter(lambda v: v != 0)
@@ -44,7 +44,6 @@ def test_fields_cannot_be_assigned_or_deleted(values):
     for value, field in [
         (Series(tuple(values), len(values) - 1), "order"),
         (ParamPoly(values), "coeffs"),
-        (PolyFrac(ParamPoly((0, 1)), ParamPoly((1, 1))), "num"),
         (Poly(values), "coeffs"),
         (CFraction((Fraction(1),), (1,), Terminated()), "a"),
         (Truncated(2), "reliable_order"),
