@@ -24,12 +24,10 @@ the whole catalog, and the report records its outcome.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .cfrac import CFraction, Terminated, correspond, evaluate
+from .cfrac import CFraction, Terminated, evaluate
 from .closedform import (
     Convention,
     DEFAULT_CONVENTION,
@@ -41,12 +39,11 @@ from .closedform import (
 from .exact import (
     DomainError,
     GAMMA,
-    Poly,
     Scalar,
     as_scalar,
-    poly,
     scalar_eval_gamma,
     scalar_to_json,
+    series,
     series_quotient,
 )
 
@@ -108,32 +105,15 @@ def catalog_cfraction(name: str, gamma=None, terms: int = 8) -> CFraction:
     raise UnknownName(f"no catalog entry named {name!r}")
 
 
-def terms_for_order(name: str, order: int) -> int:
-    """Quotients needed so the entry's expansion is exact through ``order``.
-
-    The m-term cut agrees with the full fraction strictly below
-    x^(q_1 + ... + q_{m+1}), so the count is the first m whose exponent sum
-    clears the requested order; order + 1 exponents, each at least 1, always
-    reach it.
-    """
-    exponents = catalog_cfraction(name, terms=max(order, 0) + 1).q
-    return bisect_right(list(accumulate(exponents)), order) + 1
-
-
-def catalog_series(name: str, order: int, gamma=None):
-    """The entry's series, exact through ``order``."""
-    cf = catalog_cfraction(name, gamma=gamma, terms=terms_for_order(name, order))
-    return evaluate(cf, order)
-
-
-def expand_rational_gf(numer: Poly, denom: Poly, count: int) -> list[Scalar]:
-    """First ``count`` Taylor coefficients of numer/denom, exact."""
+def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Scalar]:
+    """First ``count`` Taylor coefficients of numer/denom, exact; both are
+    polynomial coefficient sequences, lowest degree first."""
     if count < 1:
         raise ValueError("at least one coefficient must be requested")
-    if denom.coeff(0) == 0:
+    if not denom or denom[0] == 0:
         raise ZeroConstantDenominator("denominator must not vanish at 0")
     order = count - 1
-    expansion = series_quotient(numer.to_series(order), denom.to_series(order))
+    expansion = series_quotient(series(numer, order), series(denom, order))
     return [as_scalar(c) for c in expansion.coeffs]
 
 
@@ -407,8 +387,8 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
         )
     )
     quoted_gf = expand_rational_gf(
-        poly([0, 0, 6, 0, 0, 2]),  # 2x^2 (x^3 + 3)
-        poly([1, 2, 1]) * poly([1, -1]) * poly([1, -1]) * poly([1, -1]) * poly([1, -1]),
+        [0, 0, 6, 0, 0, 2],  # 2x^2 (x^3 + 3)
+        [1, -2, -1, 4, -1, -2, 1],  # (1 + x)^2 (1 - x)^4
         7,
     )
     claims.append(
@@ -454,14 +434,3 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
     claims.extend(_rogers_ramanujan_claims(working))
     claims.sort(key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))
-
-
-def catalog_round_trip(name: str, gamma=None, terms: int = 6) -> bool:
-    """Entry series fed back through extraction reproduces its (a, q)."""
-    cf = catalog_cfraction(name, gamma=gamma, terms=terms)
-    horizon = sum(cf.q) + 4
-    try:
-        back = correspond(evaluate(cf, horizon), exact=True)
-    except DomainError:
-        return False
-    return back.a == cf.a and back.q == cf.q

@@ -8,9 +8,9 @@ and always denotes the continued fraction
 so ``g(0) = 1``.  :func:`correspond` extracts that representation from a
 truncated series, and :func:`evaluate` expands a fraction back into a
 series.  The two are exact inverses of each other as far as the trusted
-truncation window allows; :func:`approximants` and
-:func:`determinant_identity_residual` expose the classical approximant
-recurrences and the cross-product identity they satisfy.
+truncation window allows.  :func:`approximants` gives the numerator and
+denominator polynomials of the classical approximant recurrences as
+coefficient tuples.
 
 Extraction is a Euclid-style ratio step (Jones & Thron 1980): with the
 reciprocal of the current tail held as num/den, den(0) = 1, the first
@@ -31,17 +31,15 @@ from typing import NamedTuple
 from .exact import (
     DomainError,
     NonInvertibleScalar,
-    Poly,
     Scalar,
     Series,
     Value,
     as_scalar,
     int_from_json,
     list_from_json,
-    monomial,
-    poly,
     scalar_from_json,
     scalar_to_json,
+    series,
     series_one,
     series_quotient,
     series_scale,
@@ -158,15 +156,26 @@ def evaluate(cf: CFraction, order: int) -> Series:
     if isinstance(cf.status, Truncated):
         cap = min(order, cf.status.reliable_order)
     pair = approximants(cf, bisect_right(list(accumulate(cf.q)), cap))
-    return series_quotient(pair.B.to_series(cap), pair.A.to_series(cap))
+    return series_quotient(series(pair.B, cap), series(pair.A, cap))
 
 
 class ApproximantPair(NamedTuple):
-    """Numerator/denominator polynomials A_n, B_n of the n-th approximant."""
+    """Numerator/denominator polynomials A_n, B_n of the n-th approximant,
+    as coefficient tuples: lowest degree first, trailing zeros stripped."""
 
-    A: Poly
-    B: Poly
+    A: tuple[Scalar, ...]
+    B: tuple[Scalar, ...]
     n: int
+
+
+def _add_shifted(p: tuple, c: Scalar, q: int, r: tuple) -> tuple:
+    """Coefficients of p + c x^q r, trailing zeros stripped."""
+    out = list(p) + [Fraction(0)] * (q + len(r) - len(p))
+    for k, v in enumerate(r, q):
+        out[k] = as_scalar(out[k] + c * v)
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
 
 
 def approximants(cf: CFraction, n: int) -> ApproximantPair:
@@ -175,39 +184,13 @@ def approximants(cf: CFraction, n: int) -> ApproximantPair:
     (so A_1 = 1 + a_1 x^q_1, B_1 = 1)."""
     if not 0 <= n <= len(cf):
         raise IndexOutOfRange(f"approximant {n} of a {len(cf)}-term fraction")
-    one = poly([1])
-    a_prev, b_prev = one, poly([])
+    one = (Fraction(1),)
+    a_prev, b_prev = one, ()
     a_cur, b_cur = one, one
-    for k in range(n):
-        term = monomial(cf.a[k], cf.q[k])
-        a_cur, a_prev = a_cur + term * a_prev, a_cur
-        b_cur, b_prev = b_cur + term * b_prev, b_cur
+    for ak, qk in zip(cf.a[:n], cf.q[:n]):
+        a_cur, a_prev = _add_shifted(a_cur, ak, qk, a_prev), a_cur
+        b_cur, b_prev = _add_shifted(b_cur, ak, qk, b_prev), b_cur
     return ApproximantPair(a_cur, b_cur, n)
-
-
-def determinant_identity_residual(cf: CFraction, n: int) -> Poly:
-    """A_n B_{n-1} - A_{n-1} B_n minus its closed form; identically zero.
-
-    The closed form is (-1)^(n-1) a_1 ... a_n x^(q_1+...+q_n), which pins
-    the order through which successive approximants agree.
-    """
-    if not 1 <= n <= len(cf):
-        raise IndexOutOfRange(f"identity index {n} of a {len(cf)}-term fraction")
-    cur = approximants(cf, n)
-    prev = approximants(cf, n - 1)
-    lhs = cur.A * prev.B - prev.A * cur.B
-    coeff: Scalar = Fraction(1) if n % 2 == 1 else Fraction(-1)
-    for ak in cf.a[:n]:
-        coeff = coeff * ak
-    rhs = monomial(coeff, cf.exponent_sum(n))
-    return lhs - rhs
-
-
-def prepend_unit_lead(f: Series) -> Series:
-    """1 + x*f(x): embeds an arbitrary series into the unit-constant form
-    the extraction requires (the general leading monomial is out of scope)."""
-    coeffs = (Fraction(1),) + f.coeffs
-    return Series(coeffs, f.order + 1)
 
 
 def cfraction_to_json(cf: CFraction) -> dict:

@@ -26,11 +26,11 @@ import os
 import sys
 
 from .cfrac import cfraction_from_json, cfraction_to_json, correspond, evaluate
-from .closedform import Convention, DEFAULT_CONVENTION, dense_to_json, dense_transform_of
 from .exact import DomainError, scalar_from_json, scalar_to_json, series_from_json, series_to_json
 
-# hankel_oracle and catalog are imported by the runners that use them, so
-# that a process pays at start-up only for the modules its subcommand runs
+# closedform, hankel_oracle and catalog are imported by the runners that use
+# them, so that a process pays at start-up only for the modules its
+# subcommand runs
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
@@ -57,11 +57,24 @@ def size(text: str) -> int:
     return value
 
 
+def convention(text: str):
+    """A --convention value, refused before any work when unknown; only a
+    given value loads closedform."""
+    from .closedform import Convention
+
+    try:
+        return Convention(text)
+    except ValueError:
+        choices = ", ".join(repr(c.value) for c in Convention)
+        raise argparse.ArgumentTypeError(
+            f"invalid choice: {text!r} (choose from {choices})"
+        ) from None
+
+
 def _convention_flag(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--convention",
-        choices=[c.value for c in Convention],
-        default=DEFAULT_CONVENTION.value,
+        type=convention,
         help="sign convention for the closed form (default: the arbitrated one)",
     )
 
@@ -132,17 +145,20 @@ def _run_hankel(args) -> int:
 
 
 def _run_closed(args) -> int:
+    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform_of
+
     cf = cfraction_from_json(_read_json(args.cfraction))
-    result = dense_transform_of(cf, args.max_n, Convention(args.convention))
+    result = dense_transform_of(cf, args.max_n, args.convention or DEFAULT_CONVENTION)
     _emit(dense_to_json(result))
     return 0
 
 
 def _run_compare(args) -> int:
+    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform_of
     from .hankel_oracle import hankel_transform
 
     cf = cfraction_from_json(_read_json(args.cfraction))
-    convention = Convention(args.convention)
+    convention = args.convention or DEFAULT_CONVENTION
     expansion = evaluate(cf, 2 * args.max_n)
     oracle = hankel_transform(expansion.coeffs, args.max_n)
     closed = dense_transform_of(cf, args.max_n, convention)

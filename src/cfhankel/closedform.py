@@ -1,16 +1,21 @@
 """Closed-form Hankel transforms of C-fraction coefficient data.
 
-The route from a C-fraction to its Hankel transform goes through a second
-continued-fraction shape, a reciprocal ladder
+The transform is read off the exponents and partial numerators alone.
+The exponents give the alternating sums p_n = q~_n - q~_{n-1} + ... +- q~_0
+of the extended exponent list q~ = (1, q_1, q_2, ...).  The transform
+vanishes everywhere except at the positions n = p_1 + ... + p_m, where its
+value is a signed monomial in the partial numerators: a_k carries the
+power p_k + p_{k+1} + ... + p_m (:func:`closed_form_monomial`).  Being a
+monomial, the value stays in Q[gamma] for symbolic a_k.
+
+The paper reaches that monomial through a reciprocal ladder
 
     x^p_0 / (b_1 x^p_1 + 1/(b_2 x^p_2 + 1/(b_3 x^p_3 + ...)))
 
-whose exponents come from the alternating sums
-p_n = q~_n - q~_{n-1} + q~_{n-2} - ... of the extended exponent list
-q~ = (1, q_1, q_2, ...), and whose coefficients are forced by
-a_k = 1/(b_k b_{k+1}).  The transform vanishes everywhere except at the
-positions n = p_1 + ... + p_m, where its value is a signed monomial in the
-partial numerators a_k.
+whose coefficients are forced by a_k = 1/(b_k b_{k+1}), and states the
+value as a product of powers of the b_k.  That literal formula is kept in
+the tests (``tests/crosscheck.py``) as the reference the monomial form is
+checked against; here the b_k are eliminated.
 
 Two sign normalizations of that monomial circulate; they differ by a
 global factor of -1.  Nothing here hard-codes a belief about which one is
@@ -19,7 +24,7 @@ oracle over the whole built-in catalog (see the catalog module and the
 test suite).
 
 A q-sequence whose alternating sums go negative leaves the scope of the
-ladder construction, and every entry point here refuses it rather than
+construction, and every entry point here refuses it rather than
 guessing.
 """
 
@@ -31,7 +36,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .cfrac import CFraction
-from .exact import DomainError, Scalar, Value, as_scalar, scalar_to_json
+from .exact import DomainError, Scalar, as_scalar, scalar_to_json
 
 
 class NegativePExponent(DomainError):
@@ -128,89 +133,6 @@ def index_profile(q: Sequence[int], count: int | None = None) -> IndexProfile:
                 f"index sum m_{n} = {m[n]}, its generating function gives {expected}"
             )
     return IndexProfile(tuple(qtilde), tuple(p), tuple(m), tuple(v - 1 for v in m))
-
-
-def b_from_a(a: Sequence) -> list[Scalar]:
-    """Ladder coefficients from partial numerators, unit-led.
-
-    ``a`` starts with the leading coefficient a_0 (1 for fractions with a
-    plain unit numerator).  Starting from b_0 = 1, each next value is
-    forced by a_k * b_k * b_{k+1} = 1.  The ladder is a rational
-    cross-check: its b_k are reciprocals, so a non-constant symbolic a_k
-    raises NonInvertibleScalar.
-    """
-    values = [as_scalar(v) for v in a]
-    b: list[Scalar] = [Fraction(1)]
-    for k, ak in enumerate(values):
-        if ak == 0:
-            raise ZeroCoefficient(f"partial numerator a_{k} is zero")
-        b.append(as_scalar(1 / (ak * b[-1])))
-    return b
-
-
-def a_from_b(b: Sequence) -> list[Scalar]:
-    """Inverse of b_from_a: a_k = 1/(b_k * b_{k+1})."""
-    values = [as_scalar(v) for v in b]
-    for k, v in enumerate(values):
-        if v == 0:
-            raise ZeroCoefficient(f"ladder coefficient b_{k} is zero")
-    return [as_scalar(1 / (values[k] * values[k + 1])) for k in range(len(values) - 1)]
-
-
-class PFraction(Value):
-    """Reciprocal-ladder data; b stores b_1, b_2, ... with b_0 = 1 implicit."""
-
-    __slots__ = ("b", "p")
-
-    def __init__(self, b: tuple[Scalar, ...], p: tuple[int, ...]):
-        if any(v == 0 for v in b):
-            raise ZeroCoefficient("ladder coefficients must be nonzero")
-        if any(v < 0 for v in p):
-            raise NegativePExponent(p.index(min(p)), min(p))
-        self._set(b, p)
-
-
-def pfraction_from_cfraction(cf: CFraction) -> PFraction:
-    """Ladder form of a C-fraction: exponents q~ = (1, q...) alternated
-    into p, coefficients from b_from_a with a unit lead."""
-    p = p_sequence((1, *cf.q))
-    full_b = b_from_a((Fraction(1), *cf.a))
-    return PFraction(tuple(full_b[1:]), tuple(p))
-
-
-def closed_form_from_b(b: Sequence, p: Sequence[int], m: int) -> Scalar:
-    """Ladder-coefficient form of the transform value, evaluated verbatim:
-
-        prod_{i=1..m} (-1)^(p_i (p_i - 1)/2)
-        * (-1)^(sum_{i=0..m-1} i * p_{i+1})
-        * prod_{i=1..m} b[i]^(-(p_i + 2 * sum_{j>i} p_j))
-
-    Subscripts index straight into ``b``; b[0] is never touched.  Passing
-    a unit-led list (as built by b_from_a) evaluates the subscripts
-    literally.  Under the unit-lead normalization the coefficient
-    introduced at ladder level i is element i+1, so passing ``b[1:]``
-    instead aligns each exponent with its own level's coefficient; on that
-    alignment the result equals (-1)^n times the Hankel value at position
-    n = p_1 + ... + p_m (the relation the tests pin down).  The b[i] are
-    raised to negative powers, so they must be rationals (or constants): a
-    non-constant symbolic b[i] raises NonInvertibleScalar.
-    """
-    if m < 0:
-        raise ValueError("level count must be non-negative")
-    if len(p) <= m:
-        raise ValueError(f"need p_0..p_{m}, got {len(p)} entries")
-    if len(b) <= m:
-        raise ValueError(f"need ladder coefficients through b[{m}]")
-    sign_exp = sum(p[i] * (p[i] - 1) // 2 for i in range(1, m + 1))
-    sign_exp += sum(i * p[i + 1] for i in range(m))
-    value: Scalar = Fraction(-1) if sign_exp % 2 else Fraction(1)
-    for i in range(1, m + 1):
-        bi = as_scalar(b[i])
-        if bi == 0:
-            raise ZeroCoefficient(f"ladder coefficient b[{i}] is zero")
-        exponent = p[i] + 2 * sum(p[j] for j in range(i + 1, m + 1))
-        value = value * bi**-exponent
-    return as_scalar(value)
 
 
 class MonomialValue(NamedTuple):

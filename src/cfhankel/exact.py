@@ -16,7 +16,9 @@ the ring, so there is no quotient form.  :func:`as_scalar` gives the
 normal form: a polynomial of degree 0 or less is its constant Fraction.
 
 A :class:`Series` couples a coefficient vector with the truncation order
-through which those coefficients are trusted.  Every operation propagates
+through which those coefficients are trusted.  There is no type for
+polynomials in x: they are coefficient tuples, lowest degree first, and
+:func:`series` turns one into a Series.  Every operation propagates
 the trusted order pessimistically: a result never claims coefficients the
 operands did not supply.  All values are immutable, so everything here is
 safe to share between threads.
@@ -80,7 +82,7 @@ class Value:
 
 
 # ---------------------------------------------------------------------------
-# dense coefficient tuples: gamma-polynomials, x-polynomials and series
+# dense coefficient tuples
 
 
 def _dense_mul(xs, ys, n: int) -> list:
@@ -276,80 +278,6 @@ def scalar_eval_gamma(value: Scalar, point) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# polynomials in x (no truncation), used for approximants and rational g.f.s
-
-
-class Poly(Value):
-    """Dense polynomial in x over exact scalars; trailing zeros stripped."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [as_scalar(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def coeff(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
-
-    def __add__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
-
-    def __neg__(self):
-        return Poly(-c for c in self.coeffs)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return NotImplemented
-        if self.is_zero or other.is_zero:
-            return Poly()
-        xs, ys = self.coeffs, other.coeffs
-        return Poly(_dense_mul(xs, ys, len(xs) + len(ys) - 1))
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x**k."""
-        if self.is_zero:
-            return self
-        return Poly((Fraction(0),) * k + self.coeffs)
-
-    def to_series(self, order: int) -> "Series":
-        return series(self.coeffs, order)
-
-    def __str__(self):
-        if self.is_zero:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            parts.append(f"({c})*x^{k}" if k else f"({c})")
-        return " + ".join(parts)
-
-
-def poly(values: Iterable) -> Poly:
-    return Poly(values)
-
-
-def monomial(coefficient, k: int) -> Poly:
-    return Poly((Fraction(0),) * k + (coefficient,))
-
-
-# ---------------------------------------------------------------------------
 # truncated power series
 
 
@@ -388,11 +316,6 @@ def series_one(order: int) -> Series:
     return series([Fraction(1)], order)
 
 
-def series_add(f: Series, g: Series) -> Series:
-    n = min(f.order, g.order)
-    return Series(tuple(f.coeffs[k] + g.coeffs[k] for k in range(n + 1)), n)
-
-
 def series_sub(f: Series, g: Series) -> Series:
     n = min(f.order, g.order)
     return Series(tuple(f.coeffs[k] - g.coeffs[k] for k in range(n + 1)), n)
@@ -401,12 +324,6 @@ def series_sub(f: Series, g: Series) -> Series:
 def series_scale(f: Series, factor: Scalar) -> Series:
     factor = as_scalar(factor)
     return Series(tuple(c * factor for c in f.coeffs), f.order)
-
-
-def series_mul(f: Series, g: Series) -> Series:
-    """Truncated product; the result order is the smaller operand order."""
-    n = min(f.order, g.order)
-    return Series(tuple(_dense_mul(f.coeffs, g.coeffs, n + 1)), n)
 
 
 def series_valuation(f: Series) -> int | None:
@@ -464,10 +381,6 @@ def series_shift_down(f: Series, k: int) -> Series:
     if k > f.order:
         raise ValueError("shift below the trusted window")
     return Series(f.coeffs[k:], f.order - k)
-
-
-def series_eval_gamma(f: Series, point) -> Series:
-    return Series(tuple(scalar_eval_gamma(c, point) for c in f.coeffs), f.order)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ digits.  The route is read off the entries alone; the result
 is a ``Fraction`` or ``ParamPoly`` either way.
 
 ``hankel_transform`` is the reference every closed-form value in this
-package is judged against.  A naive cofactor expansion is included purely
-as an independent second route for cross-checking the elimination.
+package is judged against.  The elimination itself is cross-checked in
+the tests against a naive cofactor expansion, which lives in
+``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -135,29 +136,6 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     bits = bound.bit_length() + 1
     det = _bareiss([[_pack(p, bits) for p in row] for row in polys])
     return as_scalar(ParamPoly(_unpack(det, bits)) * Fraction(1, scale**n))
-
-
-def det_cofactor(rows: Sequence[Sequence]) -> Scalar:
-    """First-row cofactor expansion; exponential, for cross-checks only."""
-    n = len(rows)
-    if n == 0:
-        return Fraction(1)
-    m = [[as_scalar(v) for v in row] for row in rows]
-
-    def expand(grid: list[list[Scalar]]) -> Scalar:
-        size = len(grid)
-        if size == 1:
-            return grid[0][0]
-        total: Scalar = Fraction(0)
-        for j, top in enumerate(grid[0]):
-            if top == 0:
-                continue
-            minor = [row[:j] + row[j + 1 :] for row in grid[1:]]
-            term = top * expand(minor)
-            total = total + term if j % 2 == 0 else total - term
-        return total
-
-    return as_scalar(expand(m))
 
 
 def hankel_det(seq: Sequence, n: int) -> Scalar:

@@ -243,6 +243,16 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and f"0..{SIZE_CEILING}" in err
 
+    @pytest.mark.parametrize("command", ["closed", "compare"])
+    def test_unknown_convention(self, capsys, monkeypatch, command):
+        # refused while parsing: stdin is never read
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run(capsys, command, "--cfraction", "-", "--max-n", "2",
+                             "--convention", "as-quoted")
+        assert code == 2
+        assert out == "" and "invalid choice: 'as-quoted'" in err
+        assert "'as-printed', 'sign-corrected'" in err
+
     @pytest.mark.parametrize("text", ["1e30000000", "1.5", " 1", "1_0", "0x10", "1/-2", "\u0661"])
     def test_rational_must_be_p_over_q(self, capsys, monkeypatch, text):
         # Fraction reads all of these; "1e30000000" took a minute to decode

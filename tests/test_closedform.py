@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from cfhankel.cfrac import CFraction, Terminated, evaluate
 from cfhankel import closedform
@@ -12,11 +12,7 @@ from cfhankel.closedform import (
     IndexProfileMismatch,
     MultiplicityConflict,
     NegativePExponent,
-    PFraction,
     ZeroCoefficient,
-    a_from_b,
-    b_from_a,
-    closed_form_from_b,
     closed_form_monomial,
     closed_form_value,
     dense_to_json,
@@ -24,10 +20,16 @@ from cfhankel.closedform import (
     dense_transform_of,
     index_profile,
     p_sequence,
-    pfraction_from_cfraction,
 )
 from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, as_scalar
 from cfhankel.hankel_oracle import hankel_transform
+from crosscheck import (
+    PFraction,
+    a_from_b,
+    b_from_a,
+    closed_form_from_b,
+    pfraction_from_cfraction,
+)
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21]  # F_1..F_8
 
@@ -48,6 +50,22 @@ def rand_valid_cfraction(rng, max_terms=6):
         except NegativePExponent:
             continue
         return CFraction(tuple(Fraction(v) for v in a), tuple(q), Terminated())
+
+
+@st.composite
+def ladder_cfractions(draw):
+    """Rational fractions whose ladder exponents p_n = q_n - p_{n-1} stay
+    non-negative: each q_n is drawn from max(1, p_{n-1}) .. p_{n-1} + 3."""
+    n = draw(st.integers(0, 7))
+    a = draw(st.lists(
+        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: v != 0),
+        min_size=n, max_size=n,
+    ))
+    q, p = [], 1
+    for _ in range(n):
+        q.append(draw(st.integers(max(1, p), p + 3)))
+        p = q[-1] - p
+    return CFraction(tuple(a), tuple(q), Terminated())
 
 
 class TestPSequence:
@@ -177,22 +195,21 @@ class TestLadderClosedForm:
         p = p_sequence([1, 2, 2, 2])
         assert [closed_form_from_b(b, p, m) for m in (1, 2, 3)] == [1, 1, 1]
 
-    def test_level_alignment_matches_dense_values(self):
+    @given(ladder_cfractions())
+    @example(fibonacci_cfraction(6))
+    def test_level_alignment_matches_dense_values(self, cf):
         # with coefficients aligned to their own ladder level (drop the
-        # unit lead), the ladder form reproduces the dense value at
-        # position n up to the factor (-1)^n
-        rng = random.Random(53)
-        fractions = [fibonacci_cfraction(6)] + [rand_valid_cfraction(rng) for _ in range(20)]
-        for cf in fractions:
-            qtilde = [1, *cf.q]
-            p = p_sequence(qtilde)
-            b = b_from_a([Fraction(1), *cf.a])
-            for m in range(len(cf) + 1):
-                position = sum(p[1 : m + 1])
-                expected = closed_form_value(cf.a, qtilde, m, Convention.SIGN_CORRECTED)
-                if position % 2:
-                    expected = -1 * expected
-                assert as_scalar(closed_form_from_b(b[1:], p, m)) == as_scalar(expected)
+        # unit lead), the paper's ladder form reproduces the shipped
+        # monomial value at position n up to the factor (-1)^n
+        qtilde = [1, *cf.q]
+        p = p_sequence(qtilde)
+        b = b_from_a([Fraction(1), *cf.a])
+        for m in range(len(cf) + 1):
+            position = sum(p[1 : m + 1])
+            expected = closed_form_value(cf.a, qtilde, m, Convention.SIGN_CORRECTED)
+            if position % 2:
+                expected = -1 * expected
+            assert as_scalar(closed_form_from_b(b[1:], p, m)) == as_scalar(expected)
 
 
 class TestMonomialClosedForm:

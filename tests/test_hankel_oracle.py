@@ -10,17 +10,16 @@ from cfhankel.exact import (
     GAMMA,
     InexactDivision,
     ParamPoly,
-    series_eval_gamma,
     series,
 )
 from cfhankel.hankel_oracle import (
     InsufficientTerms,
-    det_cofactor,
     hankel_det,
     hankel_matrix,
     hankel_transform,
     matrix_det,
 )
+from crosscheck import det_cofactor, series_eval_gamma
 
 ROGERS_RAMANUJAN_5 = [1, -GAMMA, GAMMA**2, GAMMA**2 - GAMMA**3, GAMMA**4 - 2 * GAMMA**3]
 

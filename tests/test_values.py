@@ -10,8 +10,9 @@ from hypothesis import given, strategies as st
 
 from cfhankel.catalog import Claim
 from cfhankel.cfrac import CFraction, Terminated, Truncated
-from cfhankel.closedform import NegativePExponent, PFraction, ZeroCoefficient
-from cfhankel.exact import ParamPoly, Poly, Series
+from cfhankel.closedform import NegativePExponent, ZeroCoefficient
+from cfhankel.exact import ParamPoly, Series
+from crosscheck import PFraction
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero = rationals.filter(lambda v: v != 0)
@@ -23,7 +24,6 @@ def test_equal_polynomials_and_series_hash_alike(values, zeros):
     order = len(padded) - 1
     for a, b in [
         (ParamPoly(values), ParamPoly(tuple(padded))),
-        (Poly(values), Poly(padded)),
         (Series(tuple(padded), order), Series(tuple(padded), order)),
     ]:
         assert a is not b and a == b and hash(a) == hash(b)
@@ -44,7 +44,6 @@ def test_fields_cannot_be_assigned_or_deleted(values):
     for value, field in [
         (Series(tuple(values), len(values) - 1), "order"),
         (ParamPoly(values), "coeffs"),
-        (Poly(values), "coeffs"),
         (CFraction((Fraction(1),), (1,), Terminated()), "a"),
         (Truncated(2), "reliable_order"),
         (PFraction((Fraction(1),), (1, 0)), "b"),
