@@ -7,7 +7,8 @@ the previous command's stdout.  ``golden/<case>.out`` holds the last
 stdout and ``golden/exit_codes.json`` every command's exit code.
 
 To record the files again after a deliberate change of output, run
-``PYTHONPATH=src python tests/test_golden.py``.
+``PYTHONPATH=src python tests/test_golden.py [case ...]``; naming cases
+records only those and keeps every other recorded file as it is.
 """
 
 import io
@@ -34,6 +35,7 @@ MIXED_EVAL = ("eval", "--cfraction", "-", "--order", "10")
 
 CASES = {
     "verify": (None, [("verify", "--max-n", "12")]),
+    "verify-max-n-96": (None, [("verify", "--max-n", "96")]),
     "compare-catalan": _compare_catalog("catalan", 60, 24),
     "compare-aerated-catalan": _compare_catalog("aerated-catalan", 40, 24),
     "compare-fibonacci-cf": _compare_catalog("fibonacci-cf", 12, 24),
@@ -89,8 +91,8 @@ def test_stdout_and_exit_codes_are_recorded_bytes(case):
 
 
 if __name__ == "__main__":
-    recorded = {}
-    for name in sorted(CASES):
+    recorded = json.loads(EXIT_CODES.read_text(encoding="utf-8"))
+    for name in sys.argv[1:] or CASES:
         recorded[name], stdout = replay(name)
         (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8")
-    EXIT_CODES.write_text(json.dumps(recorded, indent=2) + "\n", encoding="utf-8")
+    EXIT_CODES.write_text(json.dumps(dict(sorted(recorded.items())), indent=2) + "\n", encoding="utf-8")
