@@ -1,22 +1,20 @@
 """Ground-truth Hankel transforms by exact determinant evaluation.
 
 The matrix of order n built from a sequence has entry (i, j) equal to
-seq[i + j], so it needs 2n + 1 leading terms.  Determinants are computed
-by fraction-free (Bareiss) elimination over Python ``int``, where every
-division is exact and checked with ``divmod``: a remainder aborts loudly,
-because it can only mean broken arithmetic.  A matrix whose entries are
-all integers, as every integral catalog sequence gives, is eliminated as
-it is.  Any other matrix, with a non-integral rational or a
-gamma-polynomial entry, first has its denominators cleared and each entry
-packed into one integer by Kronecker substitution, evaluating it at
-gamma = 2**B for a B at which every minor's coefficients fit their
-digits.  The route is read off the entries alone; the result
-is a ``Fraction`` or ``ParamPoly`` either way.
-
-``hankel_transform`` is the reference every closed-form value in this
-package is judged against.  The elimination itself is cross-checked in
-the tests against a naive cofactor expansion, which lives in
-``tests/crosscheck.py``.
+seq[i + j], so it needs 2n + 1 leading terms.  One fraction-free (Bareiss)
+elimination gives every leading principal minor: column k pivots on the
+unused row of smallest index with a non-zero entry, minor k is that pivot
+(signed by the row order) when rows 0..k were the ones taken and else 0,
+and a column with no pivot ends the pass, as it and every later minor are
+0.  So ``hankel_transform`` eliminates one matrix, and a sequence with a
+rational generating function of rank r costs r columns.  The pass runs
+over ``int`` with every division checked by ``divmod``: a remainder can
+only mean broken arithmetic.  A matrix that is not all integers has its
+denominators cleared and each entry packed into one integer at
+gamma = 2**B (Kronecker), one B from the full matrix fitting every minor.
+The result is a ``Fraction`` or ``ParamPoly`` either way, the reference
+every closed form here is judged against; the tests cross-check it with
+the cofactor expansion in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -37,10 +35,8 @@ def hankel_matrix(seq: Sequence, n: int) -> tuple[tuple[Scalar, ...], ...]:
     if n < 0:
         raise ValueError("matrix order must be non-negative")
     if len(seq) < 2 * n + 1:
-        raise InsufficientTerms(
-            f"order {n} needs {2 * n + 1} terms, only {len(seq)} supplied"
-        )
-    values = [as_scalar(v) for v in seq]
+        raise InsufficientTerms(f"order {n} needs {2 * n + 1} terms, only {len(seq)} supplied")
+    values = [as_scalar(v) for v in seq[: 2 * n + 1]]
     return tuple(tuple(values[i + j] for j in range(n + 1)) for i in range(n + 1))
 
 
@@ -51,33 +47,41 @@ def _checked_div(num: int, den: int) -> int:
     return quotient
 
 
-def _bareiss(m: list[list[int]]) -> int:
-    """Determinant of the square integer matrix ``m``, eliminated in place.
-
-    Zero pivots are repaired by a signed row exchange; a fully zero pivot
-    column settles the determinant as 0 immediately.
-    """
+def _leading_minors(m: list[list[int]]) -> list[int]:
+    """Every leading principal minor of the square integer matrix ``m``,
+    from one fraction-free elimination of it in place."""
+    # After k steps, entry j of an unused row i is the minor on rows
+    # p_0..p_{k-1}, i and columns 0..k-1, j (Sylvester's identity), so every
+    # division by the previous pivot is exact.  If h_k != 0, the first k + 1
+    # rows taken are 0..k: while the j <= k rows taken lie in 0..k, they are
+    # independent on columns 0..j and rows 0..k have rank j + 1 there, so
+    # some untaken row <= k extends them to a non-zero minor, and the
+    # smallest-index rule takes a row <= k.  The sign of p_0..p_k counts its
+    # inversions: the positions popped from the ordered unused rows.  With
+    # no pivot in column k, every row on columns 0..k lies in the span of
+    # the k rows taken, so column k depends on columns 0..k-1 and h_n = 0
+    # for all n >= k.
     n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row_i = m[i]
-            head = row_i[k]
+    unused = list(enumerate(m))
+    minors: list[int] = []
+    prev, sign, top = 1, 1, -1
+    for k in range(n):
+        for pos, (index, pivot_row) in enumerate(unused):
+            if pivot_row[k]:
+                break
+        else:
+            return minors + [0] * (n - k)
+        del unused[pos]
+        sign = -sign if pos % 2 else sign
+        top = max(top, index)
+        pivot = pivot_row[k]
+        minors.append(sign * pivot if top == k else 0)
+        for _, row in unused:
+            head = row[k]
             for j in range(k + 1, n):
-                row_i[j] = _checked_div(pivot * row_i[j] - head * m[k][j], prev)
+                row[j] = _checked_div(pivot * row[j] - head * pivot_row[j], prev)
         prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+    return minors
 
 
 def _pack(coeffs: Sequence[int], bits: int) -> int:
@@ -102,40 +106,40 @@ def _unpack(value: int, bits: int) -> list[int]:
     return digits
 
 
-def matrix_det(rows: Sequence[Sequence]) -> Scalar:
-    """Fraction-free elimination determinant over the rationals or Q[gamma].
+def _minors(m: Sequence[Sequence[Scalar]]) -> list[Scalar]:
+    """All leading minors of a square matrix of scalars.  A non-integral one
+    is scaled by the lcm L of its coefficient denominators and packed, and
+    minor k is unpacked and divided by L**(k + 1)."""
+    if all_integral(v for row in m for v in row):
+        return [Fraction(d) for d in _leading_minors([[v.numerator for v in row] for row in m])]
+    polys = [[v.coeffs if isinstance(v, ParamPoly) else (v,) for v in row] for row in m]
+    scale = lcm(*(c.denominator for row in polys for p in row for c in p))
+    polys = [[[c.numerator * (scale // c.denominator) for c in p] for p in row] for row in polys]
+    # Evaluation at gamma = 2**bits is a ring homomorphism, so the packed
+    # pass computes the packed minors exactly, though pivot*a - head*b need
+    # not be digit-exact.  Only minors of the full matrix, bordered ones too,
+    # are tested for zero or unpacked.  By Leibniz and |fg|_1 <= |f|_1 |g|_1
+    # each has |.|_1 <= M, the product over all rows of max(1, row sum of
+    # |a_ij|_1), and M < 2**(bits - 1): its balanced digits are its
+    # coefficients, so zero tests and pivots go as over Z[gamma].
+    bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
+    bits = bound.bit_length() + 1
+    minors = _leading_minors([[_pack(p, bits) for p in row] for row in polys])
+    return [as_scalar(ParamPoly(_unpack(d, bits)) * Fraction(1, scale ** (k + 1)))
+            for k, d in enumerate(minors)]
 
-    Every matrix is eliminated over ``int``: an all-integer one as it is,
-    any other scaled by the lcm L of its coefficient denominators with each
-    entry packed into one integer; that determinant is unpacked and divided
-    by L**n.  The value is a ``Fraction`` or ``ParamPoly`` either way.
-    """
+
+def matrix_det(rows: Sequence[Sequence]) -> Scalar:
+    """Determinant over the rationals or Q[gamma]: the last leading minor of
+    the one pass, pivoting on the first usable row and stopping at a column
+    with no pivot, over ``int`` packed at one width from the whole matrix."""
     n = len(rows)
     if n == 0:
         return Fraction(1)
     m = [[as_scalar(v) for v in row] for row in rows]
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-    if all_integral(v for row in m for v in row):
-        ints = [[v.numerator for v in row] for row in m]
-        return Fraction(_bareiss(ints))
-    polys = [[v.coeffs if isinstance(v, ParamPoly) else (v,) for v in row] for row in m]
-    scale = lcm(*(c.denominator for row in polys for p in row for c in p))
-    polys = [[[c.numerator * (scale // c.denominator) for c in p] for p in row] for row in polys]
-    # Every entry of the elimination is a minor of the matrix (Sylvester's
-    # identity), so every Bareiss division is exact in Z[gamma].  Evaluation
-    # at gamma = 2**bits is a ring homomorphism Z[gamma] -> Z, so the packed
-    # elimination computes the packed minors exactly and without remainder;
-    # the numerators pivot*a - head*b need not be digit-exact.  Only minors
-    # are tested for zero or unpacked.  By the Leibniz expansion and
-    # |fg|_1 <= |f|_1 |g|_1, each has |.|_1 <= M, the product over rows of
-    # max(1, row sum of |a_ij|_1), and M < 2**(bits - 1): its balanced
-    # digits are its coefficients, so a zero test reads the polynomial's
-    # zero and every pivot is chosen as over Z[gamma].
-    bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
-    bits = bound.bit_length() + 1
-    det = _bareiss([[_pack(p, bits) for p in row] for row in polys])
-    return as_scalar(ParamPoly(_unpack(det, bits)) * Fraction(1, scale**n))
+    return _minors(m)[-1]
 
 
 def hankel_det(seq: Sequence, n: int) -> Scalar:
@@ -143,12 +147,8 @@ def hankel_det(seq: Sequence, n: int) -> Scalar:
 
 
 def hankel_transform(seq: Sequence, max_n: int) -> list[Scalar]:
-    """(h_0, ..., h_max_n): the determinant of each leading Hankel matrix."""
-    if max_n < 0:
-        raise ValueError("max_n must be non-negative")
-    if len(seq) < 2 * max_n + 1:
-        raise InsufficientTerms(
-            f"transform to order {max_n} needs {2 * max_n + 1} terms, "
-            f"only {len(seq)} supplied"
-        )
-    return [hankel_det(seq, n) for n in range(max_n + 1)]
+    """(h_0, ..., h_max_n): all leading minors of the order-max_n Hankel
+    matrix from one pass, pivoting on the first usable row, stopping at the
+    first column with no pivot (every later h_n is 0) and packing a
+    non-integral matrix at one digit width taken from that whole matrix."""
+    return _minors(hankel_matrix(seq, max_n))

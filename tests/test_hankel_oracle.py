@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfhankel import hankel_oracle
+from cfhankel.catalog import catalog_cfraction
+from cfhankel.cfrac import evaluate
 from cfhankel.exact import (
     GAMMA,
     InexactDivision,
@@ -146,7 +148,79 @@ class TestTransform:
         rng = random.Random(41)
         seq = [rand_fraction(rng) for _ in range(9)]
         transform = hankel_transform(seq, 4)
-        assert transform == [hankel_det(seq, n) for n in range(5)]
+        assert transform == [det_cofactor(hankel_matrix(seq, n)) for n in range(5)]
+
+    def test_swapped_rows_give_no_leading_minor(self):
+        # column 0 pivots on row 1, so minor 0 is 0 and minor 1 is -1
+        assert hankel_oracle._leading_minors([[0, 1], [1, 0]]) == [0, -1]
+
+    def test_rank_cut_of_a_terminated_fraction(self):
+        # eight Fibonacci terms give a rational series: h_n != 0 exactly at the
+        # partial sums of the Fibonacci numbers, and 0 for 34 <= n <= 48
+        expansion = evaluate(catalog_cfraction("fibonacci-cf", terms=8), 96)
+        transform = hankel_transform(expansion.coeffs, 48)
+        assert [n for n, h in enumerate(transform) if h != 0] == [0, 1, 2, 4, 7, 12, 20, 33]
+        assert transform[34:] == [0] * 15
+
+
+def _rational_gf_terms(numer, denom, count):
+    """The first ``count`` terms of numer/denom, a power series with denom[0] = 1."""
+    terms = []
+    for k in range(count):
+        value = numer[k] if k < len(numer) else 0
+        terms.append(value - sum(q * terms[k - i] for i, q in enumerate(denom[1 : k + 1], 1)))
+    return terms
+
+
+@st.composite
+def hankel_sequences(draw, max_n=5):
+    """(seq, N) with 2N + 1 terms and N <= max_n, of four kinds.
+
+    ``sparse`` integers are mostly zero; ``rational-gf`` expands a random
+    P/Q with deg Q <= 3, so H_N has low rank and its later minors vanish;
+    ``zero-lead`` zeroes the first terms, so leading blocks are zero and
+    the first pivots are off the diagonal; ``symbolic`` mixes p/q and
+    gamma-polynomial terms, which take the packed route.
+    """
+    n = draw(st.integers(0, max_n))
+    count = 2 * n + 1
+    kind = draw(st.sampled_from(["sparse", "rational-gf", "zero-lead", "symbolic"]))
+    small = st.integers(-2, 2)
+    if kind == "sparse":
+        seq = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=count, max_size=count))
+    elif kind == "rational-gf":
+        numer = draw(st.lists(small, min_size=1, max_size=4))
+        denom = [1] + draw(st.lists(small, max_size=3))
+        seq = _rational_gf_terms(numer, denom, count)
+    elif kind == "zero-lead":
+        seq = draw(st.lists(small, min_size=count, max_size=count))
+        zeros = draw(st.integers(1, count))
+        seq[:zeros] = [0] * zeros
+    else:
+        coeff = st.builds(Fraction, small, st.sampled_from([1, 2, 3]))
+        entry = st.one_of(coeff, st.lists(coeff, max_size=3).map(ParamPoly))
+        seq = draw(st.lists(entry, min_size=count, max_size=count))
+    return seq, n
+
+
+class TestLeadingMinors:
+    @given(hankel_sequences())
+    def test_one_pass_matches_cofactor_per_order(self, case):
+        seq, n = case
+        expected = [det_cofactor(hankel_matrix(seq, k)) for k in range(n + 1)]
+        assert hankel_transform(seq, n) == expected
+
+    @given(hankel_sequences())
+    def test_one_pass_matches_sympy(self, sympy, case):
+        from sympy.polys.matrices import DomainMatrix
+
+        seq, n = case
+        big = sympy.Matrix([[sympy_value(sympy, v) for v in row] for row in hankel_matrix(seq, n)])
+        transform = hankel_transform(seq, n)
+        for k in range(n + 1):
+            block = DomainMatrix.from_Matrix(big[: k + 1, : k + 1])
+            expected = block.domain.to_sympy(block.det())
+            assert sympy.expand(expected - sympy_value(sympy, transform[k])) == 0
 
 
 @st.composite
