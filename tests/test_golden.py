@@ -51,6 +51,11 @@ CASES = {
     "mixed-expand": ("mixed.json", [MIXED_EVAL, ("expand", "--series", "-")]),
     "mixed-hankel": ("mixed.json", [MIXED_EVAL, ("hankel", "--series", "-", "--max-n", "5")]),
     "mixed-compare": ("mixed.json", [("compare", "--cfraction", "-", "--max-n", "5")]),
+    # a fraction extracted from 9 terms fixes h_n only for n <= 8 // 2
+    "catalan-8-expand-closed": (
+        "catalan-8.json",
+        [("expand", "--series", "-"), ("closed", "--cfraction", "-", "--max-n", "6")],
+    ),
     "rational-0-hankel": (
         "rational-0.json",
         [("eval", "--cfraction", "-", "--order", "24"), ("hankel", "--series", "-", "--max-n", "12")],
