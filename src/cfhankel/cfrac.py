@@ -26,22 +26,25 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 from typing import NamedTuple
 
 from .exact import (
     DomainError,
     NonInvertibleScalar,
+    ParamPoly,
     Scalar,
     Series,
     Value,
+    _pack,
+    _quotient_coeffs,
+    _unpack,
     as_scalar,
     int_from_json,
     list_from_json,
     scalar_from_json,
     scalar_to_json,
-    series,
     series_one,
-    series_quotient,
     series_scale,
     series_shift_down,
     series_sub,
@@ -148,15 +151,58 @@ def evaluate(cf: CFraction, order: int) -> Series:
     and expands to any requested order.  n counts the terms with
     q_1 + ... + q_n <= cap; the n-th approximant agrees with the whole
     fraction through x^(q_1 + ... + q_(n+1) - 1), so later terms cannot
-    reach the result.  Cost: O(cap) per term, plus one O(cap^2) quotient.
+    reach the result.
+
+    The expansion runs over ``int``.  With D the lcm of the coefficient
+    denominators of a_1..a_n, the substitution x -> D x turns each a_k into
+    a_k D^q_k, which lies in Z[gamma].  A_n(0) = 1, so the quotient divides
+    nowhere, and coefficient k of the result is e_k / D^k for the integer
+    e_k it computes.  Rational a_k are plain ints; if any a_k is a
+    gamma-polynomial, every one is packed into one int at gamma = 2**bits
+    (``exact._pack``).  Cost: O(cap) ring operations per term, plus one
+    O(cap^2) quotient.
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")
     cap = order
     if isinstance(cf.status, Truncated):
         cap = min(order, cf.status.reliable_order)
-    pair = approximants(cf, bisect_right(list(accumulate(cf.q)), cap))
-    return series_quotient(series(pair.B, cap), series(pair.A, cap))
+    n = bisect_right(list(accumulate(cf.q)), cap)
+    q = cf.q[:n]
+    coeffs = [v.coeffs if isinstance(v, ParamPoly) else (v,) for v in cf.a[:n]]
+    scale = lcm(*(c.denominator for p in coeffs for c in p))
+    polys = [[c.numerator * (scale**qk // c.denominator) for c in p] for p, qk in zip(coeffs, q)]
+    if all(len(p) == 1 for p in polys):
+        e = _quotient_through(cap, *_approximant_coeffs([p[0] for p in polys], q))
+        return Series(tuple(Fraction(v, scale**k) for k, v in enumerate(e)), cap)
+    # Every term of A_n = A_{n-1} + a_n x^q_n A_{n-2}, and of B_n, enters with
+    # a + sign.  So by |f + g|_1 <= |f|_1 + |g|_1 and |fg|_1 <= |f|_1 |g|_1,
+    # the same recurrence run on the 1-norms |a_k D^q_k|_1 gives polynomials
+    # A~, B~ whose coefficient j bounds the 1-norm of coefficient j of A_n,
+    # B_n.  With A_n = 1 - R, R(0) = 0, the quotient is B_n (1 + R + R^2 +
+    # ...), and A~ - 1 bounds R the same way, so coefficient k of
+    # B~ (1 + (A~ - 1) + (A~ - 1)^2 + ...) = B~ / (2 - A~) bounds |e_k|_1.
+    # Those coefficients are non-negative integers; their maximum M is below
+    # 2**(bits - 1), so the balanced digits of packed e_k are its
+    # coefficients.  Evaluation at 2**bits is a ring homomorphism, so the
+    # packed recurrence and quotient compute the packed e_k exactly, though
+    # other packed values need not be digit-exact; only the e_k are unpacked.
+    a_norm, b_norm = _approximant_coeffs([sum(map(abs, p)) for p in polys], q)
+    bound = max(_quotient_through(cap, (1, *(-v for v in a_norm[1:])), b_norm))
+    bits = bound.bit_length() + 1
+    e = _quotient_through(cap, *_approximant_coeffs([_pack(p, bits) for p in polys], q))
+    return Series(
+        tuple(as_scalar(ParamPoly(Fraction(c, scale**k) for c in _unpack(v, bits)))
+              for k, v in enumerate(e)),
+        cap,
+    )
+
+
+def _quotient_through(cap: int, den: tuple, num: tuple) -> list:
+    """Coefficients 0..cap of num/den for polynomials of degree <= cap over
+    a ring where den(0) = 1."""
+    pad = [0] * (cap + 1)
+    return _quotient_coeffs((*num, *pad)[: cap + 1], (*den, *pad)[: cap + 1], 1)
 
 
 class ApproximantPair(NamedTuple):
@@ -168,14 +214,24 @@ class ApproximantPair(NamedTuple):
     n: int
 
 
-def _add_shifted(p: tuple, c: Scalar, q: int, r: tuple) -> tuple:
-    """Coefficients of p + c x^q r, trailing zeros stripped."""
-    out = list(p) + [Fraction(0)] * (q + len(r) - len(p))
+def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
+    """Coefficients of p + c x^q r over any ring, trailing zeros stripped."""
+    out = list(p) + [0] * (q + len(r) - len(p))
     for k, v in enumerate(r, q):
-        out[k] = as_scalar(out[k] + c * v)
+        out[k] = out[k] + c * v
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
+
+
+def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:
+    """The A_n, B_n of :func:`approximants` over whatever ring the a_k lie in."""
+    a_prev, b_prev = (1,), ()
+    a_cur, b_cur = (1,), (1,)
+    for ak, qk in zip(a, q):
+        a_cur, a_prev = _add_shifted(a_cur, ak, qk, a_prev), a_cur
+        b_cur, b_prev = _add_shifted(b_cur, ak, qk, b_prev), b_cur
+    return a_cur, b_cur
 
 
 def approximants(cf: CFraction, n: int) -> ApproximantPair:
@@ -184,13 +240,8 @@ def approximants(cf: CFraction, n: int) -> ApproximantPair:
     (so A_1 = 1 + a_1 x^q_1, B_1 = 1)."""
     if not 0 <= n <= len(cf):
         raise IndexOutOfRange(f"approximant {n} of a {len(cf)}-term fraction")
-    one = (Fraction(1),)
-    a_prev, b_prev = one, ()
-    a_cur, b_cur = one, one
-    for ak, qk in zip(cf.a[:n], cf.q[:n]):
-        a_cur, a_prev = _add_shifted(a_cur, ak, qk, a_prev), a_cur
-        b_cur, b_prev = _add_shifted(b_cur, ak, qk, b_prev), b_cur
-    return ApproximantPair(a_cur, b_cur, n)
+    a_poly, b_poly = _approximant_coeffs(cf.a[:n], cf.q[:n])
+    return ApproximantPair(tuple(map(as_scalar, a_poly)), tuple(map(as_scalar, b_poly)), n)
 
 
 def cfraction_to_json(cf: CFraction) -> dict:

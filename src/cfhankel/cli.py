@@ -159,9 +159,11 @@ def _run_compare(args) -> int:
 
     cf = cfraction_from_json(_read_json(args.cfraction))
     convention = args.convention or DEFAULT_CONVENTION
+    # first, so that a max_n past a truncated fraction's window is refused
+    # before the expansion and the oracle run
+    closed = dense_transform_of(cf, args.max_n, convention)
     expansion = evaluate(cf, 2 * args.max_n)
     oracle = hankel_transform(expansion.coeffs, args.max_n)
-    closed = dense_transform_of(cf, args.max_n, convention)
     equal = list(closed.dense) == oracle
     _emit(
         {

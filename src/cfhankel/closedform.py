@@ -6,7 +6,13 @@ of the extended exponent list q~ = (1, q_1, q_2, ...).  The transform
 vanishes everywhere except at the positions n = p_1 + ... + p_m, where its
 value is a signed monomial in the partial numerators: a_k carries the
 power p_k + p_{k+1} + ... + p_m (:func:`closed_form_monomial`).  Being a
-monomial, the value stays in Q[gamma] for symbolic a_k.
+monomial, the value stays in Q[gamma] for symbolic a_k.  Consecutive
+depths differ by one power of a prefix product, so :func:`dense_transform`
+reads every depth in one linear pass.
+
+A Truncated fraction extracted from a series reliable through order N
+fixes h_n only for n <= N // 2, since h_n depends on c_0..c_2n;
+:func:`dense_transform_of` refuses anything past that window.
 
 The paper reaches that monomial through a reciprocal ladder
 
@@ -35,7 +41,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .cfrac import CFraction
+from .cfrac import CFraction, Truncated
 from .exact import DomainError, Scalar, as_scalar, scalar_to_json
 
 
@@ -50,6 +56,10 @@ class NegativePExponent(DomainError):
 
 class ZeroCoefficient(DomainError):
     """A coefficient that must be invertible is zero."""
+
+
+class OutsideTruncationWindow(DomainError):
+    """A transform entry past what a truncated fraction determines."""
 
 
 class MultiplicityConflict(DomainError):
@@ -221,6 +231,12 @@ def dense_transform(
     depth reaches are zero.  Depths sharing a position must agree in value
     (a disagreement means a sign-convention bug and raises
     MultiplicityConflict); their count is recorded as the multiplicity.
+
+    One pass over the depths: from depth m - 1 to m every a_k with k <= m
+    gains p_m in its power (:func:`closed_form_monomial`), so value(m) is
+    +-value(m - 1) (a_1 ... a_m)^p_m, the sign exponent rising by
+    p_m (p_m + 1)/2 + (m - 1) p_m.  A running prefix product makes the
+    pass linear in the depth.
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
@@ -228,14 +244,21 @@ def dense_transform(
     if len(qtilde) < len(coeffs) + 1:
         raise ValueError("extended exponent list shorter than coefficient list")
     p = p_sequence(qtilde, len(coeffs))
-    points: dict[int, ProfilePoint] = {}
+    value: Scalar = Fraction(-1 if convention is Convention.AS_PRINTED else 1)
+    prefix: Scalar = Fraction(1)
+    points = {0: ProfilePoint(0, value, 1)}
     position = 0
-    for m in range(len(coeffs) + 1):
-        if m > 0:
-            position += p[m]
+    for m, (ak, pm) in enumerate(zip(coeffs, p[1:]), 1):
+        position += pm
         if position > max_n:
             break
-        value = closed_form_value(coeffs, qtilde, m, convention)
+        if ak == 0:
+            raise ZeroCoefficient("partial numerators must be nonzero")
+        prefix = as_scalar(prefix * ak)
+        if pm:
+            value = as_scalar(value * prefix**pm)
+        if (pm * (pm + 1) // 2 + (m - 1) * pm) % 2:
+            value = -value
         seen = points.get(position)
         if seen is not None and seen.value != value:
             raise MultiplicityConflict(f"position {position}: {seen.value} vs {value}")
@@ -251,6 +274,16 @@ def dense_transform(
 def dense_transform_of(
     cf: CFraction, max_n: int, convention: Convention = DEFAULT_CONVENTION
 ) -> DenseTransform:
+    """:func:`dense_transform` of a fraction's data.  h_n is a function of
+    c_0..c_2n, so a Truncated fraction, which agrees with its series only
+    through its reliable order N, fixes h_n for n <= N // 2 and no further:
+    a larger max_n raises OutsideTruncationWindow before any work."""
+    if isinstance(cf.status, Truncated) and max_n > cf.status.reliable_order // 2:
+        order = cf.status.reliable_order
+        raise OutsideTruncationWindow(
+            f"a fraction reliable through order {order} fixes h_n only for "
+            f"n <= {order // 2}, not up to max_n = {max_n}"
+        )
     return dense_transform(cf.a, (1, *cf.q), max_n, convention)
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 
 class DomainError(Exception):
@@ -99,6 +99,36 @@ def _dense_mul(xs, ys, n: int) -> list:
 def all_integral(values) -> bool:
     """Whether every value is an integral Fraction, so ``int`` arithmetic serves."""
     return all(isinstance(v, Fraction) and v.denominator == 1 for v in values)
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing: an integer gamma-polynomial as one int at gamma = 2**bits.
+# Evaluation there is a ring homomorphism from Z[gamma] to Z, so sums and
+# products of packed values are the packed sums and products; a caller picks
+# bits so that every coefficient of what it unpacks lies in -2**(bits - 1) ..
+# 2**(bits - 1) - 1.
+
+
+def _pack(coeffs: Sequence[int], bits: int) -> int:
+    """The integer polynomial ``coeffs`` (lowest first) at gamma = 2**bits."""
+    value = 0
+    for c in reversed(coeffs):
+        value = (value << bits) + c
+    return value
+
+
+def _unpack(value: int, bits: int) -> list[int]:
+    """Balanced base-2**bits digits of ``value``, lowest first: the inverse
+    of ``_pack`` for coefficients of absolute value below 2**(bits - 1)."""
+    half, mask = 1 << (bits - 1), (1 << bits) - 1
+    digits = []
+    while value:
+        digit = value & mask
+        if digit >= half:
+            digit -= 1 << bits
+        digits.append(digit)
+        value = (value - digit) >> bits
+    return digits
 
 
 # ---------------------------------------------------------------------------

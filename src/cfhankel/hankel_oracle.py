@@ -23,7 +23,16 @@ from fractions import Fraction
 from math import lcm, prod
 from typing import Sequence
 
-from .exact import DomainError, InexactDivision, ParamPoly, Scalar, all_integral, as_scalar
+from .exact import (
+    DomainError,
+    InexactDivision,
+    ParamPoly,
+    Scalar,
+    _pack,
+    _unpack,
+    all_integral,
+    as_scalar,
+)
 
 
 class InsufficientTerms(DomainError):
@@ -82,28 +91,6 @@ def _leading_minors(m: list[list[int]]) -> list[int]:
                 row[j] = _checked_div(pivot * row[j] - head * pivot_row[j], prev)
         prev = pivot
     return minors
-
-
-def _pack(coeffs: Sequence[int], bits: int) -> int:
-    """The integer polynomial ``coeffs`` (lowest first) at gamma = 2**bits."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << bits) + c
-    return value
-
-
-def _unpack(value: int, bits: int) -> list[int]:
-    """Balanced base-2**bits digits of ``value``, lowest first: the inverse
-    of ``_pack`` for coefficients of absolute value below 2**(bits - 1)."""
-    half, mask = 1 << (bits - 1), (1 << bits) - 1
-    digits = []
-    while value:
-        digit = value & mask
-        if digit >= half:
-            digit -= 1 << bits
-        digits.append(digit)
-        value = (value - digit) >> bits
-    return digits
 
 
 def _minors(m: Sequence[Sequence[Scalar]]) -> list[Scalar]:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from cfhankel import cfrac, exact
 from cfhankel.cfrac import (
     ApproximantPair,
     CFraction,
@@ -91,9 +92,11 @@ NONZERO_RATIONALS = st.builds(
     st.integers(1, 9),
     st.integers(1, 9),
 )
-GAMMA_POLYS = st.lists(st.integers(-3, 3), min_size=1, max_size=3).map(ParamPoly).filter(
-    lambda v: not v.is_zero
-)
+# rational coefficients (gamma/2 - 1/3, say) make evaluate scale x by the
+# lcm of the denominators before it packs
+GAMMA_POLYS = st.lists(
+    st.integers(-3, 3).map(Fraction) | NONZERO_RATIONALS, min_size=1, max_size=3
+).map(ParamPoly).filter(lambda v: not v.is_zero)
 STATUSES = st.one_of(st.just(Terminated()), st.builds(Truncated, st.integers(0, 30)))
 
 
@@ -215,6 +218,52 @@ class TestEvaluate:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             evaluate(CFraction((), (), Terminated()), -1)
+
+
+class TestIntegerKernel:
+    """evaluate expands over int: x -> D x clears the denominators, and
+    gamma-polynomials are packed at a digit from a 1-norm majorant."""
+
+    @pytest.mark.parametrize(
+        "a, q, order",
+        [
+            # e_k = (2 gamma)^k: its one coefficient 2^k is the majorant's
+            ((-2 * GAMMA,), (1,), 6),
+            # D = 2 turns a_1 into -3 gamma, and e_k = (3 gamma)^k
+            ((-3 * GAMMA / 2,), (1,), 6),
+            ((-3 * GAMMA**2, -3 * GAMMA**2), (2, 5), 8),
+        ],
+    )
+    def test_one_bit_fewer_than_the_majorant_loses_a_coefficient(self, monkeypatch, a, q, order):
+        cf = CFraction(a, q, Terminated())
+        expansion = evaluate(cf, order)
+        assert expansion == reference_evaluate(cf, order)
+        monkeypatch.setattr(cfrac, "_pack", lambda coeffs, bits: exact._pack(coeffs, bits - 1))
+        monkeypatch.setattr(cfrac, "_unpack", lambda value, bits: exact._unpack(value, bits - 1))
+        assert evaluate(cf, order) != expansion
+
+    @given(cfractions(NONZERO_RATIONALS), st.integers(0, 30))
+    def test_rational_fraction_is_never_packed(self, cf, order):
+        def refuse(coeffs, bits):
+            raise AssertionError("rational fraction was packed")
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cfrac, "_pack", refuse)
+            expansion = evaluate(cf, order)
+        assert expansion == reference_evaluate(cf, order)
+
+    def test_gamma_polynomial_fraction_is_packed(self, monkeypatch):
+        packed, pack = [], exact._pack
+
+        def spy(coeffs, bits):
+            packed.append(list(coeffs))
+            return pack(coeffs, bits)
+
+        monkeypatch.setattr(cfrac, "_pack", spy)
+        cf = CFraction((GAMMA / 2 - Fraction(1, 3), Fraction(1, 4)), (1, 2), Terminated())
+        assert evaluate(cf, 6) == reference_evaluate(cf, 6)
+        # D = lcm(2, 3, 4) = 12: a_1 D = 6 gamma - 4, a_2 D^2 = 36
+        assert packed == [[-4, 6], [36]]
 
 
 class TestApproximants:

@@ -141,6 +141,17 @@ class TestExitCodes:
         assert code == 3
         assert "negative" in err
 
+    @pytest.mark.parametrize("command", ["closed", "compare"])
+    def test_past_a_truncated_window(self, tmp_path, capsys, monkeypatch, command):
+        # Catalan extracted through x^8 fixes h_0..h_4 only; compare refuses
+        # before it expands the fraction or runs the oracle
+        path = tmp_path / "catalan-8.json"
+        path.write_text(json.dumps({"a": ["-1"] * 8, "q": [1] * 8, "status": {"truncated": 8}}))
+        monkeypatch.setattr(cli, "evaluate", None)
+        code, out, err = run(capsys, command, "--cfraction", str(path), "--max-n", "5")
+        assert (code, out) == (3, "")
+        assert "reliable through order 8" in err and "n <= 4" in err
+
     def test_insufficient_terms(self, tmp_path, capsys):
         path = tmp_path / "short.json"
         path.write_text(json.dumps({"coeffs": ["1", "1"], "order": 1}))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cfhankel.cfrac import CFraction, Terminated, evaluate
+from cfhankel.cfrac import CFraction, Terminated, Truncated, correspond, evaluate
 from cfhankel import closedform
 from cfhankel.closedform import (
     Convention,
@@ -12,6 +12,7 @@ from cfhankel.closedform import (
     IndexProfileMismatch,
     MultiplicityConflict,
     NegativePExponent,
+    OutsideTruncationWindow,
     ZeroCoefficient,
     closed_form_monomial,
     closed_form_value,
@@ -21,7 +22,7 @@ from cfhankel.closedform import (
     index_profile,
     p_sequence,
 )
-from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, as_scalar
+from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, as_scalar, series
 from cfhankel.hankel_oracle import hankel_transform
 from crosscheck import (
     PFraction,
@@ -52,15 +53,18 @@ def rand_valid_cfraction(rng, max_terms=6):
         return CFraction(tuple(Fraction(v) for v in a), tuple(q), Terminated())
 
 
+RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: v != 0)
+GAMMA_POLYS = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=2, max_size=3
+).map(ParamPoly).filter(lambda v: v.degree > 0)
+
+
 @st.composite
-def ladder_cfractions(draw):
-    """Rational fractions whose ladder exponents p_n = q_n - p_{n-1} stay
+def ladder_cfractions(draw, numerators=RATIONALS):
+    """Fractions whose ladder exponents p_n = q_n - p_{n-1} stay
     non-negative: each q_n is drawn from max(1, p_{n-1}) .. p_{n-1} + 3."""
     n = draw(st.integers(0, 7))
-    a = draw(st.lists(
-        st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: v != 0),
-        min_size=n, max_size=n,
-    ))
+    a = draw(st.lists(numerators, min_size=n, max_size=n))
     q, p = [], 1
     for _ in range(n):
         q.append(draw(st.integers(max(1, p), p + 3)))
@@ -299,6 +303,27 @@ class TestDenseTransform:
                         cf.a, qtilde, m + 1
                     )
 
+    @given(
+        ladder_cfractions(RATIONALS | GAMMA_POLYS),
+        st.integers(0, 12),
+        st.sampled_from(list(Convention)),
+    )
+    def test_one_pass_equals_each_depth_value(self, cf, max_n, convention):
+        # the prefix-product pass against the per-depth monomial
+        qtilde = [1, *cf.q]
+        p = p_sequence(qtilde)
+        result = dense_transform_of(cf, max_n, convention)
+        profile = {pt.n: pt for pt in result.profile}
+        depths = {}
+        for m in range(len(cf) + 1):
+            position = sum(p[1 : m + 1])
+            if position > max_n:
+                break
+            assert profile[position].value == closed_form_value(cf.a, qtilde, m, convention)
+            depths[position] = depths.get(position, 0) + 1
+        assert {n: pt.multiplicity for n, pt in profile.items()} == depths
+        assert all(v == 0 for n, v in enumerate(result.dense) if n not in depths)
+
     def test_negative_exponent_propagates(self):
         with pytest.raises(NegativePExponent):
             dense_transform([1, 1], [1, 3, 1], 5)
@@ -317,6 +342,25 @@ class TestDenseTransform:
         assert result.dense[3] == GAMMA**7
         assert result.dense[1] == 0 and result.dense[4] == 0 and result.dense[5] == 0
         assert result.profile[0].multiplicity == 2
+
+
+class TestTruncationWindow:
+    # extracted from the Catalan series through x^8: eight terms -1 x, Truncated(8)
+    CF = correspond(series([1, 1, 2, 5, 14, 42, 132, 429, 1430]))
+
+    def test_window_is_half_the_reliable_order(self):
+        assert self.CF.status == Truncated(8)
+        assert list(dense_transform_of(self.CF, 4).dense) == [1] * 5
+
+    @pytest.mark.parametrize("max_n", [5, 6, 1000])
+    def test_past_the_window_is_refused(self, max_n):
+        # h_5 = h_6 = 1, but eight terms once gave 0 for both
+        with pytest.raises(OutsideTruncationWindow, match=r"order 8 .* n <= 4"):
+            dense_transform_of(self.CF, max_n)
+
+    def test_terminated_fraction_has_no_window(self):
+        cf = CFraction(self.CF.a, self.CF.q, Terminated())
+        assert list(dense_transform_of(cf, 6).dense) == [1] * 5 + [0, 0]
 
 
 class TestPFractionValidation:
