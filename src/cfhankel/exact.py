@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 
@@ -106,7 +107,21 @@ def all_integral(values) -> bool:
 # Evaluation there is a ring homomorphism from Z[gamma] to Z, so sums and
 # products of packed values are the packed sums and products; a caller picks
 # bits so that every coefficient of what it unpacks lies in -2**(bits - 1) ..
-# 2**(bits - 1) - 1.
+# 2**(bits - 1) - 1.  Rational scalars reach Z[gamma] by clearing
+# denominators first (``_clear_denominators``), and ``_unpack_scalar``
+# divides the scale back out.
+
+
+def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
+    """(L, lists): L is the lcm of the coefficient denominators of the
+    scalars ``values``, and list i holds the integer coefficients (lowest
+    first) of values[i] * L**powers[i]; every power defaults to 1."""
+    coeffs = [v.coeffs if isinstance(v, ParamPoly) else (v,) for v in values]
+    scale = lcm(*(c.denominator for p in coeffs for c in p))
+    if powers is None:
+        return scale, [[c.numerator * (scale // c.denominator) for c in p] for p in coeffs]
+    return scale, [[c.numerator * (scale**e // c.denominator) for c in p]
+                   for p, e in zip(coeffs, powers)]
 
 
 def _pack(coeffs: Sequence[int], bits: int) -> int:
@@ -129,6 +144,11 @@ def _unpack(value: int, bits: int) -> list[int]:
         digits.append(digit)
         value = (value - digit) >> bits
     return digits
+
+
+def _unpack_scalar(value: int, bits: int, divisor: int) -> Scalar:
+    """The packed gamma-polynomial ``value`` divided by ``divisor``."""
+    return as_scalar(ParamPoly(Fraction(c, divisor) for c in _unpack(value, bits)))
 
 
 # ---------------------------------------------------------------------------

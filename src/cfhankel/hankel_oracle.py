@@ -20,16 +20,16 @@ the cofactor expansion in ``tests/crosscheck.py``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 from typing import Sequence
 
 from .exact import (
     DomainError,
     InexactDivision,
-    ParamPoly,
     Scalar,
+    _clear_denominators,
     _pack,
-    _unpack,
+    _unpack_scalar,
     all_integral,
     as_scalar,
 )
@@ -99,9 +99,9 @@ def _minors(m: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     minor k is unpacked and divided by L**(k + 1)."""
     if all_integral(v for row in m for v in row):
         return [Fraction(d) for d in _leading_minors([[v.numerator for v in row] for row in m])]
-    polys = [[v.coeffs if isinstance(v, ParamPoly) else (v,) for v in row] for row in m]
-    scale = lcm(*(c.denominator for row in polys for p in row for c in p))
-    polys = [[[c.numerator * (scale // c.denominator) for c in p] for p in row] for row in polys]
+    n = len(m)
+    scale, flat = _clear_denominators([v for row in m for v in row])
+    polys = [flat[i : i + n] for i in range(0, n * n, n)]
     # Evaluation at gamma = 2**bits is a ring homomorphism, so the packed
     # pass computes the packed minors exactly, though pivot*a - head*b need
     # not be digit-exact.  Only minors of the full matrix, bordered ones too,
@@ -112,8 +112,7 @@ def _minors(m: Sequence[Sequence[Scalar]]) -> list[Scalar]:
     bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
     bits = bound.bit_length() + 1
     minors = _leading_minors([[_pack(p, bits) for p in row] for row in polys])
-    return [as_scalar(ParamPoly(_unpack(d, bits)) * Fraction(1, scale ** (k + 1)))
-            for k, d in enumerate(minors)]
+    return [_unpack_scalar(d, bits, scale ** (k + 1)) for k, d in enumerate(minors)]
 
 
 def matrix_det(rows: Sequence[Sequence]) -> Scalar:

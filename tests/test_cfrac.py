@@ -239,7 +239,10 @@ class TestIntegerKernel:
         expansion = evaluate(cf, order)
         assert expansion == reference_evaluate(cf, order)
         monkeypatch.setattr(cfrac, "_pack", lambda coeffs, bits: exact._pack(coeffs, bits - 1))
-        monkeypatch.setattr(cfrac, "_unpack", lambda value, bits: exact._unpack(value, bits - 1))
+        monkeypatch.setattr(
+            cfrac, "_unpack_scalar",
+            lambda value, bits, divisor: exact._unpack_scalar(value, bits - 1, divisor),
+        )
         assert evaluate(cf, order) != expansion
 
     @given(cfractions(NONZERO_RATIONALS), st.integers(0, 30))
@@ -264,6 +267,45 @@ class TestIntegerKernel:
         assert evaluate(cf, 6) == reference_evaluate(cf, 6)
         # D = lcm(2, 3, 4) = 12: a_1 D = 6 gamma - 4, a_2 D^2 = 36
         assert packed == [[-4, 6], [36]]
+
+    @staticmethod
+    def rings(monkeypatch):
+        """The scalar types of the a_k each approximant recurrence runs on."""
+        seen, recurrence = [], cfrac._approximant_coeffs
+
+        def spy(a, q):
+            seen.append({type(v) for v in a})
+            return recurrence(a, q)
+
+        monkeypatch.setattr(cfrac, "_approximant_coeffs", spy)
+        return seen
+
+    def test_int_route_ends_at_the_scaled_bits(self, monkeypatch):
+        # D = 2**15 has 16 bits, so cap * 16 passes _SCALED_BITS at cap + 1
+        cap = 20
+        monkeypatch.setattr(cfrac, "_SCALED_BITS", 16 * cap)
+        cf = CFraction((Fraction(1, 2**15), Fraction(-3, 2)), (1, 1), Terminated())
+        seen = self.rings(monkeypatch)
+        inside, past = evaluate(cf, cap), evaluate(cf, cap + 1)
+        assert seen == [{int}, {Fraction}]
+        assert past.coeffs[: cap + 1] == inside.coeffs
+
+    def test_fraction_of_a_generic_integer_series_leaves_int(self, monkeypatch):
+        # its a_k have denominators of hundreds of bits, while the expansion
+        # is the small input again
+        rng = random.Random(5)
+        f = series([1] + [rng.randint(-9, 9) for _ in range(32)])
+        cf = correspond(f)
+        seen = self.rings(monkeypatch)
+        same_series(evaluate(cf, f.order), f)
+        assert seen == [{Fraction}]
+
+    @given(cfractions(st.one_of(GAMMA_POLYS, NONZERO_RATIONALS)), st.integers(0, 14))
+    def test_scalar_route_matches_the_reference(self, cf, order):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cfrac, "_SCALED_BITS", -1)
+            expansion = evaluate(cf, order)
+        same_series(expansion, reference_evaluate(cf, order))
 
 
 class TestApproximants:

@@ -56,6 +56,16 @@ CASES = {
         "catalan-8.json",
         [("expand", "--series", "-"), ("closed", "--cfraction", "-", "--max-n", "6")],
     ),
+    # a generic integer series: the a_k have denominators of thousands of
+    # bits, and the expansion comes back to the 97 input terms
+    "generic-int-96-expand-eval": (
+        "generic-int-96.json",
+        [("expand", "--series", "-"), ("eval", "--cfraction", "-", "--order", "96")],
+    ),
+    "generic-int-96-expand-compare": (
+        "generic-int-96.json",
+        [("expand", "--series", "-"), ("compare", "--cfraction", "-", "--max-n", "48")],
+    ),
     "rational-0-hankel": (
         "rational-0.json",
         [("eval", "--cfraction", "-", "--order", "24"), ("hankel", "--series", "-", "--max-n", "12")],

@@ -5,7 +5,7 @@ from math import prod
 import pytest
 from hypothesis import given, strategies as st
 
-from cfhankel import hankel_oracle
+from cfhankel import exact, hankel_oracle
 from cfhankel.catalog import catalog_cfraction
 from cfhankel.cfrac import evaluate
 from cfhankel.exact import (
@@ -87,9 +87,9 @@ class TestDeterminants:
         # Packed at gamma = 2**bits, a polynomial division that is exact in
         # Z[gamma] stays exact in int, and one that is not raises.
         bits = 8
-        pack, div = hankel_oracle._pack, hankel_oracle._checked_div
+        pack, div = exact._pack, hankel_oracle._checked_div
         quotient = div(pack([-1, 0, 1], bits), pack([1, 1], bits))
-        assert hankel_oracle._unpack(quotient, bits) == [-1, 1]
+        assert exact._unpack(quotient, bits) == [-1, 1]
         with pytest.raises(InexactDivision):
             div(pack([1, 1], bits), pack([0, 1], bits))
         with pytest.raises(InexactDivision):
@@ -345,9 +345,9 @@ class TestPackedRoute:
         edge = 2 ** (bits - 1) - 1
         digit = st.sampled_from([edge, -edge, 1, -1, 0])
         coeffs = data.draw(st.lists(digit, max_size=6)) + [data.draw(st.sampled_from([edge, -edge]))]
-        assert hankel_oracle._unpack(hankel_oracle._pack(coeffs, bits), bits) == coeffs
+        assert exact._unpack(exact._pack(coeffs, bits), bits) == coeffs
         # one past the bound, a digit is no longer recovered
-        assert hankel_oracle._unpack(hankel_oracle._pack([edge + 1], bits), bits) != [edge + 1]
+        assert exact._unpack(exact._pack([edge + 1], bits), bits) != [edge + 1]
 
     @given(st.lists(st.lists(st.integers(0, 9), min_size=2, max_size=4), min_size=1, max_size=5))
     def test_diagonal_determinant_meets_the_norm_bound(self, diagonal):
