@@ -18,7 +18,7 @@ _EXPORTS = {
                     " expand_rational_gf fibonacci_numbers report_to_json select_convention"
                     " verify_claims"),
         ("exact", "GAMMA ParamPoly Series series series_from_json series_quotient"
-                  " series_reciprocal series_to_json series_valuation"),
+                  " series_reciprocal series_to_json"),
         ("hankel_oracle", "hankel_det hankel_matrix hankel_transform matrix_det"),
     )
     for name in names.split()

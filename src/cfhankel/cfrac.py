@@ -43,11 +43,6 @@ from .exact import (
     list_from_json,
     scalar_from_json,
     scalar_to_json,
-    series_one,
-    series_scale,
-    series_shift_down,
-    series_sub,
-    series_valuation,
 )
 
 
@@ -118,27 +113,28 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
     """
     if f.coeffs[0] != 1:
         raise ConstantTermNotOne(f"series starts with {f.coeffs[0]}, expected 1")
-    # the reciprocal of the current tail is num/den, with den(0) = 1
-    num, den = series_one(f.order), f
+    # the reciprocal of the current tail is num/den, den(0) = 1, as equal-length lists
+    num = [Fraction(1)] + [Fraction(0)] * f.order
+    den = list(f.coeffs)
     a: list[Scalar] = []
     q: list[int] = []
     while True:
-        diff = series_sub(num, den)
-        v = series_valuation(diff)
+        diff = [x - y for x, y in zip(num, den)]
+        v = next((k for k, c in enumerate(diff) if c != 0), None)
         if v is None:
             status = Terminated() if exact else Truncated(f.order)
             return CFraction(tuple(a), tuple(q), status)
-        lead = diff.coeffs[v]
+        lead = diff[v]
         try:
-            inverse = 1 / lead
+            inverse = as_scalar(1 / lead)
         except NonInvertibleScalar:
             raise NonInvertibleLeadingScalar(
                 f"leading coefficient {lead} cannot be inverted in the polynomial ring"
             ) from None
         a.append(lead)
         q.append(v)
-        num = Series(den.coeffs[: diff.order - v + 1], diff.order - v)
-        den = series_scale(series_shift_down(diff, v), inverse)
+        num = den[: len(diff) - v]
+        den = [c * inverse for c in diff[v:]]
 
 
 def evaluate(cf: CFraction, order: int) -> Series:
@@ -173,10 +169,10 @@ def evaluate(cf: CFraction, order: int) -> Series:
     scale, polys = _clear_denominators(a, q)
     if scale.bit_length() * cap > _SCALED_BITS:
         e = _quotient_through(cap, *_approximant_coeffs(a, q))
-        return Series(tuple(map(as_scalar, e)), cap)
+        return Series(tuple(map(as_scalar, e)))
     if all(len(p) == 1 for p in polys):
         e = _quotient_through(cap, *_approximant_coeffs([p[0] for p in polys], q))
-        return Series(tuple(Fraction(v, scale**k) for k, v in enumerate(e)), cap)
+        return Series(tuple(Fraction(v, scale**k) for k, v in enumerate(e)))
     # Every term of A_n = A_{n-1} + a_n x^q_n A_{n-2}, and of B_n, enters with
     # a + sign.  So by |f + g|_1 <= |f|_1 + |g|_1 and |fg|_1 <= |f|_1 |g|_1,
     # the same recurrence run on the 1-norms |a_k D^q_k|_1 gives polynomials
@@ -193,7 +189,7 @@ def evaluate(cf: CFraction, order: int) -> Series:
     bound = max(_quotient_through(cap, (1, *(-v for v in a_norm[1:])), b_norm))
     bits = bound.bit_length() + 1
     e = _quotient_through(cap, *_approximant_coeffs([_pack(p, bits) for p in polys], q))
-    return Series(tuple(_unpack_scalar(v, bits, scale**k) for k, v in enumerate(e)), cap)
+    return Series(tuple(_unpack_scalar(v, bits, scale**k) for k, v in enumerate(e)))
 
 
 # Past this many bits for cap * bits(D), evaluate leaves int.  A fraction

@@ -15,8 +15,8 @@ zero raises ``ZeroDivisionError``.  Nothing the package computes leaves
 the ring, so there is no quotient form.  :func:`as_scalar` gives the
 normal form: a polynomial of degree 0 or less is its constant Fraction.
 
-A :class:`Series` couples a coefficient vector with the truncation order
-through which those coefficients are trusted.  There is no type for
+A :class:`Series` is its coefficient tuple, every coefficient trusted, so
+its truncation order is the length minus 1.  There is no type for
 polynomials in x: they are coefficient tuples, lowest degree first, and
 :func:`series` turns one into a Series.  Every operation propagates
 the trusted order pessimistically: a result never claims coefficients the
@@ -135,6 +135,8 @@ def _pack(coeffs: Sequence[int], bits: int) -> int:
 def _unpack(value: int, bits: int) -> list[int]:
     """Balanced base-2**bits digits of ``value``, lowest first: the inverse
     of ``_pack`` for coefficients of absolute value below 2**(bits - 1)."""
+    if bits < 2:  # the digits {-1, 0} of one bit would map 1 to 1 forever
+        raise ValueError(f"balanced digits need at least 2 bits, got {bits}")
     half, mask = 1 << (bits - 1), (1 << bits) - 1
     digits = []
     while value:
@@ -255,8 +257,10 @@ class ParamPoly(Value):
         if exponent < 0:
             return 1 / self ** -exponent
         acc = ParamPoly((1,))
-        for _ in range(exponent):
-            acc = acc * self
+        for bit in bin(exponent)[2:]:  # square and multiply, top bit first
+            acc = acc * acc
+            if bit == "1":
+                acc = acc * self
         return acc
 
     def __eq__(self, other):
@@ -332,22 +336,18 @@ def scalar_eval_gamma(value: Scalar, point) -> Fraction:
 
 
 class Series(Value):
-    """Coefficients trusted for x^0 .. x^order; len(coeffs) == order + 1."""
+    """Coefficients c_0 .. c_order, all trusted: order = len(coeffs) - 1."""
 
-    __slots__ = ("coeffs", "order")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Scalar, ...], order: int):
-        if order < 0:
+    def __init__(self, coeffs: tuple[Scalar, ...]):
+        if not coeffs:
             raise ValueError("series order must be non-negative")
-        if len(coeffs) != order + 1:
-            raise ValueError(f"series stores {len(coeffs)} coefficients but claims order {order}")
-        self._set(coeffs, order)
+        self._set(coeffs)
 
-    def coeff(self, k: int) -> Scalar:
-        return self.coeffs[k]
-
-    def __str__(self):
-        return f"series[{', '.join(str(c) for c in self.coeffs)}; order {self.order}]"
+    @property
+    def order(self) -> int:
+        return len(self.coeffs) - 1
 
 
 def series(values: Iterable, order: int | None = None) -> Series:
@@ -357,36 +357,10 @@ def series(values: Iterable, order: int | None = None) -> Series:
         if not cs:
             raise ValueError("cannot infer the order of an empty series")
         order = len(cs) - 1
-    if len(cs) < order + 1:
-        cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
-    return Series(tuple(cs[: order + 1]), order)
-
-
-def series_one(order: int) -> Series:
-    return series([Fraction(1)], order)
-
-
-def series_sub(f: Series, g: Series) -> Series:
-    n = min(f.order, g.order)
-    return Series(tuple(f.coeffs[k] - g.coeffs[k] for k in range(n + 1)), n)
-
-
-def series_scale(f: Series, factor: Scalar) -> Series:
-    factor = as_scalar(factor)
-    return Series(tuple(c * factor for c in f.coeffs), f.order)
-
-
-def series_valuation(f: Series) -> int | None:
-    """Index of the first nonzero stored coefficient.
-
-    Returns None ("zero so far") when every stored coefficient vanishes,
-    which deliberately does not distinguish the zero series from a series
-    whose first nonzero term lies beyond the trusted order.
-    """
-    for k, c in enumerate(f.coeffs):
-        if c != 0:
-            return k
-    return None
+    if order < 0:
+        raise ValueError("series order must be non-negative")
+    cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
+    return Series(tuple(cs[: order + 1]))
 
 
 def _quotient_coeffs(ns, ds, inv0) -> list:
@@ -403,34 +377,18 @@ def _quotient_coeffs(ns, ds, inv0) -> list:
 
 
 def series_quotient(num: Series, den: Series) -> Series:
-    """num/den, exact through the smaller trusted order of the operands.
-
-    When both operands have integer coefficients and den starts with +-1, the
-    quotient is integral; it is computed over ``int`` and returned as Fractions.
-    """
+    """num/den, exact through the smaller trusted order of the operands."""
     n = min(num.order, den.order)
     ns, ds = num.coeffs[: n + 1], den.coeffs[: n + 1]
-    d0 = ds[0]
-    if d0 in (1, -1) and all_integral(ns + ds):
-        # a constant term of +-1 is its own inverse
-        ints = _quotient_coeffs([c.numerator for c in ns], [c.numerator for c in ds], d0.numerator)
-        return Series(tuple(Fraction(v) for v in ints), n)
-    if d0 == 0:
+    if ds[0] == 0:
         raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
-    # a non-constant gamma-polynomial d0 raises NonInvertibleScalar here
-    return Series(tuple(_quotient_coeffs(ns, ds, as_scalar(1 / d0))), n)
+    # a non-constant gamma-polynomial ds[0] raises NonInvertibleScalar here
+    return Series(tuple(_quotient_coeffs(ns, ds, as_scalar(1 / ds[0]))))
 
 
 def series_reciprocal(f: Series) -> Series:
     """Multiplicative inverse, exact through the operand's trusted order."""
-    return series_quotient(series_one(f.order), f)
-
-
-def series_shift_down(f: Series, k: int) -> Series:
-    """Divide by x**k, dropping the first k coefficients (assumed zero)."""
-    if k > f.order:
-        raise ValueError("shift below the trusted window")
-    return Series(f.coeffs[k:], f.order - k)
+    return series_quotient(series([1], f.order), f)
 
 
 # ---------------------------------------------------------------------------
@@ -491,4 +449,4 @@ def series_from_json(obj) -> Series:
     order = int_from_json(obj.get("order", len(coeffs) - 1), "series order")
     if len(coeffs) != order + 1:
         raise ValueError("series coefficient count does not match its order")
-    return Series(tuple(coeffs), order)
+    return Series(tuple(coeffs))

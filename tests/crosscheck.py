@@ -41,17 +41,17 @@ from cfhankel.exact import (
 
 def series_add(f: Series, g: Series) -> Series:
     n = min(f.order, g.order)
-    return Series(tuple(f.coeffs[k] + g.coeffs[k] for k in range(n + 1)), n)
+    return Series(tuple(f.coeffs[k] + g.coeffs[k] for k in range(n + 1)))
 
 
 def series_mul(f: Series, g: Series) -> Series:
     """Truncated product; the result order is the smaller operand order."""
     n = min(f.order, g.order)
-    return Series(tuple(_dense_mul(f.coeffs, g.coeffs, n + 1)), n)
+    return Series(tuple(_dense_mul(f.coeffs, g.coeffs, n + 1)))
 
 
 def series_eval_gamma(f: Series, point) -> Series:
-    return Series(tuple(scalar_eval_gamma(c, point) for c in f.coeffs), f.order)
+    return Series(tuple(scalar_eval_gamma(c, point) for c in f.coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from cfhankel.cfrac import CFraction, Terminated, Truncated, correspond, evaluate
+from cfhankel.cfrac import (
+    CFraction,
+    NonInvertibleLeadingScalar,
+    Terminated,
+    Truncated,
+    correspond,
+    evaluate,
+)
 from cfhankel import closedform
 from cfhankel.closedform import (
     Convention,
@@ -361,6 +368,61 @@ class TestTruncationWindow:
     def test_terminated_fraction_has_no_window(self):
         cf = CFraction(self.CF.a, self.CF.q, Terminated())
         assert list(dense_transform_of(cf, 6).dense) == [1] * 5 + [0, 0]
+
+
+# coefficient kinds of the series drawn below; every kind also draws zeros
+SERIES_COEFFICIENTS = {
+    "integers": st.integers(-3, 3),
+    "rationals": st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+    # a unit constant term and up to two gamma terms; a fraction with
+    # rational a_k expands to a rational series, so any non-constant
+    # coefficient stops the extraction
+    "gamma-polynomials": st.builds(
+        lambda unit, rest: ParamPoly((unit, *rest)),
+        st.sampled_from([1, -1, 2, Fraction(-1, 2)]),
+        st.lists(st.integers(-2, 2), max_size=2),
+    ),
+}
+
+
+@st.composite
+def series_of_even_order(draw, coefficient):
+    """(N, a series 1 + c_1 x + ... + c_2N x^2N) with N <= 6."""
+    n = draw(st.integers(0, 6))
+    tail = draw(st.lists(st.just(0) | coefficient, min_size=2 * n, max_size=2 * n))
+    return n, series([1, *tail])
+
+
+class TestAnySeries:
+    """Every power series has a C-fraction, so the closed form of the
+    extracted fraction gives the Hankel transform the oracle computes from
+    the coefficients.  Two refusals are the only other outcome: a negative
+    ladder exponent in the closed form, and a non-constant leading
+    coefficient in the extraction."""
+
+    @pytest.mark.parametrize("kind", sorted(SERIES_COEFFICIENTS))
+    @given(data=st.data())
+    def test_closed_form_matches_the_oracle_or_refuses(self, kind, data):
+        n, f = data.draw(series_of_even_order(SERIES_COEFFICIENTS[kind]))
+        try:
+            cf = correspond(f)
+        except NonInvertibleLeadingScalar:
+            return
+        assert cf.status == Truncated(2 * n)
+        try:
+            dense = dense_transform_of(cf, n).dense
+        except NegativePExponent:
+            return
+        assert list(dense) == hankel_transform(f.coeffs, n)
+
+    def test_smallest_refusal(self):
+        # 1/(1 - x^3/(1 - x)): h_2 = -1 needs p_2 = -1
+        f = evaluate(CFraction((Fraction(-1),) * 2, (3, 1), Terminated()), 12)
+        assert hankel_transform(f.coeffs, 6) == [1, 0, -1, 0, 0, 0, 0]
+        cf = correspond(f)
+        assert (cf.a, cf.q) == ((Fraction(-1),) * 2, (3, 1))
+        with pytest.raises(NegativePExponent, match="p_2 = -1"):
+            dense_transform_of(cf, 6)
 
 
 class TestPFractionValidation:

@@ -21,10 +21,9 @@ nonzero = rationals.filter(lambda v: v != 0)
 @given(st.lists(rationals, min_size=1, max_size=6), st.integers(0, 3))
 def test_equal_polynomials_and_series_hash_alike(values, zeros):
     padded = values + [Fraction(0)] * zeros
-    order = len(padded) - 1
     for a, b in [
         (ParamPoly(values), ParamPoly(tuple(padded))),
-        (Series(tuple(padded), order), Series(tuple(padded), order)),
+        (Series(tuple(padded)), Series(tuple(padded))),
     ]:
         assert a is not b and a == b and hash(a) == hash(b)
         assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
@@ -42,7 +41,7 @@ def test_equal_fractions_hash_alike(a, q, order):
 @given(st.lists(rationals, min_size=1, max_size=4))
 def test_fields_cannot_be_assigned_or_deleted(values):
     for value, field in [
-        (Series(tuple(values), len(values) - 1), "order"),
+        (Series(tuple(values)), "coeffs"),
         (ParamPoly(values), "coeffs"),
         (CFraction((Fraction(1),), (1,), Terminated()), "a"),
         (Truncated(2), "reliable_order"),
@@ -61,8 +60,8 @@ def test_status_values():
     assert Truncated(2) != Truncated(3) and Truncated(2) == Truncated(2)
     assert Truncated(2) != Terminated()
     assert repr(Truncated(2)) == "Truncated(reliable_order=2)"
-    assert repr(Series((Fraction(1),), 0)) == "Series(coeffs=(Fraction(1, 1),), order=0)"
-    assert Series((Fraction(1),), 0) != ((Fraction(1),), 0)
+    assert repr(Series((Fraction(1),))) == "Series(coeffs=(Fraction(1, 1),))"
+    assert Series((Fraction(1),)) != ((Fraction(1),),)
 
 
 def test_claim_note_defaults_to_empty():
@@ -72,9 +71,7 @@ def test_claim_note_defaults_to_empty():
 
 def test_construction_still_validates():
     with pytest.raises(ValueError):
-        Series((Fraction(1), Fraction(2)), 3)
-    with pytest.raises(ValueError):
-        Series((), -1)
+        Series(())
     with pytest.raises(ValueError):
         CFraction((Fraction(1),), (1, 2), Terminated())
     with pytest.raises(ValueError):
