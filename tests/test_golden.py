@@ -51,6 +51,10 @@ CASES = {
     "mixed-expand": ("mixed.json", [MIXED_EVAL, ("expand", "--series", "-")]),
     "mixed-hankel": ("mixed.json", [MIXED_EVAL, ("hankel", "--series", "-", "--max-n", "5")]),
     "mixed-compare": ("mixed.json", [("compare", "--cfraction", "-", "--max-n", "5")]),
+    # p = 1, 0, 1, 0, 3, -2: depth 4 lands at 4 > 3, so p_5 is never read
+    "negative-p-late-compare": (
+        "negative-p-late.json", [("compare", "--cfraction", "-", "--max-n", "3")]
+    ),
     # a fraction extracted from 9 terms fixes h_n only for n <= 8 // 2
     "catalan-8-expand-closed": (
         "catalan-8.json",
