@@ -12,8 +12,8 @@ _EXPORTS = {
         ("cfrac", "ApproximantPair CFraction Terminated Truncated approximants"
                   " cfraction_from_json cfraction_to_json correspond evaluate"),
         ("closedform", "Convention DEFAULT_CONVENTION DenseTransform IndexProfile"
-                       " MonomialValue closed_form_monomial closed_form_value dense_to_json"
-                       " dense_transform dense_transform_of index_profile p_sequence"),
+                       " dense_to_json dense_transform dense_transform_of index_profile"
+                       " p_sequence"),
         ("catalog", "CATALOG_NAMES VerificationReport catalan_numbers catalog_cfraction"
                     " expand_rational_gf fibonacci_numbers report_to_json select_convention"
                     " verify_claims"),

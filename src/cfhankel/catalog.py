@@ -31,7 +31,7 @@ from .cfrac import CFraction, Terminated, evaluate
 from .closedform import (
     Convention,
     DEFAULT_CONVENTION,
-    closed_form_value,
+    DenseTransform,
     dense_transform_of,
     index_profile,
     p_sequence,
@@ -192,6 +192,13 @@ def select_convention(plan=_ARBITRATION_PLAN) -> tuple[Convention | None, bool]:
     return (surviving[0] if surviving else None), False
 
 
+def _depth_values(result: DenseTransform) -> list[Scalar]:
+    """The closed-form value of each depth the transform reached, in depth
+    order: positions never decrease with depth, so these are the profile
+    points, each repeated by its multiplicity."""
+    return [pt.value for pt in result.profile for _ in range(pt.multiplicity)]
+
+
 def _claim(cid, location, expected, computed, note="") -> Claim:
     verdict = "confirmed" if expected == computed else "refuted"
     return Claim(cid, location, expected, computed, verdict, note)
@@ -216,8 +223,7 @@ def _fibonacci_claims(max_n: int, convention: Convention) -> list[Claim]:
             "ex1-nonzero-values",
             "example 1",
             ["1", "1", "1", "-2", "72", "1944000"],
-            [scalar_to_json(closed_form_value(cf.a, (1, *cf.q), m, convention))
-             for m in range(6)],
+            [scalar_to_json(v) for v in _depth_values(dense)[:6]],
         ),
     ]
     profile = {pt.n: pt.multiplicity for pt in dense.profile}
@@ -315,13 +321,12 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
     from .hankel_oracle import hankel_det, hankel_transform
 
     cf = catalog_cfraction("rogers-ramanujan", terms=10)
-    qtilde = (1, *cf.q)
     claims = [
         _claim(
             "ex4-p-sequence",
             "example 4",
             [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6],
-            p_sequence(qtilde),
+            p_sequence((1, *cf.q)),
         ),
         _claim(
             "ex4-index-partial-sums",
@@ -337,8 +342,9 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
     symbolic = evaluate(catalog_cfraction("rogers-ramanujan", terms=5), 6)
     h2 = hankel_det(symbolic.coeffs, 2)
     h3 = hankel_det(symbolic.coeffs, 3)
-    closed2 = closed_form_value(cf.a, qtilde, 2, convention)
-    closed3 = closed_form_value(cf.a, qtilde, 3, convention)
+    # depths 0..5 land at positions 0, 0, 2, 3, 6 and 8
+    closed = _depth_values(dense_transform_of(cf, 8, convention))
+    closed2, closed3, closed4, closed5 = closed[2:6]
     gamma2 = evaluate(catalog_cfraction("rogers-ramanujan", gamma=2, terms=7), 16)
     oracle_g2 = hankel_transform(gamma2.coeffs, 8)
     claims.append(
@@ -364,8 +370,6 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
             note=f"closed form gives {closed3}",
         )
     )
-    closed4 = closed_form_value(cf.a, qtilde, 4, convention)
-    closed5 = closed_form_value(cf.a, qtilde, 5, convention)
     claims.append(
         _claim(
             "ex4-value-depth-4",
@@ -401,15 +405,12 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
             "sequence; the sequence itself matches numerator 2x^2(x^2+3)",
         )
     )
-    true_exponents = [
-        closed_form_value(cf.a, qtilde, m, convention) for m in range(6)
-    ]
     claims.append(
         _claim(
             "ex4-exponent-sequence",
             "example 4",
             [0, 0, 6, 12, 32, 52],
-            [0, 0] + [v.degree for v in true_exponents[2:]],
+            [0, 0] + [v.degree for v in closed[2:6]],
             note="gamma exponents of the closed-form values, oracle-arbitrated",
         )
     )

@@ -5,10 +5,11 @@ The exponents give the alternating sums p_n = q~_n - q~_{n-1} + ... +- q~_0
 of the extended exponent list q~ = (1, q_1, q_2, ...).  The transform
 vanishes everywhere except at the positions n = p_1 + ... + p_m, where its
 value is a signed monomial in the partial numerators: a_k carries the
-power p_k + p_{k+1} + ... + p_m (:func:`closed_form_monomial`).  Being a
-monomial, the value stays in Q[gamma] for symbolic a_k.  Consecutive
-depths differ by one power of a prefix product, so :func:`dense_transform`
-reads every depth in one linear pass.
+power p_k + p_{k+1} + ... + p_m.  Being a monomial, the value stays in
+Q[gamma] for symbolic a_k.  Consecutive depths differ by one power of a
+prefix product, so :func:`dense_transform` reads every depth in one linear
+pass; the monomial of one depth is kept in ``tests/crosscheck.py`` as the
+reference that pass is checked against.
 
 A Truncated fraction extracted from a series reliable through order N
 fixes h_n only for n <= N // 2, since h_n depends on c_0..c_2n;
@@ -30,16 +31,17 @@ oracle over the whole built-in catalog (see the catalog module and the
 test suite).
 
 A q-sequence whose alternating sums go negative leaves the scope of the
-construction, and every entry point here refuses it rather than
-guessing.
+construction, and every entry point here refuses a negative p_n that it
+needs rather than guessing; :func:`dense_transform` needs none past the
+depth that overshoots max_n.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
-from typing import NamedTuple, Sequence
+from itertools import accumulate, islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction, Truncated
 from .exact import DomainError, Scalar, as_scalar, scalar_to_json
@@ -60,10 +62,6 @@ class ZeroCoefficient(DomainError):
 
 class OutsideTruncationWindow(DomainError):
     """A transform entry past what a truncated fraction determines."""
-
-
-class MultiplicityConflict(DomainError):
-    """Two positions collided with different values: sign-convention bug."""
 
 
 class IndexProfileMismatch(DomainError):
@@ -87,27 +85,34 @@ class Convention(str, Enum):
 DEFAULT_CONVENTION = Convention.SIGN_CORRECTED
 
 
-def p_sequence(qtilde: Sequence[int], count: int | None = None) -> list[int]:
-    """p_0..p_count with p_0 = q~_0 and p_n = q~_n - p_{n-1}.
+def _p_terms(qtilde: Sequence[int]) -> Iterator[int]:
+    """p_0, p_1, ... on demand, p_0 = q~_0 and p_n = q~_n - p_{n-1}.
 
     Equivalently p_n is the alternating sum q~_n - q~_{n-1} + ... +- q~_0.
-    Raises NegativePExponent as soon as a term drops below zero.
+    Checks q~ on the first draw and raises NegativePExponent on reaching a
+    term below zero, so a caller that stops early never meets a later one.
     """
     q = [int(v) for v in qtilde]
     if not q or q[0] != 1:
         raise ValueError("extended exponent list must start with 1")
     if any(v < 1 for v in q[1:]):
         raise ValueError("exponents must be positive integers")
-    last = count if count is not None else len(q) - 1
-    if last >= len(q):
-        raise ValueError(f"need {last + 1} exponents, got {len(q)}")
-    out = [q[0]]
-    for n in range(1, last + 1):
-        nxt = q[n] - out[-1]
-        if nxt < 0:
-            raise NegativePExponent(n, nxt)
-        out.append(nxt)
-    return out
+    p = 0
+    for n, qn in enumerate(q):
+        p = qn - p
+        if p < 0:
+            raise NegativePExponent(n, p)
+        yield p
+
+
+def p_sequence(qtilde: Sequence[int], count: int | None = None) -> list[int]:
+    """p_0..p_count of q~, all of them by default."""
+    terms = _p_terms(qtilde)
+    first = next(terms)  # checks q~ before the count
+    last = count if count is not None else len(qtilde) - 1
+    if last >= len(qtilde):
+        raise ValueError(f"need {last + 1} exponents, got {len(qtilde)}")
+    return [first, *islice(terms, last)]
 
 
 class IndexProfile(NamedTuple):
@@ -145,68 +150,6 @@ def index_profile(q: Sequence[int], count: int | None = None) -> IndexProfile:
     return IndexProfile(tuple(qtilde), tuple(p), tuple(m), tuple(v - 1 for v in m))
 
 
-class MonomialValue(NamedTuple):
-    """A transform value as sign times a monomial in the partial numerators.
-
-    ``exponents[k-1]`` is the power of a_k; instantiating multiplies them
-    out.  When every a_k is the same parameter, the value is that
-    parameter raised to ``total_exponent``, up to sign.
-    """
-
-    sign: int
-    exponents: tuple[int, ...]
-
-    @property
-    def total_exponent(self) -> int:
-        return sum(self.exponents)
-
-    def instantiate(self, a: Sequence) -> Scalar:
-        value: Scalar = Fraction(self.sign)
-        for e, ak in zip(self.exponents, a):
-            ak = as_scalar(ak)
-            if ak == 0:
-                raise ZeroCoefficient("partial numerators must be nonzero")
-            if e:
-                value = value * ak**e
-        return as_scalar(value)
-
-
-def closed_form_monomial(
-    qtilde: Sequence[int], m: int, convention: Convention = DEFAULT_CONVENTION
-) -> MonomialValue:
-    """Structured closed-form value at ladder depth m.
-
-    Signs: (-1)^(sum p_i (p_i + 1)/2) times (-1)^(sum i * p_{i+1}), the
-    latter picking up one more flip under AS_PRINTED.  Exponents:
-    a_k carries p_k + p_{k+1} + ... + p_m.
-    """
-    if m < 0:
-        raise ValueError("level count must be non-negative")
-    p = p_sequence(qtilde, m)
-    sign_exp = sum(p[i] * (p[i] + 1) // 2 for i in range(1, m + 1))
-    sign_exp += sum(i * p[i + 1] for i in range(m))
-    if convention is Convention.AS_PRINTED:
-        sign_exp += 1
-    exponents = []
-    tail = 0
-    for k in range(m, 0, -1):
-        tail += p[k]
-        exponents.append(tail)
-    return MonomialValue(-1 if sign_exp % 2 else 1, tuple(reversed(exponents)))
-
-
-def closed_form_value(
-    a: Sequence,
-    qtilde: Sequence[int],
-    m: int,
-    convention: Convention = DEFAULT_CONVENTION,
-) -> Scalar:
-    """The closed-form Hankel value at depth m, instantiated over ``a``."""
-    if len(a) < m:
-        raise ValueError(f"need {m} partial numerators, got {len(a)}")
-    return closed_form_monomial(qtilde, m, convention).instantiate(a[:m])
-
-
 class ProfilePoint(NamedTuple):
     n: int
     value: Scalar
@@ -228,47 +171,45 @@ def dense_transform(
     """Dense transform values h_0..h_max_n with a sparse position profile.
 
     The value at depth m lands at position p_1 + ... + p_m; positions no
-    depth reaches are zero.  Depths sharing a position must agree in value
-    (a disagreement means a sign-convention bug and raises
-    MultiplicityConflict); their count is recorded as the multiplicity.
+    depth reaches are zero.  Depths sharing a position agree in value, and
+    their count is recorded as the multiplicity.
 
     One pass over the depths: from depth m - 1 to m every a_k with k <= m
-    gains p_m in its power (:func:`closed_form_monomial`), so value(m) is
-    +-value(m - 1) (a_1 ... a_m)^p_m, the sign exponent rising by
-    p_m (p_m + 1)/2 + (m - 1) p_m.  A running prefix product makes the
-    pass linear in the depth.
+    gains p_m in its power, so value(m) is +-value(m - 1) (a_1 ... a_m)^p_m,
+    the sign exponent rising by p_m (p_m + 1)/2 + (m - 1) p_m; p_m = 0
+    leaves the value and its position as they were.  A running prefix
+    product makes the pass linear in the depth.  The pass reads p_m on
+    reaching depth m, so a negative exponent past max_n is never met.
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
     coeffs = [as_scalar(v) for v in a]
     if len(qtilde) < len(coeffs) + 1:
         raise ValueError("extended exponent list shorter than coefficient list")
-    p = p_sequence(qtilde, len(coeffs))
+    p = _p_terms(qtilde)
+    next(p)  # p_0 = 1 moves no position
     value: Scalar = Fraction(-1 if convention is Convention.AS_PRINTED else 1)
     prefix: Scalar = Fraction(1)
-    points = {0: ProfilePoint(0, value, 1)}
+    profile = [ProfilePoint(0, value, 1)]
     position = 0
-    for m, (ak, pm) in enumerate(zip(coeffs, p[1:]), 1):
+    for m, (ak, pm) in enumerate(zip(coeffs, p), 1):
         position += pm
         if position > max_n:
             break
         if ak == 0:
             raise ZeroCoefficient("partial numerators must be nonzero")
         prefix = as_scalar(prefix * ak)
-        if pm:
-            value = as_scalar(value * prefix**pm)
+        if pm == 0:
+            profile[-1] = profile[-1]._replace(multiplicity=profile[-1].multiplicity + 1)
+            continue
+        value = as_scalar(value * prefix**pm)
         if (pm * (pm + 1) // 2 + (m - 1) * pm) % 2:
             value = -value
-        seen = points.get(position)
-        if seen is not None and seen.value != value:
-            raise MultiplicityConflict(f"position {position}: {seen.value} vs {value}")
-        count = 1 if seen is None else seen.multiplicity + 1
-        points[position] = ProfilePoint(position, value, count)
+        profile.append(ProfilePoint(position, value, 1))
     dense: list[Scalar] = [Fraction(0)] * (max_n + 1)
-    for pt in points.values():
+    for pt in profile:
         dense[pt.n] = pt.value
-    profile = tuple(points[n] for n in sorted(points))
-    return DenseTransform(tuple(dense), profile, convention)
+    return DenseTransform(tuple(dense), tuple(profile), convention)
 
 
 def dense_transform_of(

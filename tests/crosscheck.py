@@ -4,9 +4,12 @@ The package computes each value one way.  The functions here compute the
 same values another way, or check an identity the library's values must
 satisfy, and only the tests call them:
 
+* the closed-form value of one depth as a signed monomial in the a_k
+  (``closed_form_monomial``, ``closed_form_value``), against the one-pass
+  ``dense_transform`` of ``cfhankel.closedform``, whose profile gives every
+  depth's value;
 * the paper's literal closed form in the ladder coefficients b_k
-  (``b_from_a`` ... ``closed_form_from_b``), against the monomial form of
-  ``cfhankel.closedform``;
+  (``b_from_a`` ... ``closed_form_from_b``), against that monomial form;
 * a first-row cofactor expansion, against the Bareiss elimination of
   ``cfhankel.hankel_oracle``;
 * the cross-product identity of the approximants of ``cfhankel.cfrac``;
@@ -20,11 +23,17 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from cfhankel.catalog import catalog_cfraction
 from cfhankel.cfrac import CFraction, IndexOutOfRange, approximants, correspond, evaluate
-from cfhankel.closedform import NegativePExponent, ZeroCoefficient, p_sequence
+from cfhankel.closedform import (
+    DEFAULT_CONVENTION,
+    Convention,
+    NegativePExponent,
+    ZeroCoefficient,
+    p_sequence,
+)
 from cfhankel.exact import (
     DomainError,
     Scalar,
@@ -243,3 +252,69 @@ def closed_form_from_b(b: Sequence, p: Sequence[int], m: int) -> Scalar:
         exponent = p[i] + 2 * sum(p[j] for j in range(i + 1, m + 1))
         value = value * bi**-exponent
     return as_scalar(value)
+
+
+# ---------------------------------------------------------------------------
+# the closed form of one depth, a signed monomial in the a_k
+
+
+class MonomialValue(NamedTuple):
+    """A transform value as sign times a monomial in the partial numerators.
+
+    ``exponents[k-1]`` is the power of a_k; instantiating multiplies them
+    out.  When every a_k is the same parameter, the value is that
+    parameter raised to ``total_exponent``, up to sign.
+    """
+
+    sign: int
+    exponents: tuple[int, ...]
+
+    @property
+    def total_exponent(self) -> int:
+        return sum(self.exponents)
+
+    def instantiate(self, a: Sequence) -> Scalar:
+        value: Scalar = Fraction(self.sign)
+        for e, ak in zip(self.exponents, a):
+            ak = as_scalar(ak)
+            if ak == 0:
+                raise ZeroCoefficient("partial numerators must be nonzero")
+            if e:
+                value = value * ak**e
+        return as_scalar(value)
+
+
+def closed_form_monomial(
+    qtilde: Sequence[int], m: int, convention: Convention = DEFAULT_CONVENTION
+) -> MonomialValue:
+    """Structured closed-form value at ladder depth m.
+
+    Signs: (-1)^(sum p_i (p_i + 1)/2) times (-1)^(sum i * p_{i+1}), the
+    latter picking up one more flip under AS_PRINTED.  Exponents:
+    a_k carries p_k + p_{k+1} + ... + p_m.
+    """
+    if m < 0:
+        raise ValueError("level count must be non-negative")
+    p = p_sequence(qtilde, m)
+    sign_exp = sum(p[i] * (p[i] + 1) // 2 for i in range(1, m + 1))
+    sign_exp += sum(i * p[i + 1] for i in range(m))
+    if convention is Convention.AS_PRINTED:
+        sign_exp += 1
+    exponents = []
+    tail = 0
+    for k in range(m, 0, -1):
+        tail += p[k]
+        exponents.append(tail)
+    return MonomialValue(-1 if sign_exp % 2 else 1, tuple(reversed(exponents)))
+
+
+def closed_form_value(
+    a: Sequence,
+    qtilde: Sequence[int],
+    m: int,
+    convention: Convention = DEFAULT_CONVENTION,
+) -> Scalar:
+    """The closed-form Hankel value at depth m, instantiated over ``a``."""
+    if len(a) < m:
+        raise ValueError(f"need {m} partial numerators, got {len(a)}")
+    return closed_form_monomial(qtilde, m, convention).instantiate(a[:m])

@@ -17,12 +17,9 @@ from cfhankel.closedform import (
     Convention,
     DEFAULT_CONVENTION,
     IndexProfileMismatch,
-    MultiplicityConflict,
     NegativePExponent,
     OutsideTruncationWindow,
     ZeroCoefficient,
-    closed_form_monomial,
-    closed_form_value,
     dense_to_json,
     dense_transform,
     dense_transform_of,
@@ -36,6 +33,8 @@ from crosscheck import (
     a_from_b,
     b_from_a,
     closed_form_from_b,
+    closed_form_monomial,
+    closed_form_value,
     pfraction_from_cfraction,
 )
 
@@ -335,6 +334,16 @@ class TestDenseTransform:
         with pytest.raises(NegativePExponent):
             dense_transform([1, 1], [1, 3, 1], 5)
 
+    def test_negative_exponent_past_the_window_is_not_read(self):
+        # p = 1, 0, 1, 0, 3, -2: depth 4 lands at 4, so max_n <= 3 stops
+        # before p_5, while max_n = 4 reaches it
+        cf = CFraction((Fraction(-1),) * 5, (1, 1, 1, 3, 1), Terminated())
+        for max_n in (1, 3):
+            oracle = hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
+            assert list(dense_transform_of(cf, max_n).dense) == oracle
+        with pytest.raises(NegativePExponent, match="p_5 = -2"):
+            dense_transform_of(cf, 4)
+
     def test_json_shape(self):
         blob = dense_to_json(dense_transform_of(fibonacci_cfraction(4), 4))
         assert blob["convention"] == "sign-corrected"
@@ -421,6 +430,8 @@ class TestAnySeries:
         assert hankel_transform(f.coeffs, 6) == [1, 0, -1, 0, 0, 0, 0]
         cf = correspond(f)
         assert (cf.a, cf.q) == ((Fraction(-1),) * 2, (3, 1))
+        # depth 1 lands at p_1 = 2, past max_n = 1, so p_2 is never read
+        assert list(dense_transform_of(cf, 1).dense) == [1, 0]
         with pytest.raises(NegativePExponent, match="p_2 = -1"):
             dense_transform_of(cf, 6)
 

@@ -87,7 +87,7 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_every_exported_name_is_its_submodules_object():
-    assert len(cfhankel.__all__) == len(set(cfhankel.__all__)) == 42
+    assert len(cfhankel.__all__) == len(set(cfhankel.__all__)) == 39
     for name in cfhankel.__all__:
         module = getattr(cfhankel, cfhankel._EXPORTS[name])
         assert getattr(cfhankel, name) is getattr(module, name), name
