@@ -213,6 +213,12 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse reports usage problems itself and exits 2
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+    # exact values outgrow the int<->str digit limit of CPython 3.10.7 on;
+    # the "p/q" shape check in exact keeps a short input from naming a huge
+    # number, so the limit is lifted for the run and restored after it
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if digits:
+        sys.set_int_max_str_digits(0)
     try:
         return _RUNNERS[args.command](args)
     except DomainError as exc:
@@ -227,6 +233,9 @@ def main(argv: list[str] | None = None) -> int:
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         print(f"internal error: {exc!r} at {where}", file=sys.stderr)
         return COMPUTATION_ERROR
+    finally:
+        if digits:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

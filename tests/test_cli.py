@@ -48,6 +48,18 @@ class TestPipelines:
         code, out, _ = run(capsys, "expand", "--series", str(path))
         assert json.loads(out)["status"] == {"truncated": 2}
 
+    def test_values_past_the_int_digit_limit_round_trip(self, tmp_path, capsys):
+        # with gamma = 10^100 the series reaches coefficients of more than
+        # 4,300 digits, CPython's default int<->str limit
+        path = write_catalog(tmp_path, capsys, "rogers-ramanujan", "--gamma", "1" + "0" * 100)
+        code, series, _ = run(capsys, "eval", "--cfraction", str(path), "--order", "60")
+        assert code == 0
+        (tmp_path / "series.json").write_text(series)
+        code, out, _ = run(capsys, "expand", "--series", str(tmp_path / "series.json"))
+        assert code == 0
+        fraction, back = json.loads(path.read_text()), json.loads(out)
+        assert (back["a"], back["q"]) == (fraction["a"], fraction["q"])
+
     def test_expand_from_stdin(self, capsys, monkeypatch):
         blob = json.dumps({"coeffs": ["1", "1", "2", "5", "14"], "order": 4})
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))
