@@ -11,15 +11,15 @@ Four classic C-fractions are built here by exact formulas:
 Each entry carries the values recorded for it in the literature: dense
 Hankel transforms, index sequences, multiplicities, symbolic monomials and
 one rational generating function.  :func:`verify_claims` recomputes every
-one of those values from scratch, using the determinant oracle as ground
-truth (symbolically where needed, with rational spot checks where a
-symbolic determinant would be wastefully large), and reports each claim
-as confirmed or refuted.  Refuted claims stay in the report: the harness
-is also an errata record.
+one of those values from scratch against the determinant oracle, which
+expands and eliminates each entry once (rogers-ramanujan symbolically;
+its gamma = 2 figures are those minors evaluated there), and reports each
+claim as confirmed or refuted.  Refuted claims stay in the report: the
+harness is also an errata record.
 
 The sign convention shipped as the package default is not trusted to a
 constant: :func:`select_convention` re-runs the oracle arbitration over
-the whole catalog, and the report records its outcome.
+the same runs of the whole catalog, and the report records its outcome.
 """
 
 from __future__ import annotations
@@ -154,39 +154,45 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-def _oracle_dense(cf: CFraction, max_n: int) -> list[Scalar]:
+class _Run(NamedTuple):  # one entry: its series c_0..c_2max_n and h_0..h_max_n
+    cf: CFraction
+    max_n: int
+    series: tuple[Scalar, ...]
+    oracle: list[Scalar]
+
+
+def _runs(max_n: int) -> dict[str, _Run]:
+    """Each entry expanded and eliminated once.  Every fraction's exponents
+    sum past the order expanded, so each series is the infinite fraction's;
+    rogers-ramanujan stays symbolic, and its minors evaluated at a rational
+    gamma are that gamma's minors (a ring homomorphism)."""
     from .hankel_oracle import hankel_transform
 
-    return hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
+    runs = {}
+    for name, terms, n in (("catalan", 13, 6), ("aerated-catalan", 10, 9),
+                           ("fibonacci-cf", 8, max_n), ("rogers-ramanujan", 10, 8)):
+        cf = catalog_cfraction(name, terms=terms)
+        coeffs = evaluate(cf, 2 * n).coeffs
+        runs[name] = _Run(cf, n, coeffs, hankel_transform(coeffs, n))
+    return runs
 
 
-_ARBITRATION_PLAN = (
-    ("catalan", None, 13, 6),
-    ("aerated-catalan", None, 10, 6),
-    ("fibonacci-cf", None, 8, 12),
-    ("rogers-ramanujan", Fraction(2), 6, 6),
-)
-
-
-def select_convention(plan=_ARBITRATION_PLAN) -> tuple[Convention | None, bool]:
+def select_convention(runs: dict[str, _Run] | None = None) -> tuple[Convention | None, bool]:
     """Pick the sign convention mechanically: the one under which the
-    closed form equals the determinant oracle on every catalog entry.
+    closed form equals the determinant oracle on every catalog entry
+    (the runs :func:`verify_claims` judges, at max_n 12 by default).
 
     Returns (convention, consistent).  ``consistent`` is False when no
     single convention (or more than one) survives, which the caller must
     surface prominently.
     """
-    surviving = []
-    for convention in (Convention.SIGN_CORRECTED, Convention.AS_PRINTED):
-        ok = True
-        for name, gamma, terms, max_n in plan:
-            cf = catalog_cfraction(name, gamma=gamma, terms=terms)
-            closed = list(dense_transform_of(cf, max_n, convention).dense)
-            if closed != _oracle_dense(cf, max_n):
-                ok = False
-                break
-        if ok:
-            surviving.append(convention)
+    if runs is None:
+        runs = _runs(12)
+    surviving = [
+        c for c in (Convention.SIGN_CORRECTED, Convention.AS_PRINTED)
+        if all(list(dense_transform_of(r.cf, r.max_n, c).dense) == r.oracle
+               for r in runs.values())
+    ]
     if len(surviving) == 1:
         return surviving[0], True
     return (surviving[0] if surviving else None), False
@@ -204,9 +210,8 @@ def _claim(cid, location, expected, computed, note="") -> Claim:
     return Claim(cid, location, expected, computed, verdict, note)
 
 
-def _fibonacci_claims(max_n: int, convention: Convention) -> list[Claim]:
-    cf = catalog_cfraction("fibonacci-cf", terms=8)
-    oracle = _oracle_dense(cf, max_n)
+def _fibonacci_claims(run: _Run, convention: Convention) -> list[Claim]:
+    cf, max_n, oracle = run.cf, run.max_n, run.oracle
     dense = dense_transform_of(cf, max_n, convention)
     claims = [
         _claim(
@@ -249,29 +254,26 @@ def _fibonacci_claims(max_n: int, convention: Convention) -> list[Claim]:
     return claims
 
 
-def _catalan_claims(convention: Convention) -> list[Claim]:
-    cf = catalog_cfraction("catalan", terms=13)
-    oracle = _oracle_dense(cf, 6)
-    dense = dense_transform_of(cf, 6, convention)
-    series = evaluate(cf, 12)
+def _catalan_claims(run: _Run, convention: Convention) -> list[Claim]:
+    dense = dense_transform_of(run.cf, 6, convention)
     return [
         _claim(
             "ex2-hankel-all-ones",
             "introduction",
             ["1"] * 7,
-            [scalar_to_json(v) for v in oracle],
+            [scalar_to_json(v) for v in run.oracle],
         ),
         _claim(
             "ex2-series-is-catalan",
             "example 2",
             [str(c) for c in catalan_numbers(13)],
-            [scalar_to_json(v) for v in series.coeffs],
+            [scalar_to_json(v) for v in run.series],
         ),
         _claim(
             "ex2-index-multiset",
             "example 2",
             [1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
-            list(index_profile(cf.q, 9).m),
+            list(index_profile(run.cf.q, 9).m),
         ),
         _claim(
             "ex2-multiplicity",
@@ -282,11 +284,8 @@ def _catalan_claims(convention: Convention) -> list[Claim]:
     ]
 
 
-def _aerated_claims(convention: Convention) -> list[Claim]:
-    cf = catalog_cfraction("aerated-catalan", terms=10)
-    oracle = _oracle_dense(cf, 9)
-    dense = dense_transform_of(cf, 9, convention)
-    series = evaluate(cf, 12)
+def _aerated_claims(run: _Run, convention: Convention) -> list[Claim]:
+    dense = dense_transform_of(run.cf, 9, convention)
     catalan = catalan_numbers(7)
     aerated = [catalan[k // 2] if k % 2 == 0 else Fraction(0) for k in range(13)]
     return [
@@ -294,19 +293,19 @@ def _aerated_claims(convention: Convention) -> list[Claim]:
             "ex3-hankel-all-ones",
             "example 3",
             ["1"] * 10,
-            [scalar_to_json(v) for v in oracle],
+            [scalar_to_json(v) for v in run.oracle],
         ),
         _claim(
             "ex3-series-is-aerated-catalan",
             "example 3",
             [str(c) for c in aerated],
-            [scalar_to_json(v) for v in series.coeffs],
+            [scalar_to_json(v) for v in run.series[:13]],
         ),
         _claim(
             "ex3-index-set",
             "example 3",
             list(range(1, 8)),
-            list(index_profile(cf.q, 6).m),
+            list(index_profile(run.cf.q, 6).m),
         ),
         _claim(
             "ex3-multiplicity",
@@ -317,10 +316,8 @@ def _aerated_claims(convention: Convention) -> list[Claim]:
     ]
 
 
-def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
-    from .hankel_oracle import hankel_det, hankel_transform
-
-    cf = catalog_cfraction("rogers-ramanujan", terms=10)
+def _rogers_ramanujan_claims(run: _Run, convention: Convention) -> list[Claim]:
+    cf, oracle = run.cf, run.oracle
     claims = [
         _claim(
             "ex4-p-sequence",
@@ -336,17 +333,14 @@ def _rogers_ramanujan_claims(convention: Convention) -> list[Claim]:
         ),
     ]
 
-    # positions 2 and 3 are judged by symbolic determinants; the quoted
-    # values further out by the closed form plus rational spot checks of
-    # the oracle at gamma = 2 (gamma = 1 cannot separate powers)
-    symbolic = evaluate(catalog_cfraction("rogers-ramanujan", terms=5), 6)
-    h2 = hankel_det(symbolic.coeffs, 2)
-    h3 = hankel_det(symbolic.coeffs, 3)
+    # positions 2 and 3 are judged by the symbolic oracle; the quoted
+    # values further out by the closed form plus that oracle evaluated at
+    # gamma = 2 (gamma = 1 cannot separate powers)
+    h2, h3 = oracle[2], oracle[3]
+    oracle_g2 = [scalar_eval_gamma(v, 2) for v in oracle]
     # depths 0..5 land at positions 0, 0, 2, 3, 6 and 8
     closed = _depth_values(dense_transform_of(cf, 8, convention))
     closed2, closed3, closed4, closed5 = closed[2:6]
-    gamma2 = evaluate(catalog_cfraction("rogers-ramanujan", gamma=2, terms=7), 16)
-    oracle_g2 = hankel_transform(gamma2.coeffs, 8)
     claims.append(
         _claim(
             "ex4-value-depth-2",
@@ -426,12 +420,13 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
     """
     if max_n < 12:
         raise ValueError("claim verification needs max_n >= 12")
-    convention, consistent = select_convention()
+    runs = _runs(max_n)
+    convention, consistent = select_convention(runs)
     working = convention if convention is not None else DEFAULT_CONVENTION
     claims: list[Claim] = []
-    claims.extend(_fibonacci_claims(max_n, working))
-    claims.extend(_catalan_claims(working))
-    claims.extend(_aerated_claims(working))
-    claims.extend(_rogers_ramanujan_claims(working))
+    claims.extend(_fibonacci_claims(runs["fibonacci-cf"], working))
+    claims.extend(_catalan_claims(runs["catalan"], working))
+    claims.extend(_aerated_claims(runs["aerated-catalan"], working))
+    claims.extend(_rogers_ramanujan_claims(runs["rogers-ramanujan"], working))
     claims.sort(key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))

@@ -39,10 +39,13 @@ SIZE_CEILING = 1000
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.loads(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+    try:
+        if path == "-":
+            return json.loads(sys.stdin.read())
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except RecursionError:  # nesting past the decoder's limit is bad input
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _emit(payload) -> None:

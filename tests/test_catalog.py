@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cfhankel import hankel_oracle
 from cfhankel.catalog import (
     CATALOG_NAMES,
     Claim,
@@ -16,10 +17,11 @@ from cfhankel.catalog import (
     report_to_json,
     select_convention,
     verify_claims,
+    _runs,
 )
 from cfhankel.cfrac import evaluate
 from cfhankel.closedform import Convention, DEFAULT_CONVENTION
-from cfhankel.exact import GAMMA
+from cfhankel.exact import GAMMA, scalar_eval_gamma
 from crosscheck import catalog_round_trip, catalog_series, terms_for_order
 
 
@@ -135,6 +137,33 @@ class TestArbitration:
         assert consistent
         assert convention is Convention.SIGN_CORRECTED
         assert convention is DEFAULT_CONVENTION
+
+
+class TestOneOraclePass:
+    def test_each_entry_is_run_through_the_oracle_once(self, monkeypatch):
+        names = ("hankel_transform", "hankel_det", "matrix_det")
+        calls = dict.fromkeys(names, 0)
+        for name in names:
+            original = getattr(hankel_oracle, name)
+
+            def spy(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(hankel_oracle, name, spy)
+        verify_claims(12)
+        assert calls == {"hankel_transform": 4, "hankel_det": 0, "matrix_det": 0}
+
+    def test_the_symbolic_pass_equals_the_routes_it_replaces(self):
+        oracle = _runs(12)["rogers-ramanujan"].oracle
+        assert oracle[2] == -(GAMMA**4)
+        # h_2 and h_3 were symbolic determinants of the 5-term series
+        five = evaluate(catalog_cfraction("rogers-ramanujan", terms=5), 6).coeffs
+        assert oracle[2:4] == [hankel_oracle.hankel_det(five, n) for n in (2, 3)]
+        # the gamma = 2 figures were the oracle of the 7-term gamma = 2 series
+        seven = evaluate(catalog_cfraction("rogers-ramanujan", gamma=2, terms=7), 16)
+        at_two = hankel_oracle.hankel_transform(seven.coeffs, 8)
+        assert [scalar_eval_gamma(v, 2) for v in oracle] == at_two
 
 
 @pytest.fixture(scope="module")

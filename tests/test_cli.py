@@ -176,6 +176,26 @@ class TestExitCodes:
         code, _, _ = run(capsys, "expand", "--series", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    @pytest.mark.parametrize(
+        "command, head",
+        [(("expand", "--series"), ""), (("hankel", "--max-n", "1", "--series"), '{"coeffs": ')],
+        ids=["expand", "hankel"],
+    )
+    def test_deeply_nested_json(self, tmp_path, capsys, monkeypatch, source, command, head):
+        # the decoder's recursion limit is hit while reading: bad input, not a bug
+        blob = head + "[" * 100_000
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(blob)
+            where = str(path)
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(blob))
+            where = "-"
+        code, out, err = run(capsys, *command, where)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error:") and "nested too deeply" in err
+
     def test_zero_denominator_coefficient(self, capsys, monkeypatch):
         blob = json.dumps({"coeffs": ["1", "1/0", "2"]})
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))
