@@ -9,17 +9,17 @@ what each subcommand runs.  The exported names below resolve on first use
 _EXPORTS = {
     name: module
     for module, names in (
-        ("cfrac", "ApproximantPair CFraction Terminated Truncated approximants"
-                  " cfraction_from_json cfraction_to_json correspond evaluate"),
+        ("cfrac", "CFraction Terminated Truncated cfraction_from_json cfraction_to_json"
+                  " correspond evaluate"),
         ("closedform", "Convention DEFAULT_CONVENTION DenseTransform IndexProfile"
                        " dense_to_json dense_transform dense_transform_of index_profile"
                        " p_sequence"),
         ("catalog", "CATALOG_NAMES VerificationReport catalan_numbers catalog_cfraction"
                     " expand_rational_gf fibonacci_numbers report_to_json select_convention"
                     " verify_claims"),
-        ("exact", "GAMMA ParamPoly Series series series_from_json series_quotient"
-                  " series_reciprocal series_to_json"),
-        ("hankel_oracle", "hankel_det hankel_matrix hankel_transform matrix_det"),
+        ("exact", "GAMMA ParamPoly Series series series_from_json series_reciprocal"
+                  " series_to_json"),
+        ("hankel_oracle", "hankel_transform matrix_det"),
     )
     for name in names.split()
 }

@@ -40,20 +40,12 @@ from .exact import (
     DomainError,
     GAMMA,
     Scalar,
+    _quotient_coeffs,
     as_scalar,
     scalar_eval_gamma,
     scalar_to_json,
     series,
-    series_quotient,
 )
-
-
-class UnknownName(DomainError):
-    """No catalog entry under that name."""
-
-
-class MissingParameter(DomainError):
-    """A required entry parameter was omitted or unusable."""
 
 
 class ZeroConstantDenominator(DomainError):
@@ -100,9 +92,9 @@ def catalog_cfraction(name: str, gamma=None, terms: int = 8) -> CFraction:
         else:
             coefficient = as_scalar(gamma)
             if coefficient == 0:
-                raise MissingParameter("rogers-ramanujan needs a nonzero gamma")
+                raise ValueError("rogers-ramanujan needs a nonzero gamma")
         return CFraction((coefficient,) * terms, tuple(range(1, terms + 1)), Terminated())
-    raise UnknownName(f"no catalog entry named {name!r}")
+    raise ValueError(f"no catalog entry named {name!r}")
 
 
 def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Scalar]:
@@ -112,9 +104,9 @@ def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Sca
         raise ValueError("at least one coefficient must be requested")
     if not denom or denom[0] == 0:
         raise ZeroConstantDenominator("denominator must not vanish at 0")
-    order = count - 1
-    expansion = series_quotient(series(numer, order), series(denom, order))
-    return [as_scalar(c) for c in expansion.coeffs]
+    ns, ds = series(numer, count - 1).coeffs, series(denom, count - 1).coeffs
+    # a non-constant gamma-polynomial denom[0] raises NonInvertibleScalar here
+    return [as_scalar(c) for c in _quotient_coeffs(ns, ds, as_scalar(1 / ds[0]))]
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,7 @@ and always denotes the continued fraction
 so ``g(0) = 1``.  :func:`correspond` extracts that representation from a
 truncated series, and :func:`evaluate` expands a fraction back into a
 series.  The two are exact inverses of each other as far as the trusted
-truncation window allows.  :func:`approximants` gives the numerator and
-denominator polynomials of the classical approximant recurrences as
-coefficient tuples.
+truncation window allows.
 
 Extraction is a Euclid-style ratio step (Jones & Thron 1980): with the
 reciprocal of the current tail held as num/den, den(0) = 1, the first
@@ -26,7 +24,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple
 
 from .exact import (
     DomainError,
@@ -52,10 +49,6 @@ class ConstantTermNotOne(DomainError):
 
 class NonInvertibleLeadingScalar(DomainError):
     """A symbolic leading coefficient blocked the next extraction step."""
-
-
-class IndexOutOfRange(DomainError):
-    """Approximant index outside the stored partial quotients."""
 
 
 class Terminated(Value):
@@ -95,12 +88,6 @@ class CFraction(Value):
 
     def __len__(self) -> int:
         return len(self.a)
-
-    def exponent_sum(self, n: int) -> int:
-        """q_1 + ... + q_n, the agreement exponent of the n-th approximant."""
-        if not 0 <= n <= len(self.q):
-            raise IndexOutOfRange(f"no {n} partial quotients stored")
-        return sum(self.q[:n])
 
 
 def correspond(f: Series, exact: bool = False) -> CFraction:
@@ -210,15 +197,6 @@ def _quotient_through(cap: int, den: tuple, num: tuple) -> list:
     return _quotient_coeffs((*num, *pad)[: cap + 1], (*den, *pad)[: cap + 1], 1)
 
 
-class ApproximantPair(NamedTuple):
-    """Numerator/denominator polynomials A_n, B_n of the n-th approximant,
-    as coefficient tuples: lowest degree first, trailing zeros stripped."""
-
-    A: tuple[Scalar, ...]
-    B: tuple[Scalar, ...]
-    n: int
-
-
 def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
     """Coefficients of p + c x^q r over any ring, trailing zeros stripped."""
     out = list(p) + [0] * (q + len(r) - len(p))
@@ -230,23 +208,16 @@ def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
 
 
 def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:
-    """The A_n, B_n of :func:`approximants` over whatever ring the a_k lie in."""
+    """Coefficient tuples (lowest degree first, trailing zeros stripped) of
+    the denominator A_n and numerator B_n of the n-term fraction, over
+    whatever ring the a_k lie in: A_0 = B_0 = 1 and, from A_{-1} = 1,
+    B_{-1} = 0, A_n = A_{n-1} + a_n x^q_n A_{n-2} and likewise for B."""
     a_prev, b_prev = (1,), ()
     a_cur, b_cur = (1,), (1,)
     for ak, qk in zip(a, q):
         a_cur, a_prev = _add_shifted(a_cur, ak, qk, a_prev), a_cur
         b_cur, b_prev = _add_shifted(b_cur, ak, qk, b_prev), b_cur
     return a_cur, b_cur
-
-
-def approximants(cf: CFraction, n: int) -> ApproximantPair:
-    """A_0 = B_0 = 1 and, from A_{-1} = 1, B_{-1} = 0, the two-term
-    recurrences A_n = A_{n-1} + a_n x^q_n A_{n-2} and likewise for B
-    (so A_1 = 1 + a_1 x^q_1, B_1 = 1)."""
-    if not 0 <= n <= len(cf):
-        raise IndexOutOfRange(f"approximant {n} of a {len(cf)}-term fraction")
-    a_poly, b_poly = _approximant_coeffs(cf.a[:n], cf.q[:n])
-    return ApproximantPair(tuple(map(as_scalar, a_poly)), tuple(map(as_scalar, b_poly)), n)
 
 
 def cfraction_to_json(cf: CFraction) -> dict:

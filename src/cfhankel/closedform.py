@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction, Truncated
@@ -105,14 +105,9 @@ def _p_terms(qtilde: Sequence[int]) -> Iterator[int]:
         yield p
 
 
-def p_sequence(qtilde: Sequence[int], count: int | None = None) -> list[int]:
-    """p_0..p_count of q~, all of them by default."""
-    terms = _p_terms(qtilde)
-    first = next(terms)  # checks q~ before the count
-    last = count if count is not None else len(qtilde) - 1
-    if last >= len(qtilde):
-        raise ValueError(f"need {last + 1} exponents, got {len(qtilde)}")
-    return [first, *islice(terms, last)]
+def p_sequence(qtilde: Sequence[int]) -> list[int]:
+    """p_0, p_1, ..., one for each entry of q~."""
+    return list(_p_terms(qtilde))
 
 
 class IndexProfile(NamedTuple):

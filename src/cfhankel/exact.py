@@ -376,19 +376,13 @@ def _quotient_coeffs(ns, ds, inv0) -> list:
     return out
 
 
-def series_quotient(num: Series, den: Series) -> Series:
-    """num/den, exact through the smaller trusted order of the operands."""
-    n = min(num.order, den.order)
-    ns, ds = num.coeffs[: n + 1], den.coeffs[: n + 1]
-    if ds[0] == 0:
-        raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
-    # a non-constant gamma-polynomial ds[0] raises NonInvertibleScalar here
-    return Series(tuple(_quotient_coeffs(ns, ds, as_scalar(1 / ds[0]))))
-
-
 def series_reciprocal(f: Series) -> Series:
     """Multiplicative inverse, exact through the operand's trusted order."""
-    return series_quotient(series([1], f.order), f)
+    if f.coeffs[0] == 0:
+        raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
+    # a non-constant gamma-polynomial c_0 raises NonInvertibleScalar here
+    one = series([1], f.order).coeffs
+    return Series(tuple(_quotient_coeffs(one, f.coeffs, as_scalar(1 / f.coeffs[0]))))
 
 
 # ---------------------------------------------------------------------------

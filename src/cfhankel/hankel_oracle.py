@@ -39,16 +39,6 @@ class InsufficientTerms(DomainError):
     """The sequence is too short for the requested matrix order."""
 
 
-def hankel_matrix(seq: Sequence, n: int) -> tuple[tuple[Scalar, ...], ...]:
-    """Rows of the order-n Hankel matrix, entry (i, j) = seq[i + j]."""
-    if n < 0:
-        raise ValueError("matrix order must be non-negative")
-    if len(seq) < 2 * n + 1:
-        raise InsufficientTerms(f"order {n} needs {2 * n + 1} terms, only {len(seq)} supplied")
-    values = [as_scalar(v) for v in seq[: 2 * n + 1]]
-    return tuple(tuple(values[i + j] for j in range(n + 1)) for i in range(n + 1))
-
-
 def _checked_div(num: int, den: int) -> int:
     quotient, remainder = divmod(num, den)
     if remainder:
@@ -128,13 +118,16 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     return _minors(m)[-1]
 
 
-def hankel_det(seq: Sequence, n: int) -> Scalar:
-    return matrix_det(hankel_matrix(seq, n))
-
-
 def hankel_transform(seq: Sequence, max_n: int) -> list[Scalar]:
     """(h_0, ..., h_max_n): all leading minors of the order-max_n Hankel
-    matrix from one pass, pivoting on the first usable row, stopping at the
-    first column with no pivot (every later h_n is 0) and packing a
-    non-integral matrix at one digit width taken from that whole matrix."""
-    return _minors(hankel_matrix(seq, max_n))
+    matrix, entry (i, j) = seq[i + j], from one pass, pivoting on the first
+    usable row, stopping at the first column with no pivot (every later h_n
+    is 0) and packing a non-integral matrix at one digit width taken from
+    that whole matrix."""
+    if max_n < 0:
+        raise ValueError("matrix order must be non-negative")
+    count = 2 * max_n + 1
+    if len(seq) < count:
+        raise InsufficientTerms(f"order {max_n} needs {count} terms, only {len(seq)} supplied")
+    values = [as_scalar(v) for v in seq[:count]]
+    return _minors([values[i : i + max_n + 1] for i in range(max_n + 1)])

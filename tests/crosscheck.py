@@ -26,7 +26,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from cfhankel.catalog import catalog_cfraction
-from cfhankel.cfrac import CFraction, IndexOutOfRange, approximants, correspond, evaluate
+from cfhankel.cfrac import CFraction, _approximant_coeffs, correspond, evaluate
 from cfhankel.closedform import (
     DEFAULT_CONVENTION,
     Convention,
@@ -96,14 +96,17 @@ def determinant_identity_residual(cf: CFraction, n: int) -> tuple:
     the order through which successive approximants agree.
     """
     if not 1 <= n <= len(cf):
-        raise IndexOutOfRange(f"identity index {n} of a {len(cf)}-term fraction")
-    cur = approximants(cf, n)
-    prev = approximants(cf, n - 1)
-    lhs = _poly_sub(_poly_mul(cur.A, prev.B), _poly_mul(prev.A, cur.B))
+        raise ValueError(f"identity index {n} of a {len(cf)}-term fraction")
+
+    def pair(k: int) -> list[tuple]:  # A_k, B_k
+        return [tuple(map(as_scalar, p)) for p in _approximant_coeffs(cf.a[:k], cf.q[:k])]
+
+    (cur_a, cur_b), (prev_a, prev_b) = pair(n), pair(n - 1)
+    lhs = _poly_sub(_poly_mul(cur_a, prev_b), _poly_mul(prev_a, cur_b))
     coeff: Scalar = Fraction(1) if n % 2 == 1 else Fraction(-1)
     for ak in cf.a[:n]:
         coeff = coeff * ak
-    rhs = (Fraction(0),) * cf.exponent_sum(n) + (coeff,)
+    rhs = (Fraction(0),) * sum(cf.q[:n]) + (coeff,)
     return _poly_sub(lhs, rhs)
 
 
@@ -295,7 +298,7 @@ def closed_form_monomial(
     """
     if m < 0:
         raise ValueError("level count must be non-negative")
-    p = p_sequence(qtilde, m)
+    p = p_sequence(qtilde[: m + 1])
     sign_exp = sum(p[i] * (p[i] + 1) // 2 for i in range(1, m + 1))
     sign_exp += sum(i * p[i + 1] for i in range(m))
     if convention is Convention.AS_PRINTED:

@@ -139,10 +139,13 @@ class TestExitCodes:
         code, _, _ = run(capsys, "eval", "--order", "3")
         assert code == 2
 
-    def test_unknown_catalog_name(self, capsys):
-        code, _, err = run(capsys, "catalog", "motzkin")
-        assert code == 3
-        assert "error" in err
+    def test_catalog_usage_errors(self, capsys):
+        # a name or a --gamma the catalog does not have is bad input
+        for argv, message in ((("nosuch",), "no catalog entry named 'nosuch'"),
+                              (("rogers-ramanujan", "--gamma", "0"), "needs a nonzero gamma")):
+            code, out, err = run(capsys, "catalog", *argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("usage error: ") and message in err
 
     def test_negative_ladder_exponent(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -405,7 +408,7 @@ class TestDecoderFuzz:
         if gamma is not None:
             argv += ["--gamma", gamma]
         code, _, err = run(capsys, *argv)
-        assert code in (0, 2, 3)
+        assert code in (0, 2)
         assert "internal error" not in err and "Traceback" not in err
 
 

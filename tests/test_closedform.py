@@ -130,8 +130,8 @@ class TestIndexProfile:
     def test_generating_function_check_is_not_an_assert(self, monkeypatch):
         # a wrong p-sequence must be caught by the explicit check, which
         # unlike an assert still runs under python -O
-        def skewed(qtilde, count=None):
-            p = p_sequence(qtilde, count)
+        def skewed(qtilde):
+            p = p_sequence(qtilde)
             return p[:-1] + [p[-1] + 1]
 
         monkeypatch.setattr(closedform, "p_sequence", skewed)

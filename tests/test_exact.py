@@ -20,7 +20,6 @@ from cfhankel.exact import (
     scalar_to_json,
     series,
     series_from_json,
-    series_quotient,
     series_reciprocal,
     series_to_json,
 )
@@ -210,22 +209,8 @@ class TestSeries:
         assert all(isinstance(c, Fraction) for c in rec.coeffs)
         assert series_mul(f, rec) == series([1], f.order)
 
-    @given(
-        st.lists(st.integers(-6, 6), min_size=1, max_size=12),
-        st.sampled_from([1, -1, 2, Fraction(-1, 3)]),
-        st.lists(st.fractions(min_value=-6, max_value=6, max_denominator=4), max_size=12),
-        st.integers(0, 12),
-    )
-    def test_quotient_times_denominator(self, top, d0, tail, order):
-        # integral operands with d0 = +-1 give an integral quotient, still as Fractions
-        num, den = series(top, order), series([d0] + tail, order)
-        quotient = series_quotient(num, den)
-        assert all(isinstance(c, Fraction) for c in quotient.coeffs)
-        assert series_mul(den, quotient) == num
-        assert quotient == series_mul(num, series_reciprocal(den))
-
     def test_quotient_order_is_the_smaller(self):
-        q = series_quotient(series([1, 2, 3], 2), series([1, -1], 5))
+        q = series_mul(series([1, 2, 3], 2), series_reciprocal(series([1, -1], 5)))
         assert q == series([1, 3, 6], 2)
 
     def test_ring_axioms(self):

@@ -16,14 +16,17 @@ from cfhankel.exact import (
 )
 from cfhankel.hankel_oracle import (
     InsufficientTerms,
-    hankel_det,
-    hankel_matrix,
     hankel_transform,
     matrix_det,
 )
 from crosscheck import det_cofactor, series_eval_gamma
 
 ROGERS_RAMANUJAN_5 = [1, -GAMMA, GAMMA**2, GAMMA**2 - GAMMA**3, GAMMA**4 - 2 * GAMMA**3]
+
+
+def hankel_rows(seq, n):
+    """Rows of the order-n Hankel matrix, entry (i, j) = seq[i + j]."""
+    return [[seq[i + j] for j in range(n + 1)] for i in range(n + 1)]
 
 
 def rand_fraction(rng):
@@ -36,38 +39,38 @@ def rand_poly(rng):
 
 class TestMatrixConstruction:
     def test_symmetry_and_entries(self):
-        rows = hankel_matrix([1, 2, 3, 4, 5], 2)
-        assert len(rows) == 3
-        for i in range(3):
-            for j in range(3):
-                assert rows[i][j] == rows[j][i] == i + j + 1
+        # entry (i, j) is seq[i + j]: h_1 = 2*7 - 1*1, and h_2 is the
+        # determinant of [[2, 1, 7], [1, 7, 0], [7, 0, 9]]
+        assert hankel_transform([2, 1, 7, 0, 9], 2) == [2, 13, -226]
+        assert hankel_transform([1, 2, 3, 4, 5], 2) == [1, -1, 0]
 
     def test_insufficient_terms(self):
-        with pytest.raises(InsufficientTerms):
-            hankel_matrix([1, 2], 1)
+        with pytest.raises(InsufficientTerms, match="order 1 needs 3 terms, only 2 supplied"):
+            hankel_transform([1, 2], 1)
         with pytest.raises(InsufficientTerms):
             hankel_transform([1, 2, 3], 2)
+        with pytest.raises(ValueError, match="matrix order must be non-negative"):
+            hankel_transform([1, 2, 3], -1)
 
 
 class TestDeterminants:
     def test_rank_one_sequence(self):
-        assert hankel_det([1, 0, 0], 0) == 1
-        assert hankel_det([1, 0, 0], 1) == 0
+        assert hankel_transform([1, 0, 0], 1) == [1, 0]
 
     def test_catalan_prefix(self):
-        assert hankel_det([1, 1, 2, 5, 14], 2) == 1
+        assert hankel_transform([1, 1, 2, 5, 14], 2)[2] == 1
 
     def test_rogers_ramanujan_symbolic(self):
         # cofactor expansion of the 3x3 matrix gives -gamma^4; Bareiss must agree
-        rows = hankel_matrix(ROGERS_RAMANUJAN_5, 2)
+        rows = hankel_rows(ROGERS_RAMANUJAN_5, 2)
         expected = -(GAMMA**4)
         assert det_cofactor(rows) == expected
         assert matrix_det(rows) == expected
         # numeric spot checks: gamma = 1 -> -1, gamma = 2 -> -16
         numeric1 = series_eval_gamma(series(ROGERS_RAMANUJAN_5, 4), 1)
         numeric2 = series_eval_gamma(series(ROGERS_RAMANUJAN_5, 4), 2)
-        assert hankel_det(numeric1.coeffs, 2) == -1
-        assert hankel_det(numeric2.coeffs, 2) == -16
+        assert hankel_transform(numeric1.coeffs, 2)[2] == -1
+        assert hankel_transform(numeric2.coeffs, 2)[2] == -16
 
     def test_bareiss_matches_cofactor_rational(self):
         rng = random.Random(23)
@@ -119,7 +122,7 @@ class TestDeterminants:
         rng = random.Random(31)
         for _ in range(10):
             seq = [rand_fraction(rng) for _ in range(7)]
-            rows = hankel_matrix(seq, 3)
+            rows = hankel_rows(seq, 3)
             base = matrix_det(rows)
             scaled = [list(row) for row in rows]
             scaled[2] = [Fraction(5) * v for v in scaled[2]]
@@ -130,8 +133,8 @@ class TestDeterminants:
         for _ in range(6):
             seq = [rand_poly(rng) for _ in range(5)]
             point = rand_fraction(rng)
-            symbolic = hankel_det(seq, 2)
-            numeric = hankel_det([c.evaluate(point) for c in seq], 2)
+            symbolic = matrix_det(hankel_rows(seq, 2))
+            numeric = hankel_transform([c.evaluate(point) for c in seq], 2)[2]
             value = symbolic.evaluate(point) if isinstance(symbolic, ParamPoly) else symbolic
             assert value == numeric
 
@@ -148,7 +151,7 @@ class TestTransform:
         rng = random.Random(41)
         seq = [rand_fraction(rng) for _ in range(9)]
         transform = hankel_transform(seq, 4)
-        assert transform == [det_cofactor(hankel_matrix(seq, n)) for n in range(5)]
+        assert transform == [det_cofactor(hankel_rows(seq, n)) for n in range(5)]
 
     def test_swapped_rows_give_no_leading_minor(self):
         # column 0 pivots on row 1, so minor 0 is 0 and minor 1 is -1
@@ -207,7 +210,7 @@ class TestLeadingMinors:
     @given(hankel_sequences())
     def test_one_pass_matches_cofactor_per_order(self, case):
         seq, n = case
-        expected = [det_cofactor(hankel_matrix(seq, k)) for k in range(n + 1)]
+        expected = [det_cofactor(hankel_rows(seq, k)) for k in range(n + 1)]
         assert hankel_transform(seq, n) == expected
 
     @given(hankel_sequences())
@@ -215,7 +218,7 @@ class TestLeadingMinors:
         from sympy.polys.matrices import DomainMatrix
 
         seq, n = case
-        big = sympy.Matrix([[sympy_value(sympy, v) for v in row] for row in hankel_matrix(seq, n)])
+        big = sympy_matrix(sympy, hankel_rows(seq, n))
         transform = hankel_transform(seq, n)
         for k in range(n + 1):
             block = DomainMatrix.from_Matrix(big[: k + 1, : k + 1])
@@ -248,7 +251,14 @@ def int_matrices(draw, max_size=5):
 
 @pytest.fixture(scope="module")
 def sympy():
-    return pytest.importorskip("sympy")
+    sympy = pytest.importorskip("sympy")
+    # sympy's first use of this path costs more than a hypothesis deadline:
+    # pay it here, with one determinant over Q[gamma] and one expand
+    from sympy.polys.matrices import DomainMatrix
+
+    block = DomainMatrix.from_Matrix(sympy_matrix(sympy, [[GAMMA, Fraction(1, 2)], [1, GAMMA]]))
+    sympy.expand(block.domain.to_sympy(block.det()) - sympy.Symbol("gamma"))
+    return sympy
 
 
 class TestIntegerRoute:
@@ -264,7 +274,7 @@ class TestIntegerRoute:
             raise AssertionError("integer matrix was packed")
 
         monkeypatch.setattr(hankel_oracle, "_pack", refuse)
-        rows = hankel_matrix([1, 1, 2, 5, 14, 42, 132], 3)
+        rows = hankel_rows([1, 1, 2, 5, 14, 42, 132], 3)
         det = matrix_det(rows)
         assert det == 1 and isinstance(det, Fraction)
 
@@ -330,6 +340,10 @@ def sympy_value(sympy, value):
     return sum(sympy.Rational(c.numerator, c.denominator) * gamma**k for k, c in enumerate(coeffs))
 
 
+def sympy_matrix(sympy, rows):
+    return sympy.Matrix([[sympy_value(sympy, v) for v in row] for row in rows])
+
+
 class TestPackedRoute:
     @given(poly_matrices())
     def test_matches_cofactor(self, rows):
@@ -337,7 +351,7 @@ class TestPackedRoute:
 
     @given(st.one_of(poly_matrices(max_size=3, max_degree=0), poly_matrices(max_size=3)))
     def test_matches_sympy(self, sympy, rows):
-        expected = sympy.Matrix([[sympy_value(sympy, v) for v in row] for row in rows]).det()
+        expected = sympy_matrix(sympy, rows).det()
         assert sympy.expand(expected - sympy_value(sympy, matrix_det(rows))) == 0
 
     @given(st.integers(2, 80), st.data())
