@@ -11,9 +11,8 @@ _EXPORTS = {
     for module, names in (
         ("cfrac", "CFraction Terminated Truncated cfraction_from_json cfraction_to_json"
                   " correspond evaluate"),
-        ("closedform", "Convention DEFAULT_CONVENTION DenseTransform IndexProfile"
-                       " dense_to_json dense_transform dense_transform_of index_profile"
-                       " p_sequence"),
+        ("closedform", "Convention DEFAULT_CONVENTION DenseTransform dense_to_json"
+                       " dense_transform p_sequence"),
         ("catalog", "CATALOG_NAMES VerificationReport catalan_numbers catalog_cfraction"
                     " expand_rational_gf fibonacci_numbers report_to_json select_convention"
                     " verify_claims"),

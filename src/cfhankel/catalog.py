@@ -25,6 +25,7 @@ the same runs of the whole catalog, and the report records its outcome.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .cfrac import CFraction, Terminated, evaluate
@@ -32,8 +33,7 @@ from .closedform import (
     Convention,
     DEFAULT_CONVENTION,
     DenseTransform,
-    dense_transform_of,
-    index_profile,
+    dense_transform,
     p_sequence,
 )
 from .exact import (
@@ -182,7 +182,7 @@ def select_convention(runs: dict[str, _Run] | None = None) -> tuple[Convention |
         runs = _runs(12)
     surviving = [
         c for c in (Convention.SIGN_CORRECTED, Convention.AS_PRINTED)
-        if all(list(dense_transform_of(r.cf, r.max_n, c).dense) == r.oracle
+        if all(list(dense_transform(r.cf, r.max_n, c).dense) == r.oracle
                for r in runs.values())
     ]
     if len(surviving) == 1:
@@ -204,7 +204,7 @@ def _claim(cid, location, expected, computed, note="") -> Claim:
 
 def _fibonacci_claims(run: _Run, convention: Convention) -> list[Claim]:
     cf, max_n, oracle = run.cf, run.max_n, run.oracle
-    dense = dense_transform_of(cf, max_n, convention)
+    dense = dense_transform(cf, max_n, convention)
     claims = [
         _claim(
             "ex1-dense-transform",
@@ -240,14 +240,14 @@ def _fibonacci_claims(run: _Run, convention: Convention) -> list[Claim]:
             "ex1-index-sequence",
             "example 1",
             fib[1 : max_n + 2],
-            list(index_profile(long_q, max_n).m),
+            list(accumulate(p_sequence((1, *long_q)))),
         )
     )
     return claims
 
 
 def _catalan_claims(run: _Run, convention: Convention) -> list[Claim]:
-    dense = dense_transform_of(run.cf, 6, convention)
+    dense = dense_transform(run.cf, 6, convention)
     return [
         _claim(
             "ex2-hankel-all-ones",
@@ -265,7 +265,7 @@ def _catalan_claims(run: _Run, convention: Convention) -> list[Claim]:
             "ex2-index-multiset",
             "example 2",
             [1, 1, 2, 2, 3, 3, 4, 4, 5, 5],
-            list(index_profile(run.cf.q, 9).m),
+            list(accumulate(p_sequence((1, *run.cf.q[:9])))),
         ),
         _claim(
             "ex2-multiplicity",
@@ -277,7 +277,7 @@ def _catalan_claims(run: _Run, convention: Convention) -> list[Claim]:
 
 
 def _aerated_claims(run: _Run, convention: Convention) -> list[Claim]:
-    dense = dense_transform_of(run.cf, 9, convention)
+    dense = dense_transform(run.cf, 9, convention)
     catalan = catalan_numbers(7)
     aerated = [catalan[k // 2] if k % 2 == 0 else Fraction(0) for k in range(13)]
     return [
@@ -297,7 +297,7 @@ def _aerated_claims(run: _Run, convention: Convention) -> list[Claim]:
             "ex3-index-set",
             "example 3",
             list(range(1, 8)),
-            list(index_profile(run.cf.q, 6).m),
+            list(accumulate(p_sequence((1, *run.cf.q[:6])))),
         ),
         _claim(
             "ex3-multiplicity",
@@ -310,18 +310,19 @@ def _aerated_claims(run: _Run, convention: Convention) -> list[Claim]:
 
 def _rogers_ramanujan_claims(run: _Run, convention: Convention) -> list[Claim]:
     cf, oracle = run.cf, run.oracle
+    p = p_sequence((1, *cf.q))
     claims = [
         _claim(
             "ex4-p-sequence",
             "example 4",
             [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6],
-            p_sequence((1, *cf.q)),
+            p,
         ),
         _claim(
             "ex4-index-partial-sums",
             "example 4",
             [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31],
-            list(index_profile(cf.q, 10).m),
+            list(accumulate(p)),
         ),
     ]
 
@@ -331,7 +332,7 @@ def _rogers_ramanujan_claims(run: _Run, convention: Convention) -> list[Claim]:
     h2, h3 = oracle[2], oracle[3]
     oracle_g2 = [scalar_eval_gamma(v, 2) for v in oracle]
     # depths 0..5 land at positions 0, 0, 2, 3, 6 and 8
-    closed = _depth_values(dense_transform_of(cf, 8, convention))
+    closed = _depth_values(dense_transform(cf, 8, convention))
     closed2, closed3, closed4, closed5 = closed[2:6]
     claims.append(
         _claim(

@@ -75,12 +75,13 @@ class CFraction(Value):
     __slots__ = ("a", "q", "status")
 
     def __init__(self, a: tuple[Scalar, ...], q: tuple[int, ...], status: Status):
-        a, q = tuple(as_scalar(v) for v in a), tuple(q)
+        a = tuple(as_scalar(v) for v in a)
+        q = tuple(int_from_json(e, "exponent") for e in q)  # bools refused too
         if len(a) != len(q):
             raise ValueError("coefficient and exponent lists differ in length")
         if any(v == 0 for v in a):
             raise ValueError("partial numerators must be nonzero")
-        if any(not isinstance(e, int) or e < 1 for e in q):
+        if any(e < 1 for e in q):
             raise ValueError("exponents must be positive integers")
         if not isinstance(status, (Terminated, Truncated)):
             raise ValueError("status must be Terminated or Truncated")
@@ -243,6 +244,6 @@ def cfraction_from_json(obj) -> CFraction:
         raise ValueError(f"unknown status encoding: {raw!r}")
     return CFraction(
         tuple(scalar_from_json(v) for v in list_from_json(obj["a"], "partial numerators")),
-        tuple(int_from_json(e, "exponent") for e in list_from_json(obj["q"], "exponents")),
+        list_from_json(obj["q"], "exponents"),
         status,
     )

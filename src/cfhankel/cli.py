@@ -148,23 +148,23 @@ def _run_hankel(args) -> int:
 
 
 def _run_closed(args) -> int:
-    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform_of
+    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform
 
     cf = cfraction_from_json(_read_json(args.cfraction))
-    result = dense_transform_of(cf, args.max_n, args.convention or DEFAULT_CONVENTION)
+    result = dense_transform(cf, args.max_n, args.convention or DEFAULT_CONVENTION)
     _emit(dense_to_json(result))
     return 0
 
 
 def _run_compare(args) -> int:
-    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform_of
+    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform
     from .hankel_oracle import hankel_transform
 
     cf = cfraction_from_json(_read_json(args.cfraction))
     convention = args.convention or DEFAULT_CONVENTION
     # first, so that a max_n past a truncated fraction's window is refused
     # before the expansion and the oracle run
-    closed = dense_transform_of(cf, args.max_n, convention)
+    closed = dense_transform(cf, args.max_n, convention)
     expansion = evaluate(cf, 2 * args.max_n)
     oracle = hankel_transform(expansion.coeffs, args.max_n)
     equal = list(closed.dense) == oracle

@@ -1,19 +1,21 @@
-"""Closed-form Hankel transforms of C-fraction coefficient data.
+"""Closed-form Hankel transforms of C-fractions.
 
-The transform is read off the exponents and partial numerators alone.
-The exponents give the alternating sums p_n = q~_n - q~_{n-1} + ... +- q~_0
-of the extended exponent list q~ = (1, q_1, q_2, ...).  The transform
-vanishes everywhere except at the positions n = p_1 + ... + p_m, where its
-value is a signed monomial in the partial numerators: a_k carries the
-power p_k + p_{k+1} + ... + p_m.  Being a monomial, the value stays in
-Q[gamma] for symbolic a_k.  Consecutive depths differ by one power of a
-prefix product, so :func:`dense_transform` reads every depth in one linear
-pass; the monomial of one depth is kept in ``tests/crosscheck.py`` as the
-reference that pass is checked against.
+:func:`dense_transform` reads the transform of a :class:`CFraction` off
+its exponents and partial numerators alone.  The exponents give the
+alternating sums p_n = q~_n - q~_{n-1} + ... +- q~_0 of the extended
+exponent list q~ = (1, q_1, q_2, ...).  The transform vanishes everywhere
+except at the positions n = p_1 + ... + p_m, where its value is a signed
+monomial in the partial numerators: a_k carries the power
+p_k + p_{k+1} + ... + p_m.  Being a monomial, the value stays in Q[gamma]
+for symbolic a_k.  Consecutive depths differ by one power of a prefix
+product, so one linear pass reads every depth; the monomial of one depth
+is kept in ``tests/crosscheck.py`` as the reference that pass is checked
+against.  The fraction's type already guarantees what the pass relies on:
+non-zero a_k and exponents q_k >= 1, one of each per depth.
 
 A Truncated fraction extracted from a series reliable through order N
 fixes h_n only for n <= N // 2, since h_n depends on c_0..c_2n;
-:func:`dense_transform_of` refuses anything past that window.
+:func:`dense_transform` refuses anything past that window.
 
 The paper reaches that monomial through a reciprocal ladder
 
@@ -31,20 +33,19 @@ oracle over the whole built-in catalog (see the catalog module and the
 test suite).
 
 A q-sequence whose alternating sums go negative leaves the scope of the
-construction, and every entry point here refuses a negative p_n that it
-needs rather than guessing; :func:`dense_transform` needs none past the
-depth that overshoots max_n.
+construction: :func:`p_sequence` and :func:`dense_transform` refuse a
+negative p_n that they need rather than guessing, and the transform needs
+none past the depth that overshoots max_n.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction, Truncated
-from .exact import DomainError, Scalar, as_scalar, scalar_to_json
+from .exact import DomainError, Scalar, as_scalar, int_from_json, scalar_to_json
 
 
 class NegativePExponent(DomainError):
@@ -56,16 +57,8 @@ class NegativePExponent(DomainError):
         self.value = value
 
 
-class ZeroCoefficient(DomainError):
-    """A coefficient that must be invertible is zero."""
-
-
 class OutsideTruncationWindow(DomainError):
     """A transform entry past what a truncated fraction determines."""
-
-
-class IndexProfileMismatch(DomainError):
-    """Index partial sums disagree with their generating function: a bug."""
 
 
 class Convention(str, Enum):
@@ -92,7 +85,7 @@ def _p_terms(qtilde: Sequence[int]) -> Iterator[int]:
     Checks q~ on the first draw and raises NegativePExponent on reaching a
     term below zero, so a caller that stops early never meets a later one.
     """
-    q = [int(v) for v in qtilde]
+    q = [int_from_json(v, "exponent") for v in qtilde]
     if not q or q[0] != 1:
         raise ValueError("extended exponent list must start with 1")
     if any(v < 1 for v in q[1:]):
@@ -110,41 +103,6 @@ def p_sequence(qtilde: Sequence[int]) -> list[int]:
     return list(_p_terms(qtilde))
 
 
-class IndexProfile(NamedTuple):
-    """Index bookkeeping for the non-zero transform positions.
-
-    ``m`` holds the partial sums p_0 + ... + p_n; ``dense_pos`` the same
-    sums without p_0, which are the dense positions n_j = m_j - 1 where
-    values land.  Repeats in dense_pos encode multiplicity.
-    """
-
-    qtilde: tuple[int, ...]
-    p: tuple[int, ...]
-    m: tuple[int, ...]
-    dense_pos: tuple[int, ...]
-
-
-def index_profile(q: Sequence[int], count: int | None = None) -> IndexProfile:
-    """Profile of the first ``count`` index entries for exponents q_1, q_2, ...."""
-    exps = [int(v) for v in q]
-    last = count if count is not None else len(exps)
-    if len(exps) < last:
-        raise ValueError(f"need {last} exponents, got {len(exps)}")
-    qtilde = [1] + exps[:last]
-    p = p_sequence(qtilde)
-    m = list(accumulate(p))
-    # cross-check against the generating function (1 + x*G(x))/(1 - x^2),
-    # G carrying q_1, q_2, ...: its n-th coefficient is the sum of q~_k
-    # over k = n, n-2, n-4, ...
-    for n in range(last + 1):
-        expected = sum(qtilde[k] for k in range(n % 2, n + 1, 2))
-        if expected != m[n]:
-            raise IndexProfileMismatch(
-                f"index sum m_{n} = {m[n]}, its generating function gives {expected}"
-            )
-    return IndexProfile(tuple(qtilde), tuple(p), tuple(m), tuple(v - 1 for v in m))
-
-
 class ProfilePoint(NamedTuple):
     n: int
     value: Scalar
@@ -158,12 +116,10 @@ class DenseTransform(NamedTuple):
 
 
 def dense_transform(
-    a: Sequence,
-    qtilde: Sequence[int],
-    max_n: int,
-    convention: Convention = DEFAULT_CONVENTION,
+    cf: CFraction, max_n: int, convention: Convention = DEFAULT_CONVENTION
 ) -> DenseTransform:
-    """Dense transform values h_0..h_max_n with a sparse position profile.
+    """Dense transform values h_0..h_max_n of a fraction, with a sparse
+    position profile.
 
     The value at depth m lands at position p_1 + ... + p_m; positions no
     depth reaches are zero.  Depths sharing a position agree in value, and
@@ -175,24 +131,30 @@ def dense_transform(
     leaves the value and its position as they were.  A running prefix
     product makes the pass linear in the depth.  The pass reads p_m on
     reaching depth m, so a negative exponent past max_n is never met.
+
+    h_n is a function of c_0..c_2n, so a Truncated fraction, which agrees
+    with its series only through its reliable order N, fixes h_n for
+    n <= N // 2 and no further: a larger max_n raises
+    OutsideTruncationWindow before any work.
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
-    coeffs = [as_scalar(v) for v in a]
-    if len(qtilde) < len(coeffs) + 1:
-        raise ValueError("extended exponent list shorter than coefficient list")
-    p = _p_terms(qtilde)
+    if isinstance(cf.status, Truncated) and max_n > cf.status.reliable_order // 2:
+        order = cf.status.reliable_order
+        raise OutsideTruncationWindow(
+            f"a fraction reliable through order {order} fixes h_n only for "
+            f"n <= {order // 2}, not up to max_n = {max_n}"
+        )
+    p = _p_terms((1, *cf.q))
     next(p)  # p_0 = 1 moves no position
     value: Scalar = Fraction(-1 if convention is Convention.AS_PRINTED else 1)
     prefix: Scalar = Fraction(1)
     profile = [ProfilePoint(0, value, 1)]
     position = 0
-    for m, (ak, pm) in enumerate(zip(coeffs, p), 1):
+    for m, (ak, pm) in enumerate(zip(cf.a, p), 1):
         position += pm
         if position > max_n:
             break
-        if ak == 0:
-            raise ZeroCoefficient("partial numerators must be nonzero")
         prefix = as_scalar(prefix * ak)
         if pm == 0:
             profile[-1] = profile[-1]._replace(multiplicity=profile[-1].multiplicity + 1)
@@ -205,22 +167,6 @@ def dense_transform(
     for pt in profile:
         dense[pt.n] = pt.value
     return DenseTransform(tuple(dense), tuple(profile), convention)
-
-
-def dense_transform_of(
-    cf: CFraction, max_n: int, convention: Convention = DEFAULT_CONVENTION
-) -> DenseTransform:
-    """:func:`dense_transform` of a fraction's data.  h_n is a function of
-    c_0..c_2n, so a Truncated fraction, which agrees with its series only
-    through its reliable order N, fixes h_n for n <= N // 2 and no further:
-    a larger max_n raises OutsideTruncationWindow before any work."""
-    if isinstance(cf.status, Truncated) and max_n > cf.status.reliable_order // 2:
-        order = cf.status.reliable_order
-        raise OutsideTruncationWindow(
-            f"a fraction reliable through order {order} fixes h_n only for "
-            f"n <= {order // 2}, not up to max_n = {max_n}"
-        )
-    return dense_transform(cf.a, (1, *cf.q), max_n, convention)
 
 
 def dense_to_json(result: DenseTransform) -> dict:

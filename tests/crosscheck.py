@@ -31,7 +31,6 @@ from cfhankel.closedform import (
     DEFAULT_CONVENTION,
     Convention,
     NegativePExponent,
-    ZeroCoefficient,
     p_sequence,
 )
 from cfhankel.exact import (
@@ -172,6 +171,10 @@ def catalog_round_trip(name: str, gamma=None, terms: int = 6) -> bool:
 
 # ---------------------------------------------------------------------------
 # the ladder: the paper's closed form in the coefficients b_k
+
+
+class ZeroCoefficient(DomainError):
+    """A coefficient that must be invertible is zero."""
 
 
 def b_from_a(a: Sequence) -> list[Scalar]:

@@ -6,6 +6,7 @@ Every test prints a single pass/fail line (visible with ``pytest -s`` or
 
 import random
 from fractions import Fraction
+from itertools import accumulate
 
 from cfhankel.catalog import (
     catalan_numbers,
@@ -15,7 +16,7 @@ from cfhankel.catalog import (
     verify_claims,
 )
 from cfhankel.cfrac import CFraction, Terminated, correspond, evaluate
-from cfhankel.closedform import NegativePExponent, dense_transform_of, index_profile, p_sequence
+from cfhankel.closedform import NegativePExponent, dense_transform, p_sequence
 from cfhankel.exact import GAMMA, ParamPoly, as_scalar, series
 from cfhankel.hankel_oracle import hankel_transform
 from crosscheck import a_from_b, b_from_a, determinant_identity_residual
@@ -43,7 +44,7 @@ def _random_valid_cfraction(rng: random.Random) -> CFraction:
 
 def _oracle_equals_closed(cf: CFraction, max_n: int) -> bool:
     oracle = hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
-    closed = dense_transform_of(cf, max_n)
+    closed = dense_transform(cf, max_n)
     return [as_scalar(v) for v in oracle] == [
         as_scalar(v) for v in closed.dense
     ]
@@ -66,7 +67,7 @@ def test_criterion_2_aerated_catalan_all_ones():
 def test_criterion_3_fibonacci_dense_values():
     cf = catalog_cfraction("fibonacci-cf", terms=8)
     oracle = hankel_transform(evaluate(cf, 24).coeffs, 12)
-    closed = list(dense_transform_of(cf, 12).dense)
+    closed = list(dense_transform(cf, 12).dense)
     # the quoted dense list is trusted only as far as the oracle backs it
     ok = oracle == FIB_DENSE_12 or closed == oracle
     _report(3, "Fibonacci-coefficient fraction reproduces its quoted dense transform",
@@ -102,7 +103,7 @@ def test_criterion_5_rogers_ramanujan_symbolic():
         and h2 == -(GAMMA**4)
     )
     cf = catalog_cfraction("rogers-ramanujan", terms=2)
-    closed = as_scalar(dense_transform_of(cf, 2).dense[2])
+    closed = as_scalar(dense_transform(cf, 2).dense[2])
     report = verify_claims(12)
     verdict = next(c.verdict for c in report.claims if c.id == "ex4-value-depth-2")
     quoted = -(GAMMA**6)
@@ -157,22 +158,22 @@ def test_criterion_8_index_machinery():
     ok = True
     for name in ("catalan", "aerated-catalan", "fibonacci-cf", "rogers-ramanujan"):
         q = list(catalog_cfraction(name, terms=20).q)
-        m_seq = list(index_profile(q, 19).m)
+        m_seq = list(accumulate(p_sequence([1, *q[:19]])))
         gf = expand_rational_gf([1] + q, [1, 0, -1], 20)
         ok = ok and m_seq == gf
     fib_q = list(catalog_cfraction("fibonacci-cf", terms=20).q)
-    fib_m = list(index_profile(fib_q, 19).m)
+    fib_m = list(accumulate(p_sequence([1, *fib_q[:19]])))
     ok = ok and fib_m == fibonacci_numbers(21)[1:]
-    cat_m = list(index_profile([1] * 19, 19).m)
+    cat_m = list(accumulate(p_sequence([1] * 20)))
     ok = ok and cat_m == [(n + 2) // 2 for n in range(20)]
     _report(8, "index sequences match their generating function and the "
                "Fibonacci/Catalan closed forms for 20 terms", ok)
 
 
 def test_criterion_9_multiplicities():
-    catalan = dense_transform_of(catalog_cfraction("catalan", terms=13), 6)
-    aerated = dense_transform_of(catalog_cfraction("aerated-catalan", terms=10), 9)
-    fib = dense_transform_of(catalog_cfraction("fibonacci-cf", terms=8), 12)
+    catalan = dense_transform(catalog_cfraction("catalan", terms=13), 6)
+    aerated = dense_transform(catalog_cfraction("aerated-catalan", terms=10), 9)
+    fib = dense_transform(catalog_cfraction("fibonacci-cf", terms=8), 12)
     fib_mults = {pt.n: pt.multiplicity for pt in fib.profile}
     ok = (
         all(pt.multiplicity == 2 for pt in catalan.profile)

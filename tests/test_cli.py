@@ -4,8 +4,9 @@ import json
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cfhankel import cli
-from cfhankel.catalog import CATALOG_NAMES
+from cfhankel import catalog, cli
+from cfhankel.catalog import CATALOG_NAMES, Claim, VerificationReport
+from cfhankel.closedform import Convention
 from cfhankel.cli import SIZE_CEILING, main
 
 FIB_TAIL = "1547934105600000000"
@@ -124,6 +125,17 @@ class TestPipelines:
         verdicts = {c["id"]: c["verdict"] for c in decoded["claims"]}
         assert verdicts["ex2-hankel-all-ones"] == "confirmed"
         assert verdicts["ex4-value-depth-2"] == "refuted"
+
+    def test_verify_fails_on_an_inconsistent_convention(self, capsys, monkeypatch):
+        # every catalog run refutes claims, so only a stubbed report can
+        # show the convention check deciding the exit code on its own
+        claims = (Claim("id", "example 1", [1], [1], "confirmed"),)
+        for consistent, exit_code in ((True, 0), (False, 1)):
+            report = VerificationReport(Convention.SIGN_CORRECTED, consistent, claims)
+            monkeypatch.setattr(catalog, "verify_claims", lambda max_n: report)
+            code, out, _ = run(capsys, "verify")
+            assert code == exit_code
+            assert json.loads(out)["convention_consistent"] is consistent
 
 
 class TestExitCodes:

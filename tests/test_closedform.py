@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -12,24 +14,20 @@ from cfhankel.cfrac import (
     correspond,
     evaluate,
 )
-from cfhankel import closedform
 from cfhankel.closedform import (
     Convention,
     DEFAULT_CONVENTION,
-    IndexProfileMismatch,
     NegativePExponent,
     OutsideTruncationWindow,
-    ZeroCoefficient,
     dense_to_json,
     dense_transform,
-    dense_transform_of,
-    index_profile,
     p_sequence,
 )
 from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, as_scalar, series
 from cfhankel.hankel_oracle import hankel_transform
 from crosscheck import (
     PFraction,
+    ZeroCoefficient,
     a_from_b,
     b_from_a,
     closed_form_from_b,
@@ -98,45 +96,54 @@ class TestPSequence:
         with pytest.raises(ValueError):
             p_sequence([2, 1, 1])
 
+    @pytest.mark.parametrize("entry", [1.9, "2", Fraction(2), True])
+    def test_non_integer_entries_are_refused_not_coerced(self, entry):
+        with pytest.raises(ValueError, match=re.escape(f"got {entry!r}")):
+            p_sequence([1, 1, entry])
+
+
+def index_sums(q):
+    """m_0, m_1, ...: the partial sums of p_sequence((1, *q))."""
+    return list(accumulate(p_sequence((1, *q))))
+
 
 class TestIndexProfile:
     def test_fibonacci_indices(self):
-        prof = index_profile(FIB[:6])
-        assert prof.m == (1, 1, 2, 3, 5, 8, 13)
-        assert prof.dense_pos == (0, 0, 1, 2, 4, 7, 12)
+        m = index_sums(FIB[:6])
+        assert m == [1, 1, 2, 3, 5, 8, 13]
+        # depth j's value lands at position m_j - 1
+        profile = dense_transform(fibonacci_cfraction(6), 12).profile
+        assert [pt.n for pt in profile for _ in range(pt.multiplicity)] == [v - 1 for v in m]
 
     def test_rogers_ramanujan_indices(self):
-        prof = index_profile([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
-        assert prof.m == (1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31)
+        m = index_sums([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+        assert m == [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31]
 
     def test_catalan_indices(self):
-        prof = index_profile([1] * 9)
-        assert prof.m == (1, 1, 2, 2, 3, 3, 4, 4, 5, 5)
-        assert prof.m == tuple((n + 2) // 2 for n in range(10))
+        m = index_sums([1] * 9)
+        assert m == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
+        assert m == [(n + 2) // 2 for n in range(10)]
 
     def test_aerated_indices(self):
-        prof = index_profile([2] * 6)
-        assert prof.m == (1, 2, 3, 4, 5, 6, 7)
+        assert index_sums([2] * 6) == [1, 2, 3, 4, 5, 6, 7]
 
     def test_consistency_relations(self):
         rng = random.Random(43)
         for _ in range(20):
             cf = rand_valid_cfraction(rng)
-            prof = index_profile(cf.q)
-            for n in range(1, len(prof.p)):
-                assert prof.m[n] - prof.m[n - 1] == prof.p[n]
-                assert prof.p[n] + prof.p[n - 1] == prof.qtilde[n]
+            qtilde = (1, *cf.q)
+            p, m = p_sequence(qtilde), index_sums(cf.q)
+            for n in range(1, len(p)):
+                assert m[n] - m[n - 1] == p[n]
+                assert p[n] + p[n - 1] == qtilde[n]
 
-    def test_generating_function_check_is_not_an_assert(self, monkeypatch):
-        # a wrong p-sequence must be caught by the explicit check, which
-        # unlike an assert still runs under python -O
-        def skewed(qtilde):
-            p = p_sequence(qtilde)
-            return p[:-1] + [p[-1] + 1]
-
-        monkeypatch.setattr(closedform, "p_sequence", skewed)
-        with pytest.raises(IndexProfileMismatch):
-            index_profile([1, 2, 3])
+    @given(ladder_cfractions())
+    def test_generating_function(self, cf):
+        # (1 + x G(x)) / (1 - x^2), G carrying q_1, q_2, ...: its n-th
+        # coefficient is the sum of q~_k over k = n, n - 2, n - 4, ...
+        qtilde = (1, *cf.q)
+        expected = [sum(qtilde[n % 2 : n + 1 : 2]) for n in range(len(qtilde))]
+        assert index_sums(cf.q) == expected
 
 
 class TestCoefficientConversion:
@@ -264,13 +271,13 @@ class TestMonomialClosedForm:
 
 class TestDenseTransform:
     def test_empty_fraction(self):
-        result = dense_transform([], [1], 4)
+        result = dense_transform(CFraction((), (), Terminated()), 4)
         assert result.dense == (1, 0, 0, 0, 0)
         assert result.profile == (result.profile[0],)
         assert result.profile[0].n == 0 and result.profile[0].multiplicity == 1
 
     def test_fibonacci_dense(self):
-        result = dense_transform_of(fibonacci_cfraction(), 12)
+        result = dense_transform(fibonacci_cfraction(), 12)
         assert list(result.dense) == FIB_DENSE_12
         mults = {pt.n: pt.multiplicity for pt in result.profile}
         assert mults == {0: 2, 1: 1, 2: 1, 4: 1, 7: 1, 12: 1}
@@ -279,19 +286,19 @@ class TestDenseTransform:
         cf = fibonacci_cfraction()
         oracle = hankel_transform(evaluate(cf, 24).coeffs, 12)
         assert oracle == FIB_DENSE_12
-        assert list(dense_transform_of(cf, 12).dense) == oracle
+        assert list(dense_transform(cf, 12).dense) == oracle
 
     def test_catalan_multiplicity_two(self):
         # position n is visited at depths 2n and 2n+1, so covering the last
         # position twice needs 2*max_n + 1 quotients
         cf = CFraction((Fraction(-1),) * 13, (1,) * 13, Terminated())
-        result = dense_transform_of(cf, 6)
+        result = dense_transform(cf, 6)
         assert list(result.dense) == [1] * 7
         assert all(pt.multiplicity == 2 for pt in result.profile)
 
     def test_aerated_multiplicity_one(self):
         cf = CFraction((Fraction(-1),) * 10, (2,) * 10, Terminated())
-        result = dense_transform_of(cf, 9)
+        result = dense_transform(cf, 9)
         assert list(result.dense) == [1] * 10
         assert all(pt.multiplicity == 1 for pt in result.profile)
 
@@ -318,7 +325,7 @@ class TestDenseTransform:
         # the prefix-product pass against the per-depth monomial
         qtilde = [1, *cf.q]
         p = p_sequence(qtilde)
-        result = dense_transform_of(cf, max_n, convention)
+        result = dense_transform(cf, max_n, convention)
         profile = {pt.n: pt for pt in result.profile}
         depths = {}
         for m in range(len(cf) + 1):
@@ -332,7 +339,7 @@ class TestDenseTransform:
 
     def test_negative_exponent_propagates(self):
         with pytest.raises(NegativePExponent):
-            dense_transform([1, 1], [1, 3, 1], 5)
+            dense_transform(CFraction((1, 1), (3, 1), Terminated()), 5)
 
     def test_negative_exponent_past_the_window_is_not_read(self):
         # p = 1, 0, 1, 0, 3, -2: depth 4 lands at 4, so max_n <= 3 stops
@@ -340,19 +347,19 @@ class TestDenseTransform:
         cf = CFraction((Fraction(-1),) * 5, (1, 1, 1, 3, 1), Terminated())
         for max_n in (1, 3):
             oracle = hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
-            assert list(dense_transform_of(cf, max_n).dense) == oracle
+            assert list(dense_transform(cf, max_n).dense) == oracle
         with pytest.raises(NegativePExponent, match="p_5 = -2"):
-            dense_transform_of(cf, 4)
+            dense_transform(cf, 4)
 
     def test_json_shape(self):
-        blob = dense_to_json(dense_transform_of(fibonacci_cfraction(4), 4))
+        blob = dense_to_json(dense_transform(fibonacci_cfraction(4), 4))
         assert blob["convention"] == "sign-corrected"
         assert blob["dense"][0] == "1"
         assert {"n", "value", "multiplicity"} == set(blob["profile"][0])
 
     def test_symbolic_dense(self):
         cf = CFraction((GAMMA,) * 5, (1, 2, 3, 4, 5), Terminated())
-        result = dense_transform_of(cf, 6)
+        result = dense_transform(cf, 6)
         assert result.dense[0] == 1
         assert result.dense[2] == -(GAMMA**4)
         assert result.dense[3] == GAMMA**7
@@ -363,20 +370,26 @@ class TestDenseTransform:
 class TestTruncationWindow:
     # extracted from the Catalan series through x^8: eight terms -1 x, Truncated(8)
     CF = correspond(series([1, 1, 2, 5, 14, 42, 132, 429, 1430]))
+    # through x^7: at an odd order the window is (N - 1) / 2, not (N + 1) / 2
+    ODD_CF = correspond(series([1, 1, 2, 5, 14, 42, 132, 429]))
 
     def test_window_is_half_the_reliable_order(self):
-        assert self.CF.status == Truncated(8)
-        assert list(dense_transform_of(self.CF, 4).dense) == [1] * 5
+        for cf, order in ((self.CF, 8), (self.ODD_CF, 7)):
+            window = order // 2
+            assert cf.status == Truncated(order)
+            assert list(dense_transform(cf, window).dense) == [1] * (window + 1)
+            with pytest.raises(OutsideTruncationWindow, match=rf"order {order} .* n <= {window}"):
+                dense_transform(cf, window + 1)
 
     @pytest.mark.parametrize("max_n", [5, 6, 1000])
     def test_past_the_window_is_refused(self, max_n):
         # h_5 = h_6 = 1, but eight terms once gave 0 for both
         with pytest.raises(OutsideTruncationWindow, match=r"order 8 .* n <= 4"):
-            dense_transform_of(self.CF, max_n)
+            dense_transform(self.CF, max_n)
 
     def test_terminated_fraction_has_no_window(self):
         cf = CFraction(self.CF.a, self.CF.q, Terminated())
-        assert list(dense_transform_of(cf, 6).dense) == [1] * 5 + [0, 0]
+        assert list(dense_transform(cf, 6).dense) == [1] * 5 + [0, 0]
 
 
 # coefficient kinds of the series drawn below; every kind also draws zeros
@@ -419,7 +432,7 @@ class TestAnySeries:
             return
         assert cf.status == Truncated(2 * n)
         try:
-            dense = dense_transform_of(cf, n).dense
+            dense = dense_transform(cf, n).dense
         except NegativePExponent:
             return
         assert list(dense) == hankel_transform(f.coeffs, n)
@@ -431,9 +444,9 @@ class TestAnySeries:
         cf = correspond(f)
         assert (cf.a, cf.q) == ((Fraction(-1),) * 2, (3, 1))
         # depth 1 lands at p_1 = 2, past max_n = 1, so p_2 is never read
-        assert list(dense_transform_of(cf, 1).dense) == [1, 0]
+        assert list(dense_transform(cf, 1).dense) == [1, 0]
         with pytest.raises(NegativePExponent, match="p_2 = -1"):
-            dense_transform_of(cf, 6)
+            dense_transform(cf, 6)
 
 
 class TestPFractionValidation:

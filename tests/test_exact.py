@@ -67,6 +67,11 @@ class TestParamPoly:
         assert 2 * p == ParamPoly((2, 2))
         assert GAMMA**3 == ParamPoly((0, 0, 0, 1))
 
+    def test_zero_compares_with_numbers(self):
+        assert ParamPoly() == 0
+        assert not ParamPoly() == 1
+        assert not ParamPoly() == Fraction(1, 2)
+
     def test_mixed_with_fraction(self):
         assert Fraction(1, 2) + GAMMA == ParamPoly((Fraction(1, 2), 1))
         assert GAMMA * Fraction(2) == ParamPoly((0, 2))

@@ -10,9 +10,9 @@ from hypothesis import given, strategies as st
 
 from cfhankel.catalog import Claim
 from cfhankel.cfrac import CFraction, Terminated, Truncated
-from cfhankel.closedform import NegativePExponent, ZeroCoefficient
+from cfhankel.closedform import NegativePExponent
 from cfhankel.exact import ParamPoly, Series
-from crosscheck import PFraction
+from crosscheck import PFraction, ZeroCoefficient
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
 nonzero = rationals.filter(lambda v: v != 0)
@@ -78,6 +78,8 @@ def test_construction_still_validates():
         CFraction((Fraction(0),), (1,), Terminated())
     with pytest.raises(ValueError):
         CFraction((Fraction(1),), (0,), Terminated())
+    with pytest.raises(ValueError):
+        CFraction((Fraction(1),), (True,), Terminated())
     with pytest.raises(ValueError):
         CFraction((Fraction(1),), (1,), "terminated")
     with pytest.raises(ValueError):
