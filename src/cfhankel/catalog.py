@@ -11,11 +11,16 @@ Four classic C-fractions are built here by exact formulas:
 Each entry carries the values recorded for it in the literature: dense
 Hankel transforms, index sequences, multiplicities, symbolic monomials and
 one rational generating function.  :func:`verify_claims` recomputes every
-one of those values from scratch against the determinant oracle, which
-expands and eliminates each entry once (rogers-ramanujan symbolically;
-its gamma = 2 figures are those minors evaluated there), and reports each
-claim as confirmed or refuted.  Refuted claims stay in the report: the
-harness is also an errata record.
+one of those values from scratch and reports each claim as confirmed or
+refuted.  Refuted claims stay in the report: the harness is also an
+errata record.
+
+Every value claim is read from the determinant oracle, which expands and
+eliminates each entry once (rogers-ramanujan symbolically), by one rule:
+the value at depth j is the oracle's h at position m_j - 1, where m_j are
+the partial sums of the ladder exponents :func:`p_sequence`.  The closed
+form supplies those positions and the multiplicities, never a value that
+is judged.
 
 The sign convention shipped as the package default is not trusted to a
 constant: :func:`select_convention` re-runs the oracle arbitration over
@@ -32,7 +37,6 @@ from .cfrac import CFraction, Terminated, evaluate
 from .closedform import (
     Convention,
     DEFAULT_CONVENTION,
-    DenseTransform,
     dense_transform,
     p_sequence,
 )
@@ -169,17 +173,15 @@ def _runs(max_n: int) -> dict[str, _Run]:
     return runs
 
 
-def select_convention(runs: dict[str, _Run] | None = None) -> tuple[Convention | None, bool]:
+def select_convention(runs: dict[str, _Run]) -> tuple[Convention | None, bool]:
     """Pick the sign convention mechanically: the one under which the
-    closed form equals the determinant oracle on every catalog entry
-    (the runs :func:`verify_claims` judges, at max_n 12 by default).
+    closed form equals the determinant oracle on every entry of ``runs``,
+    the catalog runs ``_runs(max_n)`` that :func:`verify_claims` judges.
 
     Returns (convention, consistent).  ``consistent`` is False when no
     single convention (or more than one) survives, which the caller must
     surface prominently.
     """
-    if runs is None:
-        runs = _runs(12)
     surviving = [
         c for c in (Convention.SIGN_CORRECTED, Convention.AS_PRINTED)
         if all(list(dense_transform(r.cf, r.max_n, c).dense) == r.oracle
@@ -190,13 +192,6 @@ def select_convention(runs: dict[str, _Run] | None = None) -> tuple[Convention |
     return (surviving[0] if surviving else None), False
 
 
-def _depth_values(result: DenseTransform) -> list[Scalar]:
-    """The closed-form value of each depth the transform reached, in depth
-    order: positions never decrease with depth, so these are the profile
-    points, each repeated by its multiplicity."""
-    return [pt.value for pt in result.profile for _ in range(pt.multiplicity)]
-
-
 def _claim(cid, location, expected, computed, note="") -> Claim:
     verdict = "confirmed" if expected == computed else "refuted"
     return Claim(cid, location, expected, computed, verdict, note)
@@ -205,7 +200,10 @@ def _claim(cid, location, expected, computed, note="") -> Claim:
 def _fibonacci_claims(run: _Run, convention: Convention) -> list[Claim]:
     cf, max_n, oracle = run.cf, run.max_n, run.oracle
     dense = dense_transform(cf, max_n, convention)
-    claims = [
+    long_q = catalog_cfraction("fibonacci-cf", terms=max_n).q
+    index = list(accumulate(p_sequence((1, *long_q))))
+    profile = {pt.n: pt.multiplicity for pt in dense.profile}
+    return [
         _claim(
             "ex1-dense-transform",
             "example 1",
@@ -220,30 +218,22 @@ def _fibonacci_claims(run: _Run, convention: Convention) -> list[Claim]:
             "ex1-nonzero-values",
             "example 1",
             ["1", "1", "1", "-2", "72", "1944000"],
-            [scalar_to_json(v) for v in _depth_values(dense)[:6]],
+            [scalar_to_json(oracle[m - 1]) for m in index[:6]],
         ),
-    ]
-    profile = {pt.n: pt.multiplicity for pt in dense.profile}
-    claims.append(
         _claim(
             "ex1-multiplicity",
             "example 1",
             {"0": 2},
             {str(n): mult for n, mult in sorted(profile.items()) if mult > 1},
             note="only the leading value is doubled",
-        )
-    )
-    fib = fibonacci_numbers(max_n + 2)
-    long_q = catalog_cfraction("fibonacci-cf", terms=max_n).q
-    claims.append(
+        ),
         _claim(
             "ex1-index-sequence",
             "example 1",
-            fib[1 : max_n + 2],
-            list(accumulate(p_sequence((1, *long_q)))),
-        )
-    )
-    return claims
+            fibonacci_numbers(max_n + 2)[1:],
+            index,
+        ),
+    ]
 
 
 def _catalan_claims(run: _Run, convention: Convention) -> list[Claim]:
@@ -308,9 +298,10 @@ def _aerated_claims(run: _Run, convention: Convention) -> list[Claim]:
     ]
 
 
-def _rogers_ramanujan_claims(run: _Run, convention: Convention) -> list[Claim]:
+def _rogers_ramanujan_claims(run: _Run) -> list[Claim]:
     cf, oracle = run.cf, run.oracle
     p = p_sequence((1, *cf.q))
+    index = list(accumulate(p))
     claims = [
         _claim(
             "ex4-p-sequence",
@@ -322,61 +313,26 @@ def _rogers_ramanujan_claims(run: _Run, convention: Convention) -> list[Claim]:
             "ex4-index-partial-sums",
             "example 4",
             [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31],
-            list(accumulate(p)),
+            index,
         ),
     ]
-
-    # positions 2 and 3 are judged by the symbolic oracle; the quoted
-    # values further out by the closed form plus that oracle evaluated at
-    # gamma = 2 (gamma = 1 cannot separate powers)
-    h2, h3 = oracle[2], oracle[3]
-    oracle_g2 = [scalar_eval_gamma(v, 2) for v in oracle]
-    # depths 0..5 land at positions 0, 0, 2, 3, 6 and 8
-    closed = _depth_values(dense_transform(cf, 8, convention))
-    closed2, closed3, closed4, closed5 = closed[2:6]
-    claims.append(
-        _claim(
-            "ex4-value-depth-2",
-            "example 4",
-            scalar_to_json(-(GAMMA**6)),
-            scalar_to_json(h2),
-            note=(
-                f"closed form gives {closed2}; at gamma=1 quoted and computed both "
-                f"equal {scalar_eval_gamma(h2, 1)}, at gamma=2 quoted gives "
-                f"{scalar_eval_gamma(-(GAMMA ** 6), 2)} but the oracle gives "
-                f"{oracle_g2[2]}"
-            ),
+    # depth j lands at position m_j - 1: 2, 3, 6 and 8 for depths 2..5;
+    # gamma = 1 cannot separate powers, so the notes evaluate at gamma = 2
+    degrees = []
+    for depth, quoted in {2: -(GAMMA**6), 3: GAMMA**12, 4: GAMMA**32, 5: GAMMA**52}.items():
+        n = index[depth] - 1
+        degrees.append(oracle[n].degree)
+        claims.append(
+            _claim(
+                f"ex4-value-depth-{depth}",
+                "example 4",
+                scalar_to_json(quoted),
+                scalar_to_json(oracle[n]),
+                note=f"position {n}; at gamma=2 quoted gives "
+                f"{scalar_eval_gamma(quoted, 2)}, the oracle gives "
+                f"{scalar_eval_gamma(oracle[n], 2)}",
+            )
         )
-    )
-    claims.append(
-        _claim(
-            "ex4-value-depth-3",
-            "example 4",
-            scalar_to_json(GAMMA**12),
-            scalar_to_json(h3),
-            note=f"closed form gives {closed3}",
-        )
-    )
-    claims.append(
-        _claim(
-            "ex4-value-depth-4",
-            "example 4",
-            str(scalar_eval_gamma(GAMMA**32, 2)),
-            scalar_to_json(oracle_g2[6]),
-            note=f"position 6 at gamma=2; closed form gives {closed4}, "
-            f"which evaluates to {scalar_eval_gamma(closed4, 2)}",
-        )
-    )
-    claims.append(
-        _claim(
-            "ex4-value-depth-5",
-            "example 4",
-            str(scalar_eval_gamma(GAMMA**52, 2)),
-            scalar_to_json(oracle_g2[8]),
-            note=f"position 8 at gamma=2; closed form gives {closed5}, "
-            f"which evaluates to {scalar_eval_gamma(closed5, 2)}",
-        )
-    )
     quoted_gf = expand_rational_gf(
         [0, 0, 6, 0, 0, 2],  # 2x^2 (x^3 + 3)
         [1, -2, -1, 4, -1, -2, 1],  # (1 + x)^2 (1 - x)^4
@@ -397,8 +353,8 @@ def _rogers_ramanujan_claims(run: _Run, convention: Convention) -> list[Claim]:
             "ex4-exponent-sequence",
             "example 4",
             [0, 0, 6, 12, 32, 52],
-            [0, 0] + [v.degree for v in closed[2:6]],
-            note="gamma exponents of the closed-form values, oracle-arbitrated",
+            [0, 0] + degrees,
+            note="gamma exponents of the oracle values at positions 2, 3, 6 and 8",
         )
     )
     return claims
@@ -420,6 +376,6 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
     claims.extend(_fibonacci_claims(runs["fibonacci-cf"], working))
     claims.extend(_catalan_claims(runs["catalan"], working))
     claims.extend(_aerated_claims(runs["aerated-catalan"], working))
-    claims.extend(_rogers_ramanujan_claims(runs["rogers-ramanujan"], working))
+    claims.extend(_rogers_ramanujan_claims(runs["rogers-ramanujan"]))
     claims.sort(key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))

@@ -135,7 +135,10 @@ def dense_transform(
     h_n is a function of c_0..c_2n, so a Truncated fraction, which agrees
     with its series only through its reliable order N, fixes h_n for
     n <= N // 2 and no further: a larger max_n raises
-    OutsideTruncationWindow before any work.
+    OutsideTruncationWindow before any work.  Inside the window every
+    value is right, but a multiplicity counts only the depths extracted:
+    at n = N / 2 for an even N it can fall short of the full fraction's
+    (Catalan through x^8 gives 1 at n = 4, where the fraction has 2).
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")

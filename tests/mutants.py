@@ -70,6 +70,10 @@ MUTANTS = [
     Mutant("cfraction-takes-bools", "cfrac.py",
            'int_from_json(e, "exponent") for e in q', "e for e in q",
            killed_by="tests/test_values.py::test_construction_still_validates"),
+    Mutant("value-at-partial-sum", "catalog.py",
+           "n = index[depth] - 1", "n = index[depth]",
+           killed_by="tests/test_catalog.py::TestVerifyClaims::"
+                     "test_tail_values_are_the_symbolic_oracle"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
            equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",

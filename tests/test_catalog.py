@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cfhankel import hankel_oracle
+from cfhankel import catalog, hankel_oracle
 from cfhankel.catalog import (
     CATALOG_NAMES,
     Claim,
@@ -20,7 +20,15 @@ from cfhankel.catalog import (
 )
 from cfhankel.cfrac import evaluate
 from cfhankel.closedform import Convention, DEFAULT_CONVENTION
-from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, scalar_eval_gamma, series
+from cfhankel.exact import (
+    GAMMA,
+    NonInvertibleScalar,
+    ParamPoly,
+    as_scalar,
+    scalar_eval_gamma,
+    scalar_to_json,
+    series,
+)
 from crosscheck import catalog_round_trip, catalog_series, series_mul, terms_for_order
 
 RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
@@ -147,7 +155,7 @@ class TestExpandRationalGf:
 
 class TestArbitration:
     def test_single_surviving_convention(self):
-        convention, consistent = select_convention()
+        convention, consistent = select_convention(_runs(12))
         assert consistent
         assert convention is Convention.SIGN_CORRECTED
         assert convention is DEFAULT_CONVENTION
@@ -229,6 +237,42 @@ class TestVerifyClaims:
         claim = next(c for c in report.claims if c.id == "ex4-exponent-gf-pair")
         assert claim.verdict == "refuted"
         assert claim.computed == [0, 0, 6, 12, 30, 50, 88]
+
+    def test_tail_values_are_the_symbolic_oracle(self, report):
+        # depths 4 and 5 land at positions 6 and 8 (m_j - 1)
+        claims = {c.id: c for c in report.claims}
+        assert claims["ex4-value-depth-4"].computed == scalar_to_json(-(GAMMA**19))
+        assert claims["ex4-value-depth-5"].computed == scalar_to_json(GAMMA**29)
+        assert claims["ex4-value-depth-4"].expected == scalar_to_json(GAMMA**32)
+        assert claims["ex4-value-depth-5"].note.startswith("position 8;")
+        oracle = _runs(12)["rogers-ramanujan"].oracle
+        assert claims["ex4-exponent-sequence"].computed == [0, 0, 4, 7, 19, 29]
+        assert claims["ex4-exponent-sequence"].computed[2:] == [
+            oracle[n].degree for n in (2, 3, 6, 8)]
+
+    def test_value_claims_do_not_read_the_closed_form(self, report, monkeypatch):
+        original = catalog.dense_transform
+
+        def scaled(*args):
+            result = original(*args)
+            return result._replace(
+                dense=tuple(as_scalar(v * GAMMA) for v in result.dense),
+                profile=tuple(pt._replace(value=as_scalar(pt.value * GAMMA))
+                              for pt in result.profile),
+            )
+
+        monkeypatch.setattr(catalog, "dense_transform", scaled)
+        value_claims = (
+            "ex1-dense-transform", "ex1-nonzero-values",
+            "ex2-hankel-all-ones", "ex3-hankel-all-ones",
+            "ex2-series-is-catalan", "ex3-series-is-aerated-catalan",
+            "ex4-value-depth-2", "ex4-value-depth-3", "ex4-value-depth-4",
+            "ex4-value-depth-5", "ex4-exponent-sequence",
+        )
+        before = {c.id: c.computed for c in report.claims}
+        after = {c.id: c.computed for c in verify_claims(12).claims}
+        assert {cid: after[cid] for cid in value_claims} == {
+            cid: before[cid] for cid in value_claims}
 
     def test_refuted_tail_values(self, report):
         verdicts = {c.id: c.verdict for c in report.claims}

@@ -170,14 +170,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["closed", "compare"])
     def test_past_a_truncated_window(self, tmp_path, capsys, monkeypatch, command):
-        # Catalan extracted through x^8 fixes h_0..h_4 only; compare refuses
-        # before it expands the fraction or runs the oracle
-        path = tmp_path / "catalan-8.json"
-        path.write_text(json.dumps({"a": ["-1"] * 8, "q": [1] * 8, "status": {"truncated": 8}}))
+        # Catalan extracted through x^8 or x^7 fixes h_0..h_4 or h_0..h_3
+        # only; compare refuses before it expands the fraction or runs the
+        # oracle, and the window's last entry is answered
         monkeypatch.setattr(cli, "evaluate", None)
-        code, out, err = run(capsys, command, "--cfraction", str(path), "--max-n", "5")
-        assert (code, out) == (3, "")
-        assert "reliable through order 8" in err and "n <= 4" in err
+        for order in (8, 7):
+            window = order // 2
+            path = tmp_path / f"catalan-{order}.json"
+            path.write_text(json.dumps(
+                {"a": ["-1"] * order, "q": [1] * order, "status": {"truncated": order}}))
+            code, out, err = run(capsys, command, "--cfraction", str(path),
+                                 "--max-n", str(window + 1))
+            assert (code, out) == (3, ""), order
+            assert f"reliable through order {order}" in err and f"n <= {window}" in err
+            code, _, _ = run(capsys, "closed", "--cfraction", str(path), "--max-n", str(window))
+            assert code == 0, order
 
     def test_insufficient_terms(self, tmp_path, capsys):
         path = tmp_path / "short.json"
