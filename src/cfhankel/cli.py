@@ -15,27 +15,42 @@ output uses exact "p/q" strings; output is byte-stable for identical
 inputs.  ``--order``, ``--max-n`` and ``--terms`` must lie between 0 and
 SIZE_CEILING.  Exit codes: 0 success or agreement, 1 disagreement found by
 compare/verify, 2 usage error, 3 computation error (an unexpected
-exception included, reported as one ``internal error:`` line).
+exception included, reported as one ``internal error:`` line) or output
+that stdout refuses (one ``error: cannot write output:`` line).
+
+A command-line run, ``main()`` with no argument list as the console script
+calls it, ends the process as soon as its output is flushed: the atexit
+handlers still run, but the interpreter's teardown is skipped.  A plain
+command line is read without argparse, which loads only to print help or
+a usage error.  So ``python -m cProfile`` prints no report of a
+command-line run; profile ``main([...])`` given a list, which returns its
+exit code and leaves the process running.
 """
 
 from __future__ import annotations
 
-import argparse
+import atexit
 import json
 import os
 import sys
+from types import SimpleNamespace
+from typing import Callable, NamedTuple
 
 from .cfrac import cfraction_from_json, cfraction_to_json, correspond, evaluate
 from .exact import DomainError, scalar_from_json, scalar_to_json, series_from_json, series_to_json
 
 # closedform, hankel_oracle and catalog are imported by the runners that use
-# them, so that a process pays at start-up only for the modules its
-# subcommand runs
+# them, and argparse by build_parser, so that a process pays at start-up
+# only for the modules its command line needs
 
 USAGE_ERROR = 2
 COMPUTATION_ERROR = 3
 # largest --order, --max-n or --terms; the work grows at least quadratically
 SIZE_CEILING = 1000
+
+
+class _WriteError(Exception):
+    """stdout refused the output: exit 3, since the input was fine."""
 
 
 def _read_json(path: str):
@@ -49,14 +64,25 @@ def _read_json(path: str):
 
 
 def _emit(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    text = json.dumps(payload, indent=2) + "\n"
+    try:
+        sys.stdout.write(text)
+    except OSError as exc:
+        raise _WriteError(exc) from None
+
+
+def _cannot_write(exc: Exception) -> int:
+    print(f"error: cannot write output: {exc}", file=sys.stderr)
+    return COMPUTATION_ERROR
 
 
 def size(text: str) -> int:
     """A size option, refused before any work when outside 0..SIZE_CEILING."""
     value = int(text)
     if not 0 <= value <= SIZE_CEILING:
-        raise argparse.ArgumentTypeError(f"{value} is not in 0..{SIZE_CEILING}")
+        from argparse import ArgumentTypeError
+
+        raise ArgumentTypeError(f"{value} is not in 0..{SIZE_CEILING}")
     return value
 
 
@@ -68,62 +94,117 @@ def convention(text: str):
     try:
         return Convention(text)
     except ValueError:
+        from argparse import ArgumentTypeError
+
         choices = ", ".join(repr(c.value) for c in Convention)
-        raise argparse.ArgumentTypeError(
-            f"invalid choice: {text!r} (choose from {choices})"
-        ) from None
+        raise ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})") from None
 
 
-def _convention_flag(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--convention",
-        type=convention,
-        help="sign convention for the closed form (default: the arbitrated one)",
-    )
+class Option(NamedTuple):
+    """One argument of a subcommand, as argparse and the direct reader take it."""
+
+    name: str  # "--max-n"; a name without dashes is positional
+    convert: Callable[[str], object] | None = str  # None: a flag that takes no value
+    required: bool = False
+    default: object = None
+    help: str | None = None
+
+    @property
+    def dest(self) -> str:
+        return self.name.lstrip("-").replace("-", "_")
 
 
-def build_parser() -> argparse.ArgumentParser:
+_CFRACTION = Option("--cfraction", required=True, help="fraction JSON file, or -")
+_MAX_N = Option("--max-n", size, required=True)
+_CONVENTION = Option("--convention", convention,
+                     help="sign convention for the closed form (default: the arbitrated one)")
+
+# subcommand: (its help line, its arguments in the order help lists them)
+COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
+    "expand": ("extract the continued fraction of a series", (
+        Option("--series", required=True, help="series JSON file, or - for stdin"),
+        Option("--exact", None, default=False,
+               help="certify the coefficients as complete, allowing terminated status"),
+    )),
+    "eval": ("expand a continued fraction into a series", (
+        _CFRACTION, Option("--order", size, required=True),
+    )),
+    "hankel": ("determinant transform of a series", (
+        Option("--series", required=True, help="series JSON file, or -"), _MAX_N,
+    )),
+    "closed": ("closed-form dense transform of a fraction", (_CFRACTION, _MAX_N, _CONVENTION)),
+    "compare": ("oracle vs closed form; exit 0 iff equal", (_CFRACTION, _MAX_N, _CONVENTION)),
+    "catalog": ("emit a named example fraction", (
+        Option("name", required=True),
+        Option("--gamma", help="rational parameter p/q (rogers-ramanujan only)"),
+        Option("--terms", size, default=8),
+    )),
+    "verify": ("check all recorded reference values", (Option("--max-n", size, default=12),)),
+}
+
+
+def build_parser():
+    """The argparse parser of every command line, built from COMMANDS."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="cfhankel",
         description="exact continued-fraction and Hankel-transform toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="extract the continued fraction of a series")
-    p.add_argument("--series", required=True, help="series JSON file, or - for stdin")
-    p.add_argument(
-        "--exact",
-        action="store_true",
-        help="certify the coefficients as complete, allowing terminated status",
-    )
-
-    p = sub.add_parser("eval", help="expand a continued fraction into a series")
-    p.add_argument("--cfraction", required=True, help="fraction JSON file, or -")
-    p.add_argument("--order", type=size, required=True)
-
-    p = sub.add_parser("hankel", help="determinant transform of a series")
-    p.add_argument("--series", required=True, help="series JSON file, or -")
-    p.add_argument("--max-n", type=size, required=True)
-
-    p = sub.add_parser("closed", help="closed-form dense transform of a fraction")
-    p.add_argument("--cfraction", required=True, help="fraction JSON file, or -")
-    p.add_argument("--max-n", type=size, required=True)
-    _convention_flag(p)
-
-    p = sub.add_parser("compare", help="oracle vs closed form; exit 0 iff equal")
-    p.add_argument("--cfraction", required=True, help="fraction JSON file, or -")
-    p.add_argument("--max-n", type=size, required=True)
-    _convention_flag(p)
-
-    p = sub.add_parser("catalog", help="emit a named example fraction")
-    p.add_argument("name")
-    p.add_argument("--gamma", help="rational parameter p/q (rogers-ramanujan only)")
-    p.add_argument("--terms", type=size, default=8)
-
-    p = sub.add_parser("verify", help="check all recorded reference values")
-    p.add_argument("--max-n", type=size, default=12)
-
+    for command, (summary, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=summary)
+        for o in options:
+            kind = {"action": "store_true"} if o.convert is None else {"type": o.convert}
+            if o.name.startswith("-"):  # a positional takes neither
+                kind.update(required=o.required, default=o.default)
+            p.add_argument(o.name, help=o.help, **kind)
     return parser
+
+
+def _is_value(token: str) -> bool:
+    return token == "-" or not token.startswith("-")
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """``build_parser().parse_args(argv)`` of a plain command line, without
+    argparse: a subcommand, each option at most once by its exact name with
+    its own value (``--exact`` takes none), and catalog's name.  A value
+    starts with no ``-`` but ``-`` itself, and its converter accepts it.
+    None leaves any other line, help and every usage error, to argparse.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    options = COMMANDS[argv[0]][1]
+    named = {o.name: o for o in options}
+    positional = [o for o in options if _is_value(o.name)]
+    values: dict[str, object] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if _is_value(token):
+            if not positional:
+                return None
+            option, text = positional.pop(), token
+        else:
+            option = named.get(token)
+            if option is None or option.dest in values:
+                return None
+            if option.convert is None:
+                values[option.dest] = True
+                continue
+            text = next(tokens, None)
+            if text is None or not _is_value(text):
+                return None
+        try:
+            values[option.dest] = option.convert(text)
+        except Exception:  # argparse converts it again and reports the refusal
+            return None
+    for option in options:
+        if option.dest not in values:
+            if option.required:
+                return None
+            values[option.dest] = option.default
+    return SimpleNamespace(command=argv[0], **values)
 
 
 def _run_expand(args) -> int:
@@ -209,13 +290,14 @@ _RUNNERS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse reports usage problems itself and exits 2
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
+def _run(argv: list[str]) -> int:
+    args = _read_plain(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            # argparse reports usage problems itself and exits 2
+            return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # exact values outgrow the int<->str digit limit of CPython 3.10.7 on;
     # the "p/q" shape check in exact keeps a short input from naming a huge
     # number, so the limit is lifted for the run and restored after it
@@ -224,6 +306,8 @@ def main(argv: list[str] | None = None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return _RUNNERS[args.command](args)
+    except _WriteError as exc:
+        return _cannot_write(exc)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return COMPUTATION_ERROR
@@ -239,6 +323,27 @@ def main(argv: list[str] | None = None) -> int:
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command line and return its exit code.
+
+    Without ``argv``, as the console script calls it, run ``sys.argv`` and
+    end the process once the output is out: the atexit handlers run, stdout
+    and stderr are flushed, and the interpreter's teardown is skipped.
+    """
+    if argv is not None:
+        return _run(argv)
+    code = _run(sys.argv[1:])
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:  # None when the process started without fd 1
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _cannot_write(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -74,6 +74,13 @@ MUTANTS = [
            "n = index[depth] - 1", "n = index[depth]",
            killed_by="tests/test_catalog.py::TestVerifyClaims::"
                      "test_tail_values_are_the_symbolic_oracle"),
+    Mutant("reader-takes-prefixes", "cli.py", "option = named.get(token)",
+           "option = next((o for n, o in named.items() if n.startswith(token)), None)",
+           killed_by="tests/test_cli.py::TestReader::test_reader_agrees_with_argparse"),
+    Mutant("hard-exit-skips-flush", "cli.py", "sys.stdout.flush()", "pass",
+           killed_by="tests/test_startup.py::test_verify_writes_the_golden_bytes"),
+    Mutant("hard-exit-skips-atexit", "cli.py", "atexit._run_exitfuncs()", "pass",
+           killed_by="tests/test_startup.py::test_atexit_handlers_still_run"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
            equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",

@@ -1,8 +1,9 @@
 import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cfhankel import catalog, cli
 from cfhankel.catalog import CATALOG_NAMES, Claim, VerificationReport
@@ -437,3 +438,67 @@ class TestOutputStability:
         _, first, _ = run(capsys, "closed", "--cfraction", str(path), "--max-n", "7")
         _, second, _ = run(capsys, "closed", "--cfraction", str(path), "--max-n", "7")
         assert first == second
+
+
+# option names and prefixes of them (--c is ambiguous on closed and compare,
+# -- ends the options), --x=v forms, help, and for each converter values
+# it accepts and values it refuses
+OPTION_LIKE = sorted({o.name for _, options in cli.COMMANDS.values()
+                      for o in options if o.name.startswith("-")}) + [
+    "--s", "--c", "--cf", "--con", "--m", "--max", "--o", "--e", "--g", "--t", "--",
+    "--order=3", "--max-n=4", "--series=-", "--gamma=2", "-h", "--help"]
+VALUES = {
+    cli.size: ["0", "12", str(SIZE_CEILING), str(SIZE_CEILING + 1), "-3", "1.5"],
+    cli.convention: ["as-printed", "sign-corrected", "as-quoted"],
+    str: ["-", "", "x.json", "catalan", "1/2", "-1/2", "--order"],
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand and most of its options in any order, each value from
+    its converter's list, with up to two stray tokens mixed in."""
+    head = draw(st.sampled_from([*cli.COMMANDS, "transmogrify", "-h"]))
+    argv = [head]
+    for option in draw(st.permutations(cli.COMMANDS[head][1] if head in cli.COMMANDS else ())):
+        if not draw(st.integers(0, 5)):
+            continue
+        if option.convert is None:
+            argv.append(option.name)
+        else:
+            value = draw(st.sampled_from(VALUES[option.convert]))
+            argv += [value] if option.name == option.dest else [option.name, value]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        stray = draw(st.sampled_from(OPTION_LIKE + VALUES[str]))
+        argv.insert(draw(st.integers(1, len(argv))), stray)
+    return argv
+
+
+def argparse_vars(argv):
+    try:
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            return vars(cli.build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+class TestReader:
+    @settings(max_examples=300)
+    @given(argv=command_lines())
+    @example(argv=["verify", "--max-n", "12"])
+    @example(argv=["catalog", "-", "--gamma", "1/2", "--terms", str(SIZE_CEILING)])
+    @example(argv=["closed", "--cfraction", "-", "--max-n", "4", "--convention", "as-printed"])
+    @example(argv=["expand", "--exact", "--series", ""])
+    @example(argv=["compare", "--c", "x.json", "--max-n", "3"])
+    @example(argv=["eval", "--", "x.json", "--order", "3"])
+    @example(argv=["eval", "--cfraction", "x.json", "--order", str(SIZE_CEILING + 1)])
+    def test_reader_agrees_with_argparse(self, argv):
+        """The direct reader gives argparse's namespace or leaves the line to it."""
+        plain = cli._read_plain(argv)
+        assert plain is None or vars(plain) == argparse_vars(argv)
+
+    def test_plain_lines_are_read(self):
+        for argv in (["verify"], ["expand", "--series", "-", "--exact"],
+                     ["catalog", "catalan", "--terms", "4"],
+                     ["compare", "--max-n", "3", "--cfraction", "-"]):
+            assert vars(cli._read_plain(argv)) == argparse_vars(argv), argv

@@ -1,12 +1,14 @@
-"""What a process loads: the package is lazy, and each subcommand imports
-only the modules it runs.
+"""What a process loads, and how it ends: the package is lazy, each
+subcommand imports only the modules it runs, argparse loads only for help
+and usage errors, and a command-line run skips the interpreter's teardown.
 
 Each start-up case runs one subcommand through ``cli.main`` in a fresh
 interpreter (``-S``, so no site hook loads modules first) and reads back
-the ``cfhankel.*`` and ``dataclasses`` entries of ``sys.modules``.  The
-fresh interpreter imports the same ``cfhankel`` as this process: the
-checkout's ``src/`` under ``tests/conftest.py``, an installed package
-under ``--noconftest``.
+the ``cfhankel.*``, ``dataclasses`` and ``argparse`` entries of
+``sys.modules``.  The ending cases run ``main()`` without an argument list,
+as the console script does.  The fresh interpreter imports the same
+``cfhankel`` as this process: the checkout's ``src/`` under
+``tests/conftest.py``, an installed package under ``--noconftest``.
 """
 
 import io
@@ -20,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import cfhankel
-from cfhankel.cli import main
+from cfhankel.cli import SIZE_CEILING, main
 
 # the directory that holds the package under test
 PACKAGE_ROOT = Path(cfhankel.__file__).resolve().parents[1]
@@ -31,16 +33,21 @@ import contextlib, io, json, sys
 from cfhankel import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-loaded = [m for m in sys.modules if m.startswith("cfhankel.") or m == "dataclasses"]
+loaded = [m for m in sys.modules if m.startswith("cfhankel.") or m in ("dataclasses", "argparse")]
 print(json.dumps([code, sorted(loaded)]))
 """
 
 
-def fresh_python(code: str, *args: str, stdin: str = "") -> str:
+def python_env(unbuffered: bool = False) -> dict[str, str]:
     env = dict(os.environ, PYTHONPATH=str(PACKAGE_ROOT))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env | {"PYTHONUNBUFFERED": "1"} if unbuffered else env
+
+
+def fresh_python(code: str, *args: str, stdin: str = "") -> str:
     done = subprocess.run(
         [sys.executable, "-S", "-c", code, *args],
-        input=stdin, capture_output=True, text=True, env=env, timeout=120,
+        input=stdin, capture_output=True, text=True, env=python_env(), timeout=120,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout
@@ -75,9 +82,19 @@ def test_a_subcommand_loads_only_what_it_runs(command):
     stdin = mixed_series() if reads_series else ""
     code, loaded = json.loads(fresh_python(RUN_ONE, command, *args, stdin=stdin))
     assert code == exit_code
-    assert "dataclasses" not in loaded
+    assert "dataclasses" not in loaded and "argparse" not in loaded
     assert not absent & set(loaded), f"{command} loaded {sorted(absent & set(loaded))}"
     assert {"cfhankel.cli", "cfhankel.cfrac", "cfhankel.exact"} <= set(loaded)
+
+
+@pytest.mark.parametrize("args, exit_code", [
+    (["compare", "--help"], 0),
+    (["compare", "--cfraction", str(MIXED), "--max-n", str(SIZE_CEILING + 1)], 2),
+], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse(args, exit_code):
+    code, loaded = json.loads(fresh_python(RUN_ONE, *args))
+    assert code == exit_code
+    assert "argparse" in loaded
 
 
 def test_importing_the_package_loads_no_submodule():
@@ -116,3 +133,76 @@ def test_an_unknown_attribute_raises_attribute_error():
                  "index_profile", "IndexProfile"):
         assert not hasattr(cfhankel, name), name
     assert cfhankel.__version__ == "0.1.0"
+
+
+# the console script's own line: main() with no argument list
+COMMAND_LINE = "import sys; from cfhankel.cli import main; sys.exit(main())"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def command_line(*args: str, stdin: bytes = b"", unbuffered: bool = False, setup: str = ""):
+    return subprocess.run(
+        [sys.executable, "-S", "-c", setup + COMMAND_LINE, *args], input=stdin,
+        capture_output=True, env=python_env(unbuffered), timeout=120,
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_verify_writes_the_golden_bytes(unbuffered):
+    done = command_line("verify", "--max-n", "12", unbuffered=unbuffered)
+    assert done.stdout == (GOLDEN / "verify.out").read_bytes()
+    assert done.returncode == json.loads((GOLDEN / "exit_codes.json").read_text())["verify"][0]
+    assert done.stderr == b""
+
+
+# golden case or usage error: (arguments, input file on stdin); verify's
+# exit 1 is checked above
+ENDINGS = {
+    "mixed-eval": (["eval", "--cfraction", "-", "--order", "10"], "mixed.json"),
+    "negative-p-late-compare-max-n-4": (["compare", "--cfraction", "-", "--max-n", "4"],
+                                        "negative-p-late.json"),
+    # no golden case records exit 2: one line the direct reader takes and
+    # one that argparse refuses
+    "usage-error-read": (["catalog", "nosuch"], None),
+    "usage-error-parsed": (["eval", "--cfraction", "-", "--order", str(SIZE_CEILING + 1)], None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ENDINGS))
+def test_a_command_line_exits_with_its_golden_code(case):
+    args, source = ENDINGS[case]
+    done = command_line(*args, stdin=(GOLDEN / "inputs" / source).read_bytes() if source else b"")
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text())
+    assert [done.returncode] == codes.get(case, [2]), done.stderr
+    recorded = GOLDEN / f"{case}.out"
+    assert done.stdout == (recorded.read_bytes() if recorded.exists() else b"")
+    assert b"Traceback" not in done.stderr
+
+
+def test_atexit_handlers_still_run():
+    setup = "import atexit; atexit.register(print, 'atexit ran'); "
+    done = command_line("catalog", "catalan", "--terms", "2", setup=setup)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.endswith(b"}\natexit ran\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("terms", [10, 400], ids=["flushed-at-exit", "written-at-once"])
+def test_a_closed_stdout_is_an_output_error(unbuffered, terms):
+    # the child reads its fraction from stdin, so the read end of its stdout
+    # is closed before it writes.  Buffered, 400 terms outgrow stdout's
+    # 8 KiB buffer and the write itself fails, while 10 terms fail only at
+    # the final flush; unbuffered, every write fails at once
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["catalog", "catalan", "--terms", str(terms)]) == 0
+    child = subprocess.Popen(
+        [sys.executable, "-S", "-c", COMMAND_LINE, "eval", "--cfraction", "-", "--order", str(terms)],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=python_env(unbuffered),
+    )
+    child.stdout.close()
+    _, err = child.communicate(out.getvalue().encode(), timeout=120)
+    assert child.returncode == 3
+    assert err.startswith(b"error: cannot write output: ") and err.count(b"\n") == 1, err
+    assert b"Traceback" not in err and b"Exception ignored" not in err
