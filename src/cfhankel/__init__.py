@@ -9,8 +9,7 @@ what each subcommand runs.  The exported names below resolve on first use
 _EXPORTS = {
     name: module
     for module, names in (
-        ("cfrac", "CFraction Terminated Truncated cfraction_from_json cfraction_to_json"
-                  " correspond evaluate"),
+        ("cfrac", "CFraction cfraction_from_json cfraction_to_json correspond evaluate"),
         ("closedform", "Convention DEFAULT_CONVENTION DenseTransform dense_to_json"
                        " dense_transform p_sequence"),
         ("catalog", "CATALOG_NAMES VerificationReport catalan_numbers catalog_cfraction"

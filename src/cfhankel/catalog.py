@@ -33,7 +33,7 @@ from fractions import Fraction
 from itertools import accumulate
 from typing import NamedTuple, Sequence
 
-from .cfrac import CFraction, Terminated, evaluate
+from .cfrac import CFraction, evaluate
 from .closedform import (
     Convention,
     DEFAULT_CONVENTION,
@@ -82,14 +82,12 @@ def catalog_cfraction(name: str, gamma=None, terms: int = 8) -> CFraction:
     if name != "rogers-ramanujan" and gamma is not None:
         raise ValueError(f"{name} takes no gamma parameter")
     if name == "catalan":
-        return CFraction((Fraction(-1),) * terms, (1,) * terms, Terminated())
+        return CFraction((Fraction(-1),) * terms, (1,) * terms)
     if name == "aerated-catalan":
-        return CFraction((Fraction(-1),) * terms, (2,) * terms, Terminated())
+        return CFraction((Fraction(-1),) * terms, (2,) * terms)
     if name == "fibonacci-cf":
         fib = fibonacci_numbers(terms + 1)
-        return CFraction(
-            tuple(Fraction(v) for v in fib[1:]), tuple(fib[1:]), Terminated()
-        )
+        return CFraction(tuple(Fraction(v) for v in fib[1:]), tuple(fib[1:]))
     if name == "rogers-ramanujan":
         if gamma is None:
             coefficient: Scalar = GAMMA
@@ -97,7 +95,7 @@ def catalog_cfraction(name: str, gamma=None, terms: int = 8) -> CFraction:
             coefficient = as_scalar(gamma)
             if coefficient == 0:
                 raise ValueError("rogers-ramanujan needs a nonzero gamma")
-        return CFraction((coefficient,) * terms, tuple(range(1, terms + 1)), Terminated())
+        return CFraction((coefficient,) * terms, tuple(range(1, terms + 1)))
     raise ValueError(f"no catalog entry named {name!r}")
 
 
@@ -122,7 +120,7 @@ class Claim(NamedTuple):
     location: str
     expected: object
     computed: object
-    verdict: str  # "confirmed" | "refuted" | "unchecked"
+    verdict: str  # "confirmed" | "refuted"
     note: str = ""
 
 

@@ -1,7 +1,8 @@
 """C-fraction correspondence for formal power series.
 
-A :class:`CFraction` holds partial numerators ``a_k`` and exponents ``q_k``
-and always denotes the continued fraction
+A :class:`CFraction` holds partial numerators ``a_k``, exponents ``q_k``
+and its reliable order (``None``: terminated), and always denotes the
+continued fraction
 
     g(x) = 1 / (1 + a_1 x^q_1 / (1 + a_2 x^q_2 / (1 + ...)))
 
@@ -51,30 +52,14 @@ class NonInvertibleLeadingScalar(DomainError):
     """A symbolic leading coefficient blocked the next extraction step."""
 
 
-class Terminated(Value):
-    """The extraction process reached an exactly vanishing remainder."""
-
-    __slots__ = ()
-
-
-class Truncated(Value):
-    """Extraction stopped at the edge of the trusted input window."""
-
-    __slots__ = ("reliable_order",)
-
-    def __init__(self, reliable_order: int):
-        if int_from_json(reliable_order, "reliable order") < 0:
-            raise ValueError(f"reliable order must be non-negative, got {reliable_order}")
-        self._set(reliable_order)
-
-
-Status = Terminated | Truncated
-
-
 class CFraction(Value):
-    __slots__ = ("a", "q", "status")
+    """``reliable_order`` N >= 0: trusted through x^N; ``None``: terminated,
+    an exact rational function trusted at any order."""
 
-    def __init__(self, a: tuple[Scalar, ...], q: tuple[int, ...], status: Status):
+    __slots__ = ("a", "q", "reliable_order")
+
+    def __init__(self, a: tuple[Scalar, ...], q: tuple[int, ...],
+                 reliable_order: int | None = None):
         a = tuple(as_scalar(v) for v in a)
         q = tuple(int_from_json(e, "exponent") for e in q)  # bools refused too
         if len(a) != len(q):
@@ -83,9 +68,9 @@ class CFraction(Value):
             raise ValueError("partial numerators must be nonzero")
         if any(e < 1 for e in q):
             raise ValueError("exponents must be positive integers")
-        if not isinstance(status, (Terminated, Truncated)):
-            raise ValueError("status must be Terminated or Truncated")
-        self._set(a, q, status)
+        if reliable_order is not None and int_from_json(reliable_order, "reliable order") < 0:
+            raise ValueError(f"reliable order must be non-negative, got {reliable_order}")
+        self._set(a, q, reliable_order)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -96,8 +81,8 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
 
     ``exact=True`` is a caller promise that the supplied coefficients are
     complete: an all-zero remainder is then certified as genuine
-    termination instead of the default Truncated status (a zero tail in a
-    truncated series proves nothing).
+    termination (reliable order ``None``) instead of the default, the
+    series' own order (a zero tail in a truncated series proves nothing).
     """
     if f.coeffs[0] != 1:
         raise ConstantTermNotOne(f"series starts with {f.coeffs[0]}, expected 1")
@@ -110,8 +95,7 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
         diff = [x - y for x, y in zip(num, den)]
         v = next((k for k, c in enumerate(diff) if c != 0), None)
         if v is None:
-            status = Terminated() if exact else Truncated(f.order)
-            return CFraction(tuple(a), tuple(q), status)
+            return CFraction(tuple(a), tuple(q), None if exact else f.order)
         lead = diff[v]
         try:
             inverse = as_scalar(1 / lead)
@@ -128,10 +112,10 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
 def evaluate(cf: CFraction, order: int) -> Series:
     """Taylor expansion of the fraction as one series quotient B_n/A_n.
 
-    For a Truncated fraction the expansion agrees with the series it was
-    extracted from only through the recorded reliable order, so the result
-    is capped there; a Terminated fraction is an exact rational function
-    and expands to any requested order.  n counts the terms with
+    A fraction with a reliable order agrees with the series it was
+    extracted from only through that order, so the result is capped there;
+    a terminated one (reliable order ``None``) is an exact rational
+    function and expands to any requested order.  n counts the terms with
     q_1 + ... + q_n <= cap; the n-th approximant agrees with the whole
     fraction through x^(q_1 + ... + q_(n+1) - 1), so later terms cannot
     reach the result.
@@ -149,9 +133,7 @@ def evaluate(cf: CFraction, order: int) -> Series:
     """
     if order < 0:
         raise ValueError("expansion order must be non-negative")
-    cap = order
-    if isinstance(cf.status, Truncated):
-        cap = min(order, cf.status.reliable_order)
+    cap = order if cf.reliable_order is None else min(order, cf.reliable_order)
     n = bisect_right(list(accumulate(cf.q)), cap)
     a, q = cf.a[:n], cf.q[:n]
     scale, polys = _clear_denominators(a, q)
@@ -222,13 +204,11 @@ def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:
 
 
 def cfraction_to_json(cf: CFraction) -> dict:
-    status = "terminated" if isinstance(cf.status, Terminated) else {
-        "truncated": cf.status.reliable_order
-    }
+    order = cf.reliable_order
     return {
         "a": [scalar_to_json(v) for v in cf.a],
         "q": list(cf.q),
-        "status": status,
+        "status": "terminated" if order is None else {"truncated": order},
     }
 
 
@@ -237,13 +217,14 @@ def cfraction_from_json(obj) -> CFraction:
         raise ValueError("continued-fraction encoding needs 'a', 'q' and 'status'")
     raw = obj["status"]
     if raw == "terminated":
-        status: Status = Terminated()
+        order = None
     elif isinstance(raw, dict) and set(raw) == {"truncated"}:
-        status = Truncated(raw["truncated"])
+        # null would read as terminated
+        order = int_from_json(raw["truncated"], "reliable order")
     else:
         raise ValueError(f"unknown status encoding: {raw!r}")
     return CFraction(
         tuple(scalar_from_json(v) for v in list_from_json(obj["a"], "partial numerators")),
         list_from_json(obj["q"], "exponents"),
-        status,
+        order,
     )

@@ -16,7 +16,8 @@ inputs.  ``--order``, ``--max-n`` and ``--terms`` must lie between 0 and
 SIZE_CEILING.  Exit codes: 0 success or agreement, 1 disagreement found by
 compare/verify, 2 usage error, 3 computation error (an unexpected
 exception included, reported as one ``internal error:`` line) or output
-that stdout refuses (one ``error: cannot write output:`` line).
+that stdout refuses or takes only in part, buffered or not (one
+``error: cannot write output:`` line).
 
 A command-line run, ``main()`` with no argument list as the console script
 calls it, ends the process as soon as its output is flushed: the atexit
@@ -64,9 +65,27 @@ def _read_json(path: str):
 
 
 def _emit(payload) -> None:
+    """Write one JSON document to stdout, every byte of it or _WriteError.
+
+    The bytes go to ``sys.stdout.buffer`` in a loop that honours each
+    write's count: unbuffered, the text layer drops the rest of a short
+    write to a pipe whose reader has gone, and the run would exit 0.
+    """
     text = json.dumps(payload, indent=2) + "\n"
+    if sys.stdout is None:  # the process started without fd 1
+        raise _WriteError("stdout is closed")
+    raw = getattr(sys.stdout, "buffer", None)
     try:
-        sys.stdout.write(text)
+        if raw is None:  # a text stream, such as redirect_stdout's StringIO
+            sys.stdout.write(text)
+            return
+        sys.stdout.flush()  # what the text layer holds goes first
+        data = memoryview(text.encode())
+        while data:
+            written = raw.write(data)
+            if not written:  # None: a non-blocking stdout is full
+                raise BlockingIOError("stdout would block")
+            data = data[written:]
     except OSError as exc:
         raise _WriteError(exc) from None
 
@@ -340,7 +359,8 @@ def main(argv: list[str] | None = None) -> int:
         if sys.stdout is not None:  # None when the process started without fd 1
             sys.stdout.flush()
     except OSError as exc:
-        code = _cannot_write(exc)
+        if code != COMPUTATION_ERROR:  # an exit 3 has said why already
+            code = _cannot_write(exc)
     if sys.stderr is not None:
         sys.stderr.flush()
     os._exit(code)

@@ -13,9 +13,9 @@ is kept in ``tests/crosscheck.py`` as the reference that pass is checked
 against.  The fraction's type already guarantees what the pass relies on:
 non-zero a_k and exponents q_k >= 1, one of each per depth.
 
-A Truncated fraction extracted from a series reliable through order N
-fixes h_n only for n <= N // 2, since h_n depends on c_0..c_2n;
-:func:`dense_transform` refuses anything past that window.
+A fraction of reliable order N (``None``: terminated) fixes h_n only for
+n <= N // 2, since h_n depends on c_0..c_2n; :func:`dense_transform`
+refuses anything past that window.
 
 The paper reaches that monomial through a reciprocal ladder
 
@@ -44,7 +44,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
-from .cfrac import CFraction, Truncated
+from .cfrac import CFraction
 from .exact import DomainError, Scalar, as_scalar, int_from_json, scalar_to_json
 
 
@@ -132,8 +132,8 @@ def dense_transform(
     product makes the pass linear in the depth.  The pass reads p_m on
     reaching depth m, so a negative exponent past max_n is never met.
 
-    h_n is a function of c_0..c_2n, so a Truncated fraction, which agrees
-    with its series only through its reliable order N, fixes h_n for
+    h_n is a function of c_0..c_2n, so a fraction of reliable order N,
+    which agrees with its series only through x^N, fixes h_n for
     n <= N // 2 and no further: a larger max_n raises
     OutsideTruncationWindow before any work.  Inside the window every
     value is right, but a multiplicity counts only the depths extracted:
@@ -142,8 +142,8 @@ def dense_transform(
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
-    if isinstance(cf.status, Truncated) and max_n > cf.status.reliable_order // 2:
-        order = cf.status.reliable_order
+    order = cf.reliable_order
+    if order is not None and max_n > order // 2:
         raise OutsideTruncationWindow(
             f"a fraction reliable through order {order} fixes h_n only for "
             f"n <= {order // 2}, not up to max_n = {max_n}"

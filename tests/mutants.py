@@ -45,17 +45,19 @@ class Mutant(NamedTuple):
     equivalent: str = ""  # or why no test can
 
 
-WINDOW = "max_n > cf.status.reliable_order // 2"
+WINDOW = "max_n > order // 2"
 
 MUTANTS = [
-    Mutant("window-rounds-up", "closedform.py", WINDOW,
-           "max_n > (cf.status.reliable_order + 1) // 2",
+    Mutant("window-rounds-up", "closedform.py", WINDOW, "max_n > (order + 1) // 2",
            killed_by="tests/test_closedform.py::TestTruncationWindow::"
                      "test_window_is_half_the_reliable_order"),
-    Mutant("window-dropped", "closedform.py",
-           f"isinstance(cf.status, Truncated) and {WINDOW}", "False",
+    Mutant("window-dropped", "closedform.py", f"order is not None and {WINDOW}", "False",
            killed_by="tests/test_closedform.py::TestTruncationWindow::"
                      "test_past_the_window_is_refused"),
+    Mutant("status-encoding-swapped", "cfrac.py",
+           '"terminated" if order is None else {"truncated": order}',
+           '{"truncated": order} if order is None else "terminated"',
+           killed_by="tests/test_cfrac.py::TestSerialization::test_round_trip_terminated"),
     Mutant("verify-ignores-convention", "cli.py",
            "1 if refuted or not report.convention_consistent else 0", "1 if refuted else 0",
            killed_by="tests/test_cli.py::TestPipelines::"
@@ -77,8 +79,11 @@ MUTANTS = [
     Mutant("reader-takes-prefixes", "cli.py", "option = named.get(token)",
            "option = next((o for n, o in named.items() if n.startswith(token)), None)",
            killed_by="tests/test_cli.py::TestReader::test_reader_agrees_with_argparse"),
-    Mutant("hard-exit-skips-flush", "cli.py", "sys.stdout.flush()", "pass",
+    Mutant("hard-exit-skips-flush", "cli.py",
+           "sys.stdout.flush()\n    except", "pass\n    except",
            killed_by="tests/test_startup.py::test_verify_writes_the_golden_bytes"),
+    Mutant("short-write-dropped", "cli.py", "while data:", "if data:",
+           killed_by="tests/test_startup.py::test_a_reader_that_leaves_is_an_output_error"),
     Mutant("hard-exit-skips-atexit", "cli.py", "atexit._run_exitfuncs()", "pass",
            killed_by="tests/test_startup.py::test_atexit_handlers_still_run"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",

@@ -15,7 +15,7 @@ from cfhankel.catalog import (
     fibonacci_numbers,
     verify_claims,
 )
-from cfhankel.cfrac import CFraction, Terminated, correspond, evaluate
+from cfhankel.cfrac import CFraction, correspond, evaluate
 from cfhankel.closedform import NegativePExponent, dense_transform, p_sequence
 from cfhankel.exact import GAMMA, ParamPoly, as_scalar, series
 from cfhankel.hankel_oracle import hankel_transform
@@ -39,7 +39,7 @@ def _random_valid_cfraction(rng: random.Random) -> CFraction:
             p_sequence([1] + q)
         except NegativePExponent:
             continue
-        return CFraction(tuple(Fraction(v) for v in a), tuple(q), Terminated())
+        return CFraction(tuple(Fraction(v) for v in a), tuple(q))
 
 
 def _oracle_equals_closed(cf: CFraction, max_n: int) -> bool:

@@ -9,8 +9,6 @@ from cfhankel.cfrac import (
     CFraction,
     ConstantTermNotOne,
     NonInvertibleLeadingScalar,
-    Terminated,
-    Truncated,
     _approximant_coeffs,
     cfraction_from_json,
     cfraction_to_json,
@@ -41,8 +39,7 @@ def reference_correspond(f, exact=False):
         remainder = (current[0] - 1, *current[1:])
         v = next((k for k, c in enumerate(remainder) if c != 0), None)
         if v is None:
-            status = Terminated() if exact else Truncated(f.order)
-            return CFraction(tuple(a), tuple(q), status)
+            return CFraction(tuple(a), tuple(q), None if exact else f.order)
         lead = remainder[v]
         if isinstance(lead, ParamPoly) and lead.degree >= 1:
             raise NonInvertibleLeadingScalar(f"leading coefficient {lead}")
@@ -57,9 +54,7 @@ def reference_evaluate(cf, order):
     """Expansion built bottom-up, one series reciprocal per term."""
     if order < 0:
         raise ValueError("expansion order must be non-negative")
-    cap = order
-    if isinstance(cf.status, Truncated):
-        cap = min(order, cf.status.reliable_order)
+    cap = order if cf.reliable_order is None else min(order, cf.reliable_order)
     tail = one = series([1], cap)
     for ak, qk in zip(reversed(cf.a), reversed(cf.q)):
         level = series_reciprocal(tail)
@@ -92,7 +87,7 @@ NONZERO_RATIONALS = st.builds(
 GAMMA_POLYS = st.lists(
     st.integers(-3, 3).map(Fraction) | NONZERO_RATIONALS, min_size=1, max_size=3
 ).map(ParamPoly).filter(lambda v: not v.is_zero)
-STATUSES = st.one_of(st.just(Terminated()), st.builds(Truncated, st.integers(0, 30)))
+RELIABLE_ORDERS = st.none() | st.integers(0, 30)
 
 
 @st.composite
@@ -100,14 +95,14 @@ def cfractions(draw, numerators):
     n = draw(st.integers(0, 10))
     a = draw(st.lists(numerators, min_size=n, max_size=n))
     q = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
-    return CFraction(tuple(a), tuple(q), draw(STATUSES))
+    return CFraction(tuple(a), tuple(q), draw(RELIABLE_ORDERS))
 
 
 def rand_cfraction(rng, max_terms=6):
     n = rng.randint(1, max_terms)
     a = [rng.choice([1, -1, 2, -2, 3, -3, Fraction(1, 2), Fraction(-1, 2)]) for _ in range(n)]
     q = [rng.choice([1, 2, 3]) for _ in range(n)]
-    return CFraction(tuple(Fraction(v) for v in a), tuple(q), Terminated())
+    return CFraction(tuple(Fraction(v) for v in a), tuple(q))
 
 
 class TestCorrespond:
@@ -118,13 +113,13 @@ class TestCorrespond:
         cf = correspond(series(CATALAN[:7], 6))
         assert cf.a == (Fraction(-1),) * 6
         assert cf.q == (1,) * 6
-        assert cf.status == Truncated(6)
+        assert cf.reliable_order == 6
 
     def test_aerated_catalan(self):
         cf = correspond(series([1, 0, 1, 0, 2, 0, 5], 6))
         assert cf.a == (Fraction(-1),) * 3
         assert cf.q == (2, 2, 2)
-        assert cf.status == Truncated(6)
+        assert cf.reliable_order == 6
 
     def test_geometric_terminates(self):
         # 1/(1-x) is exactly 1/(1 + (-x)), one partial quotient
@@ -132,16 +127,16 @@ class TestCorrespond:
         cf = correspond(f, exact=True)
         assert cf.a == (Fraction(-1),)
         assert cf.q == (1,)
-        assert cf.status == Terminated()
+        assert cf.reliable_order is None
         assert evaluate(cf, 4) == f
 
     def test_zero_tail_without_exact_flag_stays_truncated(self):
         cf = correspond(series([1, 1, 1, 1, 1], 4))
-        assert cf.status == Truncated(4)
+        assert cf.reliable_order == 4
 
     def test_constant_series(self):
         cf = correspond(series([1, 0, 0, 0, 0], 4), exact=True)
-        assert cf.a == () and cf.status == Terminated()
+        assert cf.a == () and cf.reliable_order is None
 
     def test_constant_term_must_be_one(self):
         with pytest.raises(ConstantTermNotOne):
@@ -184,23 +179,23 @@ class TestCorrespond:
 
 class TestEvaluate:
     def test_empty_fraction(self):
-        cf = CFraction((), (), Terminated())
+        cf = CFraction((), ())
         assert evaluate(cf, 4) == series([1, 0, 0, 0, 0], 4)
 
     def test_catalan_generating_function(self):
-        cf = CFraction((Fraction(-1),) * 8, (1,) * 8, Terminated())
+        cf = CFraction((Fraction(-1),) * 8, (1,) * 8)
         assert evaluate(cf, 5) == series([1, 1, 2, 5, 14, 42], 5)
 
     def test_rogers_ramanujan_symbolic(self):
         # hand expansion of 1/(1 + gx/(1 + gx^2/(1 + gx^3/(1 + gx^4)))) mod x^5
-        cf = CFraction((GAMMA,) * 4, (1, 2, 3, 4), Terminated())
+        cf = CFraction((GAMMA,) * 4, (1, 2, 3, 4))
         expected = series(
             [1, -GAMMA, GAMMA**2, GAMMA**2 - GAMMA**3, GAMMA**4 - 2 * GAMMA**3], 4
         )
         got = evaluate(cf, 4)
         assert got == expected
         # cross-check at gamma = 1 against extraction from the numeric series
-        numeric = CFraction((Fraction(1),) * 4, (1, 2, 3, 4), Terminated())
+        numeric = CFraction((Fraction(1),) * 4, (1, 2, 3, 4))
         assert series_eval_gamma(got, 1) == evaluate(numeric, 4)
         back = correspond(evaluate(numeric, 9))
         assert back.a == (Fraction(1),) * 3
@@ -212,7 +207,7 @@ class TestEvaluate:
 
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
-            evaluate(CFraction((), (), Terminated()), -1)
+            evaluate(CFraction((), ()), -1)
 
 
 class TestIntegerKernel:
@@ -230,7 +225,7 @@ class TestIntegerKernel:
         ],
     )
     def test_one_bit_fewer_than_the_majorant_loses_a_coefficient(self, monkeypatch, a, q, order):
-        cf = CFraction(a, q, Terminated())
+        cf = CFraction(a, q)
         expansion = evaluate(cf, order)
         assert expansion == reference_evaluate(cf, order)
         monkeypatch.setattr(cfrac, "_pack", lambda coeffs, bits: exact._pack(coeffs, bits - 1))
@@ -258,7 +253,7 @@ class TestIntegerKernel:
             return pack(coeffs, bits)
 
         monkeypatch.setattr(cfrac, "_pack", spy)
-        cf = CFraction((GAMMA / 2 - Fraction(1, 3), Fraction(1, 4)), (1, 2), Terminated())
+        cf = CFraction((GAMMA / 2 - Fraction(1, 3), Fraction(1, 4)), (1, 2))
         assert evaluate(cf, 6) == reference_evaluate(cf, 6)
         # D = lcm(2, 3, 4) = 12: a_1 D = 6 gamma - 4, a_2 D^2 = 36
         assert packed == [[-4, 6], [36]]
@@ -279,7 +274,7 @@ class TestIntegerKernel:
         # D = 2**15 has 16 bits, so cap * 16 passes _SCALED_BITS at cap + 1
         cap = 20
         monkeypatch.setattr(cfrac, "_SCALED_BITS", 16 * cap)
-        cf = CFraction((Fraction(1, 2**15), Fraction(-3, 2)), (1, 1), Terminated())
+        cf = CFraction((Fraction(1, 2**15), Fraction(-3, 2)), (1, 1))
         seen = self.rings(monkeypatch)
         inside, past = evaluate(cf, cap), evaluate(cf, cap + 1)
         assert seen == [{int}, {Fraction}]
@@ -316,7 +311,7 @@ class TestApproximants:
 
     def test_cancelling_leading_coefficients(self):
         # A_2 = (1 + x) - x = 1: the cancelled top coefficient is stripped
-        cf = CFraction((Fraction(1), Fraction(-1)), (1, 1), Terminated())
+        cf = CFraction((Fraction(1), Fraction(-1)), (1, 1))
         assert _approximant_coeffs(cf.a, cf.q) == ((1,), (1, -1))
         assert evaluate(cf, 3) == series([1, -1, 0, 0], 3)
 
@@ -330,7 +325,7 @@ class TestApproximants:
             quotient = series_mul(
                 series(b_poly, 10), series_reciprocal(series(a_poly, 10))
             )
-            prefix = CFraction(cf.a[:n], cf.q[:n], Terminated())
+            prefix = CFraction(cf.a[:n], cf.q[:n])
             assert quotient == evaluate(prefix, 10)
 
     def test_agreement_order_with_full_expansion(self):
@@ -339,11 +334,10 @@ class TestApproximants:
         cf = CFraction(
             (Fraction(2), Fraction(-1, 3), Fraction(5), Fraction(1)),
             (1, 2, 1, 2),
-            Terminated(),
         )
         full = evaluate(cf, 12)
         for n in range(len(cf)):
-            prefix = CFraction(cf.a[:n], cf.q[:n], Terminated())
+            prefix = CFraction(cf.a[:n], cf.q[:n])
             partial = evaluate(prefix, 12)
             boundary = sum(cf.q[: n + 1])
             assert partial.coeffs[:boundary] == full.coeffs[:boundary]
@@ -358,14 +352,12 @@ class TestDeterminantIdentity:
             assert determinant_identity_residual(cf, 1) == ()
 
     def test_catalan_hand_expansion(self):
-        cf = CFraction((Fraction(-1),) * 3, (1,) * 3, Terminated())
+        cf = CFraction((Fraction(-1),) * 3, (1,) * 3)
         # (1-2x)*1 - (1-x)^2 = -x^2 = (-1)^1 a_1 a_2 x^2
         assert determinant_identity_residual(cf, 2) == ()
 
     def test_mixed_exponents(self):
-        cf = CFraction(
-            (Fraction(2), Fraction(-1, 3), Fraction(5)), (1, 2, 1), Terminated()
-        )
+        cf = CFraction((Fraction(2), Fraction(-1, 3), Fraction(5)), (1, 2, 1))
         for n in (1, 2, 3):
             assert determinant_identity_residual(cf, n) == ()
 
@@ -377,20 +369,20 @@ class TestDeterminantIdentity:
                 assert determinant_identity_residual(cf, n) == ()
 
     def test_symbolic_coefficients(self):
-        cf = CFraction((GAMMA, GAMMA, GAMMA), (1, 2, 3), Terminated())
+        cf = CFraction((GAMMA, GAMMA, GAMMA), (1, 2, 3))
         for n in (1, 2, 3):
             assert determinant_identity_residual(cf, n) == ()
 
 
 class TestSerialization:
     def test_round_trip_terminated(self):
-        cf = CFraction((Fraction(-1), Fraction(1, 2)), (1, 3), Terminated())
+        cf = CFraction((Fraction(-1), Fraction(1, 2)), (1, 3))
         blob = cfraction_to_json(cf)
         assert blob["status"] == "terminated"
         assert cfraction_from_json(blob) == cf
 
     def test_round_trip_truncated_symbolic(self):
-        cf = CFraction((GAMMA, GAMMA), (1, 2), Truncated(9))
+        cf = CFraction((GAMMA, GAMMA), (1, 2), 9)
         blob = cfraction_to_json(cf)
         assert blob["status"] == {"truncated": 9}
         assert cfraction_from_json(blob) == cf
@@ -398,6 +390,11 @@ class TestSerialization:
     def test_bad_status(self):
         with pytest.raises(ValueError):
             cfraction_from_json({"a": [], "q": [], "status": "later"})
+        # the order of a truncated fraction is an integer >= 0; null, the one
+        # value that would read as terminated, is refused like the others
+        for order in (None, -1, True, "5", 2.0):
+            with pytest.raises(ValueError):
+                cfraction_from_json({"a": [], "q": [], "status": {"truncated": order}})
 
 
 class TestEquivalenceWithReciprocalPaths:
@@ -437,7 +434,6 @@ class TestTruncationRule:
     CF = CFraction(
         (Fraction(2), Fraction(-1, 3), Fraction(5), Fraction(1), Fraction(-2)),
         (1, 2, 1, 2, 3),
-        Terminated(),
     )
 
     @pytest.mark.parametrize(
@@ -450,9 +446,9 @@ class TestTruncationRule:
         cf = self.CF
         assert sum(cf.q[:n]) <= cap
         assert n == len(cf) or sum(cf.q[: n + 1]) > cap
-        prefix = CFraction(cf.a[:n], cf.q[:n], Terminated())
+        prefix = CFraction(cf.a[:n], cf.q[:n])
         assert evaluate(cf, cap) == evaluate(prefix, cap)
-        capped = CFraction(cf.a, cf.q, Truncated(cap))
+        capped = CFraction(cf.a, cf.q, cap)
         assert evaluate(capped, 50) == evaluate(prefix, cap)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -460,12 +456,11 @@ class TestTruncationRule:
         # with s_n = cap, dropping the n-th term changes the x^cap coefficient
         cf = self.CF
         cap = sum(cf.q[:n])
-        shorter = CFraction(cf.a[: n - 1], cf.q[: n - 1], Terminated())
+        shorter = CFraction(cf.a[: n - 1], cf.q[: n - 1])
         assert evaluate(cf, cap).coeffs[:cap] == evaluate(shorter, cap).coeffs[:cap]
         assert evaluate(cf, cap).coeffs[cap] != evaluate(shorter, cap).coeffs[cap]
 
     def test_negative_reliable_order_rejected(self):
-        with pytest.raises(ValueError):
-            Truncated(-1)
-        with pytest.raises(ValueError):
-            Truncated(True)
+        for order in (-1, True, 2.0, "terminated"):
+            with pytest.raises(ValueError):
+                CFraction((), (), order)

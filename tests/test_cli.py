@@ -245,8 +245,9 @@ class TestExitCodes:
             ([True, 1], "terminated"),
             ([1, 2], {"truncated": True}),
             ([1, 2], {"truncated": 4.0}),
+            ([1, 2], {"truncated": None}),
         ],
-        ids=["float-exponents", "bool-exponent", "bool-order", "float-order"],
+        ids=["float-exponents", "bool-exponent", "bool-order", "float-order", "null-order"],
     )
     def test_non_integer_fraction_fields(self, tmp_path, capsys, q, status):
         path = tmp_path / "bad.json"

@@ -9,8 +9,6 @@ from hypothesis import example, given, strategies as st
 from cfhankel.cfrac import (
     CFraction,
     NonInvertibleLeadingScalar,
-    Terminated,
-    Truncated,
     correspond,
     evaluate,
 )
@@ -42,7 +40,7 @@ FIB_DENSE_12 = [1, 1, -2, 0, 72, 0, 0, 1944000, 0, 0, 0, 0, 1547934105600000000]
 
 
 def fibonacci_cfraction(terms=8):
-    return CFraction(tuple(Fraction(v) for v in FIB[:terms]), tuple(FIB[:terms]), Terminated())
+    return CFraction(tuple(Fraction(v) for v in FIB[:terms]), tuple(FIB[:terms]))
 
 
 def rand_valid_cfraction(rng, max_terms=6):
@@ -54,7 +52,7 @@ def rand_valid_cfraction(rng, max_terms=6):
             p_sequence([1] + q)
         except NegativePExponent:
             continue
-        return CFraction(tuple(Fraction(v) for v in a), tuple(q), Terminated())
+        return CFraction(tuple(Fraction(v) for v in a), tuple(q))
 
 
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: v != 0)
@@ -73,7 +71,7 @@ def ladder_cfractions(draw, numerators=RATIONALS):
     for _ in range(n):
         q.append(draw(st.integers(max(1, p), p + 3)))
         p = q[-1] - p
-    return CFraction(tuple(a), tuple(q), Terminated())
+    return CFraction(tuple(a), tuple(q))
 
 
 class TestPSequence:
@@ -197,7 +195,7 @@ class TestCoefficientConversion:
             a_from_b([1, 0])
 
     def test_pfraction_from_cfraction(self):
-        cf = CFraction((Fraction(-1),) * 4, (1,) * 4, Terminated())
+        cf = CFraction((Fraction(-1),) * 4, (1,) * 4)
         pf = pfraction_from_cfraction(cf)
         assert pf.p == (1, 0, 1, 0, 1)
         assert pf.b == (1, -1, 1, -1, 1)
@@ -271,7 +269,7 @@ class TestMonomialClosedForm:
 
 class TestDenseTransform:
     def test_empty_fraction(self):
-        result = dense_transform(CFraction((), (), Terminated()), 4)
+        result = dense_transform(CFraction((), ()), 4)
         assert result.dense == (1, 0, 0, 0, 0)
         assert result.profile == (result.profile[0],)
         assert result.profile[0].n == 0 and result.profile[0].multiplicity == 1
@@ -291,13 +289,13 @@ class TestDenseTransform:
     def test_catalan_multiplicity_two(self):
         # position n is visited at depths 2n and 2n+1, so covering the last
         # position twice needs 2*max_n + 1 quotients
-        cf = CFraction((Fraction(-1),) * 13, (1,) * 13, Terminated())
+        cf = CFraction((Fraction(-1),) * 13, (1,) * 13)
         result = dense_transform(cf, 6)
         assert list(result.dense) == [1] * 7
         assert all(pt.multiplicity == 2 for pt in result.profile)
 
     def test_aerated_multiplicity_one(self):
-        cf = CFraction((Fraction(-1),) * 10, (2,) * 10, Terminated())
+        cf = CFraction((Fraction(-1),) * 10, (2,) * 10)
         result = dense_transform(cf, 9)
         assert list(result.dense) == [1] * 10
         assert all(pt.multiplicity == 1 for pt in result.profile)
@@ -339,12 +337,12 @@ class TestDenseTransform:
 
     def test_negative_exponent_propagates(self):
         with pytest.raises(NegativePExponent):
-            dense_transform(CFraction((1, 1), (3, 1), Terminated()), 5)
+            dense_transform(CFraction((1, 1), (3, 1)), 5)
 
     def test_negative_exponent_past_the_window_is_not_read(self):
         # p = 1, 0, 1, 0, 3, -2: depth 4 lands at 4, so max_n <= 3 stops
         # before p_5, while max_n = 4 reaches it
-        cf = CFraction((Fraction(-1),) * 5, (1, 1, 1, 3, 1), Terminated())
+        cf = CFraction((Fraction(-1),) * 5, (1, 1, 1, 3, 1))
         for max_n in (1, 3):
             oracle = hankel_transform(evaluate(cf, 2 * max_n).coeffs, max_n)
             assert list(dense_transform(cf, max_n).dense) == oracle
@@ -358,7 +356,7 @@ class TestDenseTransform:
         assert {"n", "value", "multiplicity"} == set(blob["profile"][0])
 
     def test_symbolic_dense(self):
-        cf = CFraction((GAMMA,) * 5, (1, 2, 3, 4, 5), Terminated())
+        cf = CFraction((GAMMA,) * 5, (1, 2, 3, 4, 5))
         result = dense_transform(cf, 6)
         assert result.dense[0] == 1
         assert result.dense[2] == -(GAMMA**4)
@@ -368,7 +366,7 @@ class TestDenseTransform:
 
 
 class TestTruncationWindow:
-    # extracted from the Catalan series through x^8: eight terms -1 x, Truncated(8)
+    # extracted from the Catalan series through x^8: eight terms -1 x, reliable order 8
     CF = correspond(series([1, 1, 2, 5, 14, 42, 132, 429, 1430]))
     # through x^7: at an odd order the window is (N - 1) / 2, not (N + 1) / 2
     ODD_CF = correspond(series([1, 1, 2, 5, 14, 42, 132, 429]))
@@ -376,7 +374,7 @@ class TestTruncationWindow:
     def test_window_is_half_the_reliable_order(self):
         for cf, order in ((self.CF, 8), (self.ODD_CF, 7)):
             window = order // 2
-            assert cf.status == Truncated(order)
+            assert cf.reliable_order == order
             assert list(dense_transform(cf, window).dense) == [1] * (window + 1)
             with pytest.raises(OutsideTruncationWindow, match=rf"order {order} .* n <= {window}"):
                 dense_transform(cf, window + 1)
@@ -388,7 +386,7 @@ class TestTruncationWindow:
             dense_transform(self.CF, max_n)
 
     def test_terminated_fraction_has_no_window(self):
-        cf = CFraction(self.CF.a, self.CF.q, Terminated())
+        cf = CFraction(self.CF.a, self.CF.q)
         assert list(dense_transform(cf, 6).dense) == [1] * 5 + [0, 0]
 
 
@@ -430,7 +428,7 @@ class TestAnySeries:
             cf = correspond(f)
         except NonInvertibleLeadingScalar:
             return
-        assert cf.status == Truncated(2 * n)
+        assert cf.reliable_order == 2 * n
         try:
             dense = dense_transform(cf, n).dense
         except NegativePExponent:
@@ -439,7 +437,7 @@ class TestAnySeries:
 
     def test_smallest_refusal(self):
         # 1/(1 - x^3/(1 - x)): h_2 = -1 needs p_2 = -1
-        f = evaluate(CFraction((Fraction(-1),) * 2, (3, 1), Terminated()), 12)
+        f = evaluate(CFraction((Fraction(-1),) * 2, (3, 1)), 12)
         assert hankel_transform(f.coeffs, 6) == [1, 0, -1, 0, 0, 0, 0]
         cf = correspond(f)
         assert (cf.a, cf.q) == ((Fraction(-1),) * 2, (3, 1))

@@ -108,7 +108,7 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_every_exported_name_is_its_submodules_object():
-    assert len(cfhankel.__all__) == len(set(cfhankel.__all__)) == 31
+    assert len(cfhankel.__all__) == len(set(cfhankel.__all__)) == 29
     for name in cfhankel.__all__:
         module = getattr(cfhankel, cfhankel._EXPORTS[name])
         assert getattr(cfhankel, name) is getattr(module, name), name
@@ -130,7 +130,7 @@ def test_an_unknown_attribute_raises_attribute_error():
     for name in ("cli_main", "Poly", "det_cofactor", "closed_form_from_b", "closed_form_monomial",
                  "closed_form_value", "MonomialValue", "approximants", "ApproximantPair",
                  "hankel_matrix", "hankel_det", "series_quotient", "dense_transform_of",
-                 "index_profile", "IndexProfile"):
+                 "index_profile", "IndexProfile", "Terminated", "Truncated"):
         assert not hasattr(cfhankel, name), name
     assert cfhankel.__version__ == "0.1.0"
 
@@ -203,6 +203,63 @@ def test_a_closed_stdout_is_an_output_error(unbuffered, terms):
     )
     child.stdout.close()
     _, err = child.communicate(out.getvalue().encode(), timeout=120)
-    assert child.returncode == 3
+    assert_output_error(child.returncode, err)
+
+
+def assert_output_error(code: int, err: bytes) -> None:
+    assert code == 3
     assert err.startswith(b"error: cannot write output: ") and err.count(b"\n") == 1, err
     assert b"Traceback" not in err and b"Exception ignored" not in err
+
+
+def expanding_catalan(tmp_path, stdout, unbuffered: bool) -> subprocess.Popen:
+    """A child that expands the 1,000-term Catalan fraction into ``stdout``:
+    about 300 KB, past a pipe's 64 KiB."""
+    fraction = tmp_path / "catalan-1000.json"
+    with open(fraction, "w") as out, redirect_stdout(out):
+        assert main(["catalog", "catalan", "--terms", "1000"]) == 0
+    return subprocess.Popen(
+        [sys.executable, "-S", "-c", COMMAND_LINE, "eval", "--cfraction", str(fraction),
+         "--order", "1000"],
+        stdout=stdout, stderr=subprocess.PIPE, env=python_env(unbuffered),
+    )
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_reader_that_leaves_is_an_output_error(tmp_path, unbuffered):
+    # the reader takes one byte and goes while the child is still writing;
+    # the write comes back short, and the text layer of an unbuffered stdout
+    # would drop the rest of it and exit 0
+    child = expanding_catalan(tmp_path, subprocess.PIPE, unbuffered)
+    assert child.stdout.read(1) == b"{"
+    child.stdout.close()
+    _, err = child.communicate(timeout=120)
+    assert_output_error(child.returncode, err)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_non_blocking_stdout_is_an_output_error(tmp_path, unbuffered):
+    # nothing reads the pipe, so a write finds it full: buffered stdout
+    # raises BlockingIOError, and unbuffered the count is None, which must
+    # not be retried in a busy loop
+    read_end, write_end = os.pipe()
+    os.set_blocking(write_end, False)
+    child = expanding_catalan(tmp_path, write_end, unbuffered)
+    os.close(write_end)
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()  # nothing once it has exited
+        os.close(read_end)
+    assert_output_error(child.returncode, err)
+
+
+@pytest.mark.parametrize("args", [["verify"], ["catalog", "catalan", "--terms", "3"]],
+                         ids=["verify", "catalog"])
+def test_a_stdout_closed_at_start_is_an_output_error(args):
+    # sh closes fd 1 before the child starts, so its sys.stdout is None
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-S", "-c", COMMAND_LINE, *args],
+        capture_output=True, env=python_env(), timeout=120,
+    )
+    assert_output_error(done.returncode, done.stderr)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfhankel.catalog import Claim
-from cfhankel.cfrac import CFraction, Terminated, Truncated
+from cfhankel.cfrac import CFraction
 from cfhankel.closedform import NegativePExponent
 from cfhankel.exact import ParamPoly, Series
 from crosscheck import PFraction, ZeroCoefficient
@@ -31,10 +31,10 @@ def test_equal_polynomials_and_series_hash_alike(values, zeros):
 
 @given(st.lists(nonzero, min_size=1, max_size=5), st.integers(1, 3), st.integers(0, 8))
 def test_equal_fractions_hash_alike(a, q, order):
-    first = CFraction(tuple(a), (q,) * len(a), Truncated(order))
-    second = CFraction(list(a), [q] * len(a), Truncated(order))
+    first = CFraction(tuple(a), (q,) * len(a), order)
+    second = CFraction(list(a), [q] * len(a), order)
     assert first == second and hash(first) == hash(second)
-    assert first != CFraction(tuple(a), (q,) * len(a), Terminated())
+    assert first != CFraction(tuple(a), (q,) * len(a))
     assert pickle.loads(pickle.dumps(first)) == first
 
 
@@ -43,8 +43,8 @@ def test_fields_cannot_be_assigned_or_deleted(values):
     for value, field in [
         (Series(tuple(values)), "coeffs"),
         (ParamPoly(values), "coeffs"),
-        (CFraction((Fraction(1),), (1,), Terminated()), "a"),
-        (Truncated(2), "reliable_order"),
+        (CFraction((Fraction(1),), (1,)), "a"),
+        (CFraction((Fraction(1),), (1,), 2), "reliable_order"),
         (PFraction((Fraction(1),), (1, 0)), "b"),
     ]:
         with pytest.raises(AttributeError):
@@ -56,10 +56,14 @@ def test_fields_cannot_be_assigned_or_deleted(values):
 
 
 def test_status_values():
-    assert Terminated() == Terminated() and hash(Terminated()) == hash(Terminated())
-    assert Truncated(2) != Truncated(3) and Truncated(2) == Truncated(2)
-    assert Truncated(2) != Terminated()
-    assert repr(Truncated(2)) == "Truncated(reliable_order=2)"
+    # a fraction's status is its reliable order, None when it terminated
+    def fraction(order=None):
+        return CFraction((Fraction(1),), (1,), order)
+
+    assert fraction() == fraction(None) and hash(fraction()) == hash(fraction(None))
+    assert fraction(2) != fraction(3) and fraction(2) == fraction(2)
+    assert fraction(2) != fraction() and fraction(0) != fraction()
+    assert repr(fraction(2)) == "CFraction(a=(Fraction(1, 1),), q=(1,), reliable_order=2)"
     assert repr(Series((Fraction(1),))) == "Series(coeffs=(Fraction(1, 1),))"
     assert Series((Fraction(1),)) != ((Fraction(1),),)
 
@@ -73,19 +77,19 @@ def test_construction_still_validates():
     with pytest.raises(ValueError):
         Series(())
     with pytest.raises(ValueError):
-        CFraction((Fraction(1),), (1, 2), Terminated())
+        CFraction((Fraction(1),), (1, 2))
     with pytest.raises(ValueError):
-        CFraction((Fraction(0),), (1,), Terminated())
+        CFraction((Fraction(0),), (1,))
     with pytest.raises(ValueError):
-        CFraction((Fraction(1),), (0,), Terminated())
+        CFraction((Fraction(1),), (0,))
     with pytest.raises(ValueError):
-        CFraction((Fraction(1),), (True,), Terminated())
+        CFraction((Fraction(1),), (True,))
     with pytest.raises(ValueError):
         CFraction((Fraction(1),), (1,), "terminated")
     with pytest.raises(ValueError):
-        Truncated(-1)
+        CFraction((Fraction(1),), (1,), -1)
     with pytest.raises(ValueError):
-        Truncated(True)
+        CFraction((Fraction(1),), (1,), True)
     # the ladder refuses its data with the closed form's own domain errors
     with pytest.raises(ZeroCoefficient):
         PFraction((Fraction(0),), (1, 1))
