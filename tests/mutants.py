@@ -76,6 +76,12 @@ MUTANTS = [
            "n = index[depth] - 1", "n = index[depth]",
            killed_by="tests/test_catalog.py::TestVerifyClaims::"
                      "test_tail_values_are_the_symbolic_oracle"),
+    Mutant("depth-value-at-partial-sum", "catalog.py",
+           "run.oracle[m - 1]", "run.oracle[m]",
+           killed_by="tests/test_catalog.py::TestVerifyClaims::test_confirmed_claims"),
+    Mutant("index-sums-one-term-long", "catalog.py",
+           "terms=count - 1).q)))", "terms=count).q)))",
+           killed_by="tests/test_catalog.py::TestVerifyClaims::test_confirmed_claims"),
     Mutant("reader-takes-prefixes", "cli.py", "option = named.get(token)",
            "option = next((o for n, o in named.items() if n.startswith(token)), None)",
            killed_by="tests/test_cli.py::TestReader::test_reader_agrees_with_argparse"),

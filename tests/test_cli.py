@@ -118,6 +118,19 @@ class TestPipelines:
         )
         assert json.loads(out)["a"] == ["1/2", "1/2"]
 
+    def test_catalog_negative_gamma_takes_the_equals_form(self, capsys):
+        # argparse reads a spaced "-1/2" as an option, not as the value
+        code, out, _ = run(
+            capsys, "catalog", "rogers-ramanujan", "--gamma=-1/2", "--terms", "2"
+        )
+        assert code == 0
+        assert json.loads(out)["a"] == ["-1/2", "-1/2"]
+        code, out, err = run(
+            capsys, "catalog", "rogers-ramanujan", "--gamma", "-1/2", "--terms", "2"
+        )
+        assert (code, out) == (2, "")
+        assert "argument --gamma: expected one argument" in err
+
     def test_verify_reports_refutations(self, capsys):
         code, out, _ = run(capsys, "verify")
         assert code == 1
