@@ -138,17 +138,8 @@ def report_to_json(report: VerificationReport) -> dict:
     return {
         "convention": report.convention.value if report.convention else None,
         "convention_consistent": report.convention_consistent,
-        "claims": [
-            {
-                "id": c.id,
-                "location": c.location,
-                "expected": c.expected,
-                "computed": c.computed,
-                "verdict": c.verdict,
-                **({"note": c.note} if c.note else {}),
-            }
-            for c in report.claims
-        ],
+        "claims": [{k: v for k, v in c._asdict().items() if k != "note" or v}
+                   for c in report.claims],
     }
 
 

@@ -133,35 +133,6 @@ class Option(NamedTuple):
         return self.name.lstrip("-").replace("-", "_")
 
 
-_CFRACTION = Option("--cfraction", required=True, help="fraction JSON file, or -")
-_MAX_N = Option("--max-n", size, required=True)
-_CONVENTION = Option("--convention", convention,
-                     help="sign convention for the closed form (default: the arbitrated one)")
-
-# subcommand: (its help line, its arguments in the order help lists them)
-COMMANDS: dict[str, tuple[str, tuple[Option, ...]]] = {
-    "expand": ("extract the continued fraction of a series", (
-        Option("--series", required=True, help="series JSON file, or - for stdin"),
-        Option("--exact", None, default=False,
-               help="certify the coefficients as complete, allowing terminated status"),
-    )),
-    "eval": ("expand a continued fraction into a series", (
-        _CFRACTION, Option("--order", size, required=True),
-    )),
-    "hankel": ("determinant transform of a series", (
-        Option("--series", required=True, help="series JSON file, or -"), _MAX_N,
-    )),
-    "closed": ("closed-form dense transform of a fraction", (_CFRACTION, _MAX_N, _CONVENTION)),
-    "compare": ("oracle vs closed form; exit 0 iff equal", (_CFRACTION, _MAX_N, _CONVENTION)),
-    "catalog": ("emit a named example fraction", (
-        Option("name", required=True),
-        Option("--gamma", help="rational parameter p/q (rogers-ramanujan only)"),
-        Option("--terms", size, default=8),
-    )),
-    "verify": ("check all recorded reference values", (Option("--max-n", size, default=12),)),
-}
-
-
 def build_parser():
     """The argparse parser of every command line, built from COMMANDS."""
     import argparse
@@ -171,7 +142,7 @@ def build_parser():
         description="exact continued-fraction and Hankel-transform toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (summary, options) in COMMANDS.items():
+    for command, (summary, options, _) in COMMANDS.items():
         p = sub.add_parser(command, help=summary)
         for o in options:
             kind = {"action": "store_true"} if o.convert is None else {"type": o.convert}
@@ -298,14 +269,34 @@ def _run_verify(args) -> int:
     return 1 if refuted or not report.convention_consistent else 0
 
 
-_RUNNERS = {
-    "expand": _run_expand,
-    "eval": _run_eval,
-    "hankel": _run_hankel,
-    "closed": _run_closed,
-    "compare": _run_compare,
-    "catalog": _run_catalog,
-    "verify": _run_verify,
+_CFRACTION = Option("--cfraction", required=True, help="fraction JSON file, or -")
+_MAX_N = Option("--max-n", size, required=True)
+_CLOSED_FORM = (_CFRACTION, _MAX_N, Option(
+    "--convention", convention,
+    help="sign convention for the closed form (default: the arbitrated one)"))
+
+# subcommand: (its help line, its arguments in the order help lists them, its runner)
+COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., int]]] = {
+    "expand": ("extract the continued fraction of a series", (
+        Option("--series", required=True, help="series JSON file, or - for stdin"),
+        Option("--exact", None, default=False,
+               help="certify the coefficients as complete, allowing terminated status"),
+    ), _run_expand),
+    "eval": ("expand a continued fraction into a series", (
+        _CFRACTION, Option("--order", size, required=True),
+    ), _run_eval),
+    "hankel": ("determinant transform of a series", (
+        Option("--series", required=True, help="series JSON file, or -"), _MAX_N,
+    ), _run_hankel),
+    "closed": ("closed-form dense transform of a fraction", _CLOSED_FORM, _run_closed),
+    "compare": ("oracle vs closed form; exit 0 iff equal", _CLOSED_FORM, _run_compare),
+    "catalog": ("emit a named example fraction", (
+        Option("name", required=True),
+        Option("--gamma", help="rational parameter p/q (rogers-ramanujan only)"),
+        Option("--terms", size, default=8),
+    ), _run_catalog),
+    "verify": ("check all recorded reference values", (Option("--max-n", size, default=12),),
+               _run_verify),
 }
 
 
@@ -324,7 +315,7 @@ def _run(argv: list[str]) -> int:
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        return _RUNNERS[args.command](args)
+        return COMMANDS[args.command][2](args)
     except _WriteError as exc:
         return _cannot_write(exc)
     except DomainError as exc:

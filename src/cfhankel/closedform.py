@@ -175,9 +175,6 @@ def dense_transform(
 def dense_to_json(result: DenseTransform) -> dict:
     return {
         "dense": [scalar_to_json(v) for v in result.dense],
-        "profile": [
-            {"n": pt.n, "value": scalar_to_json(pt.value), "multiplicity": pt.multiplicity}
-            for pt in result.profile
-        ],
+        "profile": [pt._asdict() | {"value": scalar_to_json(pt.value)} for pt in result.profile],
         "convention": result.convention.value,
     }

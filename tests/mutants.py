@@ -1,11 +1,19 @@
-"""The mutant table: one-line changes to ``src/`` that tier-1 must notice.
+"""The mutant table: one-line changes to ``src/`` that the tests must notice.
 
 Each entry names a file under ``src/cfhankel``, a piece of its text that
 occurs there exactly once, the text that replaces it, and either the test
 written to kill the mutant or the reason it is equivalent (no input can
 tell it from the original).  For each entry the script copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory, applies the
-one change there, and runs the tier-1 command with ``-x``:
+``tests/`` and ``pyproject.toml`` to a temporary directory and applies the
+one change there.  An entry with a killer runs that test alone:
+
+    PYTHONPATH=src python -m pytest -q <killed_by>
+
+and counts the mutant killed only when pytest exits 1 (a failure or an
+error); exit 0 means it survived, and exits 2, 4 and 5 (a collection
+error, a usage error such as a misspelled test id, nothing collected) mean
+the entry is broken.  An equivalent entry runs the whole tier-1 command
+with ``-x`` and must survive it:
 
     PYTHONPATH=src python -m pytest -q --continue-on-collection-errors -x
 
@@ -14,10 +22,11 @@ only those:
 
     python tests/mutants.py [name ...]
 
-It prints one line per mutant and exits 1 when a mutant not marked
-equivalent survives, an equivalent one is killed, or an entry's text is
-not found exactly once.  A kernel change that adds a line worth pinning
-adds its mutant here.  pytest does not collect this file.
+It prints one line per mutant and exits 1 when any entry is not as the
+table says: a named test does not kill its mutant, an equivalent one is
+killed, or an entry's text is not found exactly once.  A kernel change
+that adds a line worth pinning adds its mutant here.  pytest does not
+collect this file.
 """
 
 from __future__ import annotations
@@ -32,8 +41,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-TIER_1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors", "-x",
-          "-p", "no:cacheprovider"]
+PYTEST = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"]
+TIER_1 = [*PYTEST, "--continue-on-collection-errors", "-x"]
 
 
 class Mutant(NamedTuple):
@@ -87,11 +96,19 @@ MUTANTS = [
            killed_by="tests/test_cli.py::TestReader::test_reader_agrees_with_argparse"),
     Mutant("hard-exit-skips-flush", "cli.py",
            "sys.stdout.flush()\n    except", "pass\n    except",
-           killed_by="tests/test_startup.py::test_verify_writes_the_golden_bytes"),
+           killed_by="tests/test_startup.py::test_a_command_line_exits_with_its_golden_code"
+                     "[mixed-eval]"),
     Mutant("short-write-dropped", "cli.py", "while data:", "if data:",
            killed_by="tests/test_startup.py::test_a_reader_that_leaves_is_an_output_error"),
     Mutant("hard-exit-skips-atexit", "cli.py", "atexit._run_exitfuncs()", "pass",
            killed_by="tests/test_startup.py::test_atexit_handlers_still_run"),
+    Mutant("claim-prints-empty-note", "catalog.py", ' if k != "note" or v}', "}",
+           killed_by="tests/test_golden.py::test_stdout_and_exit_codes_are_recorded_bytes"
+                     "[verify]"),
+    Mutant("closed-runs-compare", "cli.py", "_CLOSED_FORM, _run_closed)",
+           "_CLOSED_FORM, _run_compare)",
+           killed_by="tests/test_golden.py::test_stdout_and_exit_codes_are_recorded_bytes"
+                     "[mixed-closed]"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
            equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",
@@ -115,12 +132,15 @@ def run(mutant: Mutant) -> tuple[str, bool]:
         target.write_text(text.replace(mutant.old, mutant.new))
         path = os.environ.get("PYTHONPATH")
         env = dict(os.environ, PYTHONPATH="src" + (f":{path}" if path else ""))
-        done = subprocess.run(TIER_1, cwd=work, env=env, capture_output=True, text=True)
+        command = TIER_1 if mutant.equivalent else [*PYTEST, mutant.killed_by]
+        done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
     if done.returncode == 0:
         return "survived", bool(mutant.equivalent)
+    if done.returncode != 1:  # the test was not found, collected or run
+        why = done.stderr.strip().splitlines()[:1] or done.stdout.strip().splitlines()[-1:]
+        return f"pytest exit {done.returncode}: {''.join(why)}", False
     first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
-    killer = first.group(1) if first else f"exit {done.returncode}"
-    return f"killed by {killer}", not mutant.equivalent
+    return f"killed by {first.group(1) if first else 'exit 1'}", not mutant.equivalent
 
 
 def main(names: list[str]) -> int:

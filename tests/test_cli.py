@@ -345,7 +345,7 @@ class TestExitCodes:
         def broken(args):
             raise KeyError("boom\nsecond line")
 
-        monkeypatch.setitem(cli._RUNNERS, "verify", broken)
+        monkeypatch.setitem(cli.COMMANDS, "verify", (*cli.COMMANDS["verify"][:2], broken))
         code, out, err = run(capsys, "verify")
         assert code == 3
         assert out == "" and err.startswith("internal error: KeyError(") and err.count("\n") == 1
@@ -457,7 +457,7 @@ class TestOutputStability:
 # option names and prefixes of them (--c is ambiguous on closed and compare,
 # -- ends the options), --x=v forms, help, and for each converter values
 # it accepts and values it refuses
-OPTION_LIKE = sorted({o.name for _, options in cli.COMMANDS.values()
+OPTION_LIKE = sorted({o.name for _, options, _ in cli.COMMANDS.values()
                       for o in options if o.name.startswith("-")}) + [
     "--s", "--c", "--cf", "--con", "--m", "--max", "--o", "--e", "--g", "--t", "--",
     "--order=3", "--max-n=4", "--series=-", "--gamma=2", "-h", "--help"]

@@ -6,6 +6,7 @@ from itertools import accumulate
 import pytest
 from hypothesis import example, given, strategies as st
 
+from cfhankel.catalog import catalog_cfraction
 from cfhankel.cfrac import (
     CFraction,
     NonInvertibleLeadingScalar,
@@ -384,6 +385,13 @@ class TestTruncationWindow:
         # h_5 = h_6 = 1, but eight terms once gave 0 for both
         with pytest.raises(OutsideTruncationWindow, match=r"order 8 .* n <= 4"):
             dense_transform(self.CF, max_n)
+
+    def test_multiplicity_at_the_window_edge_counts_the_extracted_depths(self):
+        # h_4 = 1 either way, but of the depths that reach n = 4 the eight
+        # extracted terms hold one, where the full fraction has two
+        assert dense_transform(self.CF, 4).profile[-1] == (4, 1, 1)
+        full = catalog_cfraction("catalan", terms=40)
+        assert dense_transform(full, 4).profile[-1] == (4, 1, 2)
 
     def test_terminated_fraction_has_no_window(self):
         cf = CFraction(self.CF.a, self.CF.q)
