@@ -112,7 +112,7 @@ def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Sca
         raise ZeroConstantDenominator("denominator must not vanish at 0")
     ns, ds = series(numer, count - 1).coeffs, series(denom, count - 1).coeffs
     # a non-constant gamma-polynomial denom[0] raises NonInvertibleScalar here
-    return [as_scalar(c) for c in _quotient_coeffs(ns, ds, as_scalar(1 / ds[0]))]
+    return _quotient_coeffs(ns, ds, 1 / ds[0])
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .exact import (
     list_from_json,
     scalar_from_json,
     scalar_to_json,
+    series,
 )
 
 
@@ -98,7 +99,7 @@ def correspond(f: Series, exact: bool = False) -> CFraction:
             return CFraction(tuple(a), tuple(q), None if exact else f.order)
         lead = diff[v]
         try:
-            inverse = as_scalar(1 / lead)
+            inverse = 1 / lead
         except NonInvertibleScalar:
             raise NonInvertibleLeadingScalar(
                 f"leading coefficient {lead} cannot be inverted in the polynomial ring"
@@ -138,8 +139,8 @@ def evaluate(cf: CFraction, order: int) -> Series:
     a, q = cf.a[:n], cf.q[:n]
     scale, polys = _clear_denominators(a, q)
     if scale.bit_length() * cap > _SCALED_BITS:
-        e = _quotient_through(cap, *_approximant_coeffs(a, q))
-        return Series(tuple(map(as_scalar, e)))
+        # series() reads the recurrences' int seeds 0 and 1 as Fractions
+        return series(_quotient_through(cap, *_approximant_coeffs(a, q)))
     if all(len(p) == 1 for p in polys):
         e = _quotient_through(cap, *_approximant_coeffs([p[0] for p in polys], q))
         return Series(tuple(Fraction(v, scale**k) for k, v in enumerate(e)))

@@ -45,7 +45,7 @@ from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction
-from .exact import DomainError, Scalar, as_scalar, int_from_json, scalar_to_json
+from .exact import DomainError, Scalar, int_from_json, scalar_to_json
 
 
 class NegativePExponent(DomainError):
@@ -158,11 +158,11 @@ def dense_transform(
         position += pm
         if position > max_n:
             break
-        prefix = as_scalar(prefix * ak)
+        prefix = prefix * ak
         if pm == 0:
             profile[-1] = profile[-1]._replace(multiplicity=profile[-1].multiplicity + 1)
             continue
-        value = as_scalar(value * prefix**pm)
+        value = value * prefix**pm
         if (pm * (pm + 1) // 2 + (m - 1) * pm) % 2:
             value = -value
         profile.append(ProfilePoint(position, value, 1))

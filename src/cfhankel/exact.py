@@ -12,8 +12,11 @@ n, and ``x / y`` and ``1 / x``.  Division is by units only: a non-zero
 constant divides, a non-constant polynomial raises
 :class:`NonInvertibleScalar` (even where it would divide exactly) and
 zero raises ``ZeroDivisionError``.  Nothing the package computes leaves
-the ring, so there is no quotient form.  :func:`as_scalar` gives the
-normal form: a polynomial of degree 0 or less is its constant Fraction.
+the ring, so there is no quotient form.  Every scalar is in normal form,
+and constructing a :class:`ParamPoly` is what makes it: a polynomial of
+degree 0 or less comes out as its constant Fraction, so a ParamPoly is
+never constant and no result needs normalizing.  :func:`as_scalar` only
+coerces outside input.
 
 A :class:`Series` is its coefficient tuple, every coefficient trusted, so
 its truncation order is the length minus 1.  There is no type for
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import zip_longest
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -150,7 +154,7 @@ def _unpack(value: int, bits: int) -> list[int]:
 
 def _unpack_scalar(value: int, bits: int, divisor: int) -> Scalar:
     """The packed gamma-polynomial ``value`` divided by ``divisor``."""
-    return as_scalar(ParamPoly(Fraction(c, divisor) for c in _unpack(value, bits)))
+    return ParamPoly(Fraction(c, divisor) for c in _unpack(value, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -168,33 +172,27 @@ def _coerce_fraction(value) -> Fraction:
 class ParamPoly(Value):
     """Dense polynomial in the formal parameter ``gamma`` over the rationals.
 
-    Trailing zero coefficients are stripped; the zero polynomial stores an
-    empty tuple.
+    Construction makes the normal form: trailing zero coefficients are
+    stripped, and what has fewer than two coefficients left is returned as
+    its constant Fraction (``Fraction(0)`` when none), so every ParamPoly
+    has degree 1 or more.
     """
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable = ()):
+    def __new__(cls, coeffs: Iterable = ()) -> Scalar:
         cs = [_coerce_fraction(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        if len(cs) < 2:
+            return cs[0] if cs else Fraction(0)
+        self = object.__new__(cls)
+        self._set(tuple(cs))
+        return self
 
-    # degree of the zero polynomial is -1 by convention
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def constant(self) -> Fraction:
-        return self.coeffs[0] if self.coeffs else Fraction(0)
-
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def evaluate(self, value) -> Fraction:
         """Value of the polynomial at a rational point (Horner)."""
@@ -205,12 +203,13 @@ class ParamPoly(Value):
         return acc
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = ParamPoly((other,))
-        if not isinstance(other, ParamPoly):
+        if isinstance(other, ParamPoly):
+            other = other.coeffs
+        elif isinstance(other, (int, Fraction)):
+            other = (other,)
+        else:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return ParamPoly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return ParamPoly(x + y for x, y in zip_longest(self.coeffs, other, fillvalue=0))
 
     __radd__ = __add__
 
@@ -228,8 +227,6 @@ class ParamPoly(Value):
             return ParamPoly(c * other for c in self.coeffs)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        if self.is_zero or other.is_zero:
-            return ParamPoly()
         xs, ys = self.coeffs, other.coeffs
         return ParamPoly(_dense_mul(xs, ys, len(xs) + len(ys) - 1))
 
@@ -239,16 +236,14 @@ class ParamPoly(Value):
         """Division by a unit of Q[gamma], a non-zero constant; any other
         divisor is refused, even one that would divide exactly."""
         if isinstance(other, ParamPoly):
-            if other.degree > 0:
-                raise NonInvertibleScalar(f"{other} has no inverse in the polynomial ring")
-            other = other.constant
+            raise NonInvertibleScalar(f"{other} has no inverse in the polynomial ring")
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
         return self * (1 / Fraction(other))
 
     def __rtruediv__(self, other):
         if isinstance(other, (int, Fraction)):
-            return ParamPoly((other,)) / self
+            raise NonInvertibleScalar(f"{self} has no inverse in the polynomial ring")
         return NotImplemented
 
     def __pow__(self, exponent: int):
@@ -256,33 +251,17 @@ class ParamPoly(Value):
             raise ValueError("ParamPoly power requires an integer")
         if exponent < 0:
             return 1 / self ** -exponent
-        acc = ParamPoly((1,))
+        acc = Fraction(1)
         for bit in bin(exponent)[2:]:  # square and multiply, top bit first
             acc = acc * acc
             if bit == "1":
                 acc = acc * self
         return acc
 
-    def __eq__(self, other):
-        if isinstance(other, ParamPoly):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return self.is_zero
-            return self.degree == 0 and self.coeffs[0] == other
-        return NotImplemented
-
-    def __hash__(self):
-        if self.degree <= 0:
-            return hash(self.constant)
-        return hash(self.coeffs)
-
     def __str__(self):
-        if self.is_zero:
-            return "0"
         parts = []
         for k in range(self.degree, -1, -1):
-            c = self.coeff(k)
+            c = self.coeffs[k]
             if c == 0:
                 continue
             if k == 0:
@@ -312,12 +291,10 @@ Scalar = Union[Fraction, ParamPoly]
 
 
 def as_scalar(value) -> Scalar:
-    """The normal form of an exact scalar: ints, strings and polynomials of
-    degree 0 or less become Fractions."""
-    if isinstance(value, Fraction):
+    """Outside input as an exact scalar: Fractions and ParamPolys pass, ints
+    and "p/q" strings become Fractions, anything else is a TypeError."""
+    if isinstance(value, (Fraction, ParamPoly)):
         return value
-    if isinstance(value, ParamPoly):
-        return value if value.degree > 0 else value.constant
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"{value!r} is not an exact scalar")
@@ -325,10 +302,7 @@ def as_scalar(value) -> Scalar:
 
 def scalar_eval_gamma(value: Scalar, point) -> Fraction:
     """Evaluate a scalar at gamma = point (rationals are constants)."""
-    value = as_scalar(value)
-    if isinstance(value, Fraction):
-        return value
-    return value.evaluate(point)
+    return value.evaluate(point) if isinstance(value, ParamPoly) else value
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +356,7 @@ def series_reciprocal(f: Series) -> Series:
         raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
     # a non-constant gamma-polynomial c_0 raises NonInvertibleScalar here
     one = series([1], f.order).coeffs
-    return Series(tuple(_quotient_coeffs(one, f.coeffs, as_scalar(1 / f.coeffs[0]))))
+    return Series(tuple(_quotient_coeffs(one, f.coeffs, 1 / f.coeffs[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +364,6 @@ def series_reciprocal(f: Series) -> Series:
 
 
 def scalar_to_json(value: Scalar):
-    value = as_scalar(value)
     if isinstance(value, ParamPoly):
         return {"coeffs": [str(c) for c in value.coeffs]}
     return str(value)
@@ -428,7 +401,7 @@ def _rational_from_json(obj) -> Fraction:
 def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, dict) and set(obj) == {"coeffs"}:
         coeffs = list_from_json(obj["coeffs"], "polynomial coefficients")
-        return as_scalar(ParamPoly(_rational_from_json(c) for c in coeffs))
+        return ParamPoly(_rational_from_json(c) for c in coeffs)
     return _rational_from_json(obj)
 
 

@@ -133,7 +133,7 @@ def det_cofactor(rows: Sequence[Sequence]) -> Scalar:
             total = total + term if j % 2 == 0 else total - term
         return total
 
-    return as_scalar(expand(m))
+    return expand(m)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +191,7 @@ def b_from_a(a: Sequence) -> list[Scalar]:
     for k, ak in enumerate(values):
         if ak == 0:
             raise ZeroCoefficient(f"partial numerator a_{k} is zero")
-        b.append(as_scalar(1 / (ak * b[-1])))
+        b.append(1 / (ak * b[-1]))
     return b
 
 
@@ -201,7 +201,7 @@ def a_from_b(b: Sequence) -> list[Scalar]:
     for k, v in enumerate(values):
         if v == 0:
             raise ZeroCoefficient(f"ladder coefficient b_{k} is zero")
-    return [as_scalar(1 / (values[k] * values[k + 1])) for k in range(len(values) - 1)]
+    return [1 / (values[k] * values[k + 1]) for k in range(len(values) - 1)]
 
 
 class PFraction(Value):
@@ -257,7 +257,7 @@ def closed_form_from_b(b: Sequence, p: Sequence[int], m: int) -> Scalar:
             raise ZeroCoefficient(f"ladder coefficient b[{i}] is zero")
         exponent = p[i] + 2 * sum(p[j] for j in range(i + 1, m + 1))
         value = value * bi**-exponent
-    return as_scalar(value)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +287,7 @@ class MonomialValue(NamedTuple):
                 raise ZeroCoefficient("partial numerators must be nonzero")
             if e:
                 value = value * ak**e
-        return as_scalar(value)
+        return value
 
 
 def closed_form_monomial(

@@ -3,9 +3,12 @@
 Each entry names a file under ``src/cfhankel``, a piece of its text that
 occurs there exactly once, the text that replaces it, and either the test
 written to kill the mutant or the reason it is equivalent (no input can
-tell it from the original).  For each entry the script copies ``src/``,
-``tests/`` and ``pyproject.toml`` to a temporary directory and applies the
-one change there.  An entry with a killer runs that test alone:
+tell it from the original).  The script copies ``src/``, ``tests/`` and
+``pyproject.toml`` to a temporary directory, once unchanged and once per
+entry with its one change applied.  Each named killer first runs alone on
+the unchanged copy and must pass there: a test that always fails would
+"kill" any mutant.  An entry with a killer then runs that test alone on
+its mutated copy:
 
     PYTHONPATH=src python -m pytest -q <killed_by>
 
@@ -23,10 +26,10 @@ only those:
     python tests/mutants.py [name ...]
 
 It prints one line per mutant and exits 1 when any entry is not as the
-table says: a named test does not kill its mutant, an equivalent one is
-killed, or an entry's text is not found exactly once.  A kernel change
-that adds a line worth pinning adds its mutant here.  pytest does not
-collect this file.
+table says: a named test fails on the unchanged tree or does not kill its
+mutant, an equivalent one is killed, or an entry's text is not found
+exactly once.  A kernel change that adds a line worth pinning adds its
+mutant here.  pytest does not collect this file.
 """
 
 from __future__ import annotations
@@ -71,9 +74,14 @@ MUTANTS = [
            "1 if refuted or not report.convention_consistent else 0", "1 if refuted else 0",
            killed_by="tests/test_cli.py::TestPipelines::"
                      "test_verify_fails_on_an_inconsistent_convention"),
-    Mutant("zero-poly-equals-constant", "exact.py",
-           "return self.degree == 0 and", "return self.degree <= 0 and",
-           killed_by="tests/test_exact.py::TestParamPoly::test_zero_compares_with_numbers"),
+    Mutant("constant-poly-built", "exact.py", "if len(cs) < 2:", "if len(cs) < 1:",
+           killed_by="tests/test_exact.py::TestScalarProtocol::"
+                     "test_every_result_is_in_normal_form"),
+    Mutant("non-unit-divisor-unrefused", "exact.py",
+           'raise NonInvertibleScalar(f"{self} has no inverse in the polynomial ring")',
+           "return NotImplemented",
+           killed_by="tests/test_exact.py::TestScalarProtocol::"
+                     "test_division_raises_exactly_for_non_units"),
     Mutant("p-sequence-coerces", "closedform.py",
            'int_from_json(v, "exponent") for v in qtilde', "int(v) for v in qtilde",
            killed_by="tests/test_closedform.py::TestPSequence::"
@@ -117,30 +125,53 @@ MUTANTS = [
 ]
 
 
+def copy_tree(work: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, work / part, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", work)
+
+
+def run_pytest(command: list[str], work: Path) -> subprocess.CompletedProcess:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH="src" + (f":{path}" if path else ""))
+    return subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+
+
+def summary(done: subprocess.CompletedProcess) -> str:
+    """The first failing test id, else stderr's first line or stdout's last."""
+    first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
+    if first:
+        return first.group(1)
+    why = done.stderr.strip().splitlines()[:1] or done.stdout.strip().splitlines()[-1:]
+    return "".join(why)
+
+
+def failing_killers(tests: list[str]) -> dict[str, str]:
+    """Each named killer that does not pass on the unchanged tree, with why."""
+    with tempfile.TemporaryDirectory(prefix="cfhankel-clean-") as tmp:
+        copy_tree(Path(tmp))
+        done = {test: run_pytest([*PYTEST, test], Path(tmp)) for test in tests}
+    return {test: f"fails on the unchanged tree, pytest exit {d.returncode}: {summary(d)}"
+            for test, d in done.items() if d.returncode}
+
+
 def run(mutant: Mutant) -> tuple[str, bool]:
     """(what happened, whether it is what the table expects)."""
     with tempfile.TemporaryDirectory(prefix="cfhankel-mutant-") as tmp:
         work = Path(tmp)
-        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, work / part, ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", work)
+        copy_tree(work)
         target = work / "src" / "cfhankel" / mutant.file
         text = target.read_text()
         if text.count(mutant.old) != 1:
             return f"text found {text.count(mutant.old)} times, not once", False
         target.write_text(text.replace(mutant.old, mutant.new))
-        path = os.environ.get("PYTHONPATH")
-        env = dict(os.environ, PYTHONPATH="src" + (f":{path}" if path else ""))
-        command = TIER_1 if mutant.equivalent else [*PYTEST, mutant.killed_by]
-        done = subprocess.run(command, cwd=work, env=env, capture_output=True, text=True)
+        done = run_pytest(TIER_1 if mutant.equivalent else [*PYTEST, mutant.killed_by], work)
     if done.returncode == 0:
         return "survived", bool(mutant.equivalent)
     if done.returncode != 1:  # the test was not found, collected or run
-        why = done.stderr.strip().splitlines()[:1] or done.stdout.strip().splitlines()[-1:]
-        return f"pytest exit {done.returncode}: {''.join(why)}", False
-    first = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
-    return f"killed by {first.group(1) if first else 'exit 1'}", not mutant.equivalent
+        return f"pytest exit {done.returncode}: {summary(done)}", False
+    return f"killed by {summary(done) or 'exit 1'}", not mutant.equivalent
 
 
 def main(names: list[str]) -> int:
@@ -148,11 +179,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"no mutant named {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
+    chosen = [m for m in MUTANTS if not names or m.name in names]
+    broken = failing_killers(list(dict.fromkeys(m.killed_by for m in chosen if m.killed_by)))
     failures = 0
-    for mutant in MUTANTS:
-        if names and mutant.name not in names:
-            continue
-        outcome, expected = run(mutant)
+    for mutant in chosen:
+        if mutant.killed_by in broken:
+            outcome, expected = broken[mutant.killed_by], False
+        else:
+            outcome, expected = run(mutant)
         why = (f"equivalent: {mutant.equivalent}" if mutant.equivalent
                else f"test: {mutant.killed_by}")
         print(f"{'ok  ' if expected else 'FAIL'} {mutant.name}: {outcome} ({why})", flush=True)

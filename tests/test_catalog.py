@@ -24,7 +24,6 @@ from cfhankel.exact import (
     GAMMA,
     NonInvertibleScalar,
     ParamPoly,
-    as_scalar,
     scalar_eval_gamma,
     scalar_to_json,
     series,
@@ -256,8 +255,8 @@ class TestVerifyClaims:
         def scaled(*args):
             result = original(*args)
             return result._replace(
-                dense=tuple(as_scalar(v * GAMMA) for v in result.dense),
-                profile=tuple(pt._replace(value=as_scalar(pt.value * GAMMA))
+                dense=tuple(v * GAMMA for v in result.dense),
+                profile=tuple(pt._replace(value=pt.value * GAMMA)
                               for pt in result.profile),
             )
 

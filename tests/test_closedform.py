@@ -22,7 +22,7 @@ from cfhankel.closedform import (
     dense_transform,
     p_sequence,
 )
-from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, as_scalar, series
+from cfhankel.exact import GAMMA, NonInvertibleScalar, ParamPoly, series
 from cfhankel.hankel_oracle import hankel_transform
 from crosscheck import (
     PFraction,
@@ -59,7 +59,7 @@ def rand_valid_cfraction(rng, max_terms=6):
 RATIONALS = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(lambda v: v != 0)
 GAMMA_POLYS = st.lists(
     st.fractions(min_value=-3, max_value=3, max_denominator=3), min_size=2, max_size=3
-).map(ParamPoly).filter(lambda v: v.degree > 0)
+).map(ParamPoly).filter(lambda v: isinstance(v, ParamPoly))
 
 
 @st.composite
@@ -179,7 +179,7 @@ class TestCoefficientConversion:
                  for _ in range(rng.randint(1, 7))]
             b = b_from_a(a)
             for k, ak in enumerate(a):
-                assert as_scalar(ak * b[k] * b[k + 1]) == 1
+                assert ak * b[k] * b[k + 1] == 1
             assert a_from_b(b) == a
 
     @given(st.lists(
@@ -225,7 +225,7 @@ class TestLadderClosedForm:
             expected = closed_form_value(cf.a, qtilde, m, Convention.SIGN_CORRECTED)
             if position % 2:
                 expected = -1 * expected
-            assert as_scalar(closed_form_from_b(b[1:], p, m)) == as_scalar(expected)
+            assert closed_form_from_b(b[1:], p, m) == expected
 
 
 class TestMonomialClosedForm:

@@ -16,6 +16,7 @@ from cfhankel.exact import (
     ZeroConstantTerm,
     _unpack,
     as_scalar,
+    scalar_eval_gamma,
     scalar_from_json,
     scalar_to_json,
     series,
@@ -56,7 +57,9 @@ class TestRationals:
 class TestParamPoly:
     def test_trailing_zeros_stripped(self):
         assert ParamPoly((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
-        assert ParamPoly((0, 0)).is_zero
+        # what is left constant is built as its Fraction
+        assert ParamPoly((0, 0)) == 0 and type(ParamPoly((0, 0))) is Fraction
+        assert ParamPoly((3, 0)) == 3 and type(ParamPoly((3, 0))) is Fraction
 
     def test_arithmetic(self):
         p = ParamPoly((1, 1))  # 1 + gamma
@@ -71,6 +74,16 @@ class TestParamPoly:
         assert ParamPoly() == 0
         assert not ParamPoly() == 1
         assert not ParamPoly() == Fraction(1, 2)
+        # a ParamPoly is never constant, so it never equals a number
+        assert GAMMA != 0 and GAMMA != 1 and not GAMMA + 1 == 1
+
+    def test_cancelled_results_are_fractions(self):
+        for value in (
+            series_reciprocal(series([1, GAMMA, GAMMA**2])).coeffs[2],
+            GAMMA - GAMMA,
+            (GAMMA + 1) - GAMMA,
+        ):
+            assert type(value) is Fraction
 
     def test_mixed_with_fraction(self):
         assert Fraction(1, 2) + GAMMA == ParamPoly((Fraction(1, 2), 1))
@@ -82,8 +95,9 @@ class TestParamPoly:
             p = ParamPoly([rand_fraction(rng) for _ in range(rng.randint(0, 4))])
             q = ParamPoly([rand_fraction(rng) for _ in range(rng.randint(0, 4))])
             r = rand_fraction(rng)
-            assert (p * q).evaluate(r) == p.evaluate(r) * q.evaluate(r)
-            assert (p + q).evaluate(r) == p.evaluate(r) + q.evaluate(r)
+            at_r = [scalar_eval_gamma(v, r) for v in (p, q, p * q, p + q)]
+            assert at_r[2] == at_r[0] * at_r[1]
+            assert at_r[3] == at_r[0] + at_r[1]
 
     def test_str(self):
         assert str(ParamPoly((1, -1, Fraction(3, 2)))) == "3/2*gamma^2 - gamma + 1"
@@ -92,20 +106,18 @@ class TestParamPoly:
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 #: any scalar of Q[gamma]: Fractions and gamma-polynomials, zero included
 SCALARS = st.one_of(RATIONALS, st.lists(RATIONALS, max_size=3).map(ParamPoly))
-#: the units of Q[gamma]: non-zero Fractions and non-zero constant polynomials
-UNITS = RATIONALS.filter(lambda v: v != 0).flatmap(
-    lambda v: st.sampled_from([v, ParamPoly((v,))])
-)
+#: the units of Q[gamma]: non-zero Fractions (a constant polynomial is built as one)
+UNITS = RATIONALS.filter(lambda v: v != 0)
 
 
 class TestScalarProtocol:
     def test_polynomial_division(self):
-        # a constant divides, whichever form it takes
+        # a constant divides, written as a polynomial too: that is built as a Fraction
         assert GAMMA / 2 == ParamPoly((0, Fraction(1, 2)))
         assert 2 / ParamPoly((4,)) == ParamPoly((Fraction(1, 2),))
         assert 1 / ParamPoly((3,)) == Fraction(1, 3)
         assert ParamPoly((2,)) ** -2 == Fraction(1, 4)
-        constant = as_scalar(ParamPoly((3,)) / ParamPoly((2,)))
+        constant = ParamPoly((3,)) / ParamPoly((2,))
         assert constant == Fraction(3, 2) and type(constant) is Fraction
         with pytest.raises(ZeroDivisionError):
             GAMMA / ParamPoly()
@@ -124,8 +136,8 @@ class TestScalarProtocol:
             Fraction(1, 2) / (GAMMA + 1)
 
     def test_normal_form(self):
-        assert type(as_scalar(ParamPoly((3,)))) is Fraction
-        assert as_scalar(ParamPoly()) == 0 and type(as_scalar(ParamPoly())) is Fraction
+        assert type(ParamPoly((3,))) is Fraction
+        assert ParamPoly() == 0 and type(ParamPoly()) is Fraction
         assert as_scalar(GAMMA) is GAMMA
         assert as_scalar(3) == Fraction(3) and as_scalar("-1/2") == Fraction(-1, 2)
         with pytest.raises(TypeError):
@@ -133,10 +145,16 @@ class TestScalarProtocol:
 
     @given(UNITS, UNITS, st.integers(-3, 3))
     def test_operators_agree(self, x, y, n):
-        assert as_scalar(x / y * y) == as_scalar(x)
-        assert as_scalar(1 / x * x) == 1
-        assert as_scalar(x**n * x**-n) == 1
-        assert as_scalar(x**n) == as_scalar(1 / x ** -n)
+        assert x / y * y == x
+        assert 1 / x * x == 1
+        assert x**n * x**-n == 1
+        assert x**n == 1 / x ** -n
+
+    @given(SCALARS, SCALARS, UNITS, st.integers(0, 3))
+    def test_every_result_is_in_normal_form(self, x, y, unit, n):
+        # a Fraction, or a ParamPoly of degree 1 or more
+        for value in (x + y, x - y, x * y, x**n, x / unit):
+            assert type(value) is Fraction or value.degree >= 1, value
 
     @given(SCALARS, SCALARS, st.integers(1, 3))
     def test_division_raises_exactly_for_non_units(self, x, y, n):
@@ -149,8 +167,8 @@ class TestScalarProtocol:
             with pytest.raises(ZeroDivisionError):
                 x / y
         else:
-            assert as_scalar(x / y * y) == as_scalar(x)
-            assert as_scalar(y**-n * y**n) == 1
+            assert x / y * y == x
+            assert y**-n * y**n == 1
 
 
 class TestSeries:
@@ -191,8 +209,8 @@ class TestSeries:
             series_reciprocal(series([GAMMA, 1], 1))
 
     def test_constant_polynomial_lead_is_a_unit(self):
-        # Series() keeps its coefficients as given, so a degree-0 ParamPoly
-        # can stand where the normal form has a Fraction
+        # Series() keeps its coefficients as given, but a constant written as
+        # a ParamPoly is already its Fraction, so it divides
         den = Series((ParamPoly((2,)), ParamPoly((0, 1))))
         assert series_reciprocal(den) == series([Fraction(1, 2), -GAMMA / 4], 1)
 
