@@ -125,11 +125,11 @@ def evaluate(cf: CFraction, order: int) -> Series:
     denominators of a_1..a_n, the substitution x -> D x turns each a_k into
     a_k D^q_k, which lies in Z[gamma].  A_n(0) = 1, so the quotient divides
     nowhere, and coefficient k of the result is e_k / D^k for the integer
-    e_k it computes.  Rational a_k are plain ints; if any a_k is a
-    gamma-polynomial, every one is packed into one int at gamma = 2**bits
-    (``exact._pack``).  The integers reach about cap * bits(D) bits, so
-    past ``_SCALED_BITS`` the same recurrence and quotient run on the
-    gcd-reduced Fraction/ParamPoly scalars instead.  Cost: O(cap) ring
+    e_k it computes.  Every a_k D^q_k is packed into one int at gamma =
+    2**bits (``exact._pack``), with bits 0 when all are constants and else
+    from a 1-norm bound on the e_k.  The integers reach about cap * bits(D)
+    bits, so past ``_SCALED_BITS`` the same recurrence and quotient run on
+    the gcd-reduced Fraction/ParamPoly scalars instead.  Cost: O(cap) ring
     operations per term, plus one O(cap^2) quotient.
     """
     if order < 0:
@@ -141,9 +141,6 @@ def evaluate(cf: CFraction, order: int) -> Series:
     if scale.bit_length() * cap > _SCALED_BITS:
         # series() reads the recurrences' int seeds 0 and 1 as Fractions
         return series(_quotient_through(cap, *_approximant_coeffs(a, q)))
-    if all(len(p) == 1 for p in polys):
-        e = _quotient_through(cap, *_approximant_coeffs([p[0] for p in polys], q))
-        return Series(tuple(Fraction(v, scale**k) for k, v in enumerate(e)))
     # Every term of A_n = A_{n-1} + a_n x^q_n A_{n-2}, and of B_n, enters with
     # a + sign.  So by |f + g|_1 <= |f|_1 + |g|_1 and |fg|_1 <= |f|_1 |g|_1,
     # the same recurrence run on the 1-norms |a_k D^q_k|_1 gives polynomials
@@ -156,9 +153,11 @@ def evaluate(cf: CFraction, order: int) -> Series:
     # coefficients.  Evaluation at 2**bits is a ring homomorphism, so the
     # packed recurrence and quotient compute the packed e_k exactly, though
     # other packed values need not be digit-exact; only the e_k are unpacked.
-    a_norm, b_norm = _approximant_coeffs([sum(map(abs, p)) for p in polys], q)
-    bound = max(_quotient_through(cap, (1, *(-v for v in a_norm[1:])), b_norm))
-    bits = bound.bit_length() + 1
+    bits = 0
+    if any(len(p) > 1 for p in polys):
+        a_norm, b_norm = _approximant_coeffs([sum(map(abs, p)) for p in polys], q)
+        bound = max(_quotient_through(cap, (1, *(-v for v in a_norm[1:])), b_norm))
+        bits = bound.bit_length() + 1
     e = _quotient_through(cap, *_approximant_coeffs([_pack(p, bits) for p in polys], q))
     return Series(tuple(_unpack_scalar(v, bits, scale**k) for k, v in enumerate(e)))
 

@@ -101,19 +101,15 @@ def _dense_mul(xs, ys, n: int) -> list:
     return out
 
 
-def all_integral(values) -> bool:
-    """Whether every value is an integral Fraction, so ``int`` arithmetic serves."""
-    return all(isinstance(v, Fraction) and v.denominator == 1 for v in values)
-
-
 # ---------------------------------------------------------------------------
 # Kronecker packing: an integer gamma-polynomial as one int at gamma = 2**bits.
 # Evaluation there is a ring homomorphism from Z[gamma] to Z, so sums and
-# products of packed values are the packed sums and products; a caller picks
-# bits so that every coefficient of what it unpacks lies in -2**(bits - 1) ..
-# 2**(bits - 1) - 1.  Rational scalars reach Z[gamma] by clearing
-# denominators first (``_clear_denominators``), and ``_unpack_scalar``
-# divides the scale back out.
+# products of packed values are the packed sums and products.  Both integer
+# kernels scale their scalars into Z[gamma] (``_clear_denominators``), pack
+# each, run over int and unpack each result (``_unpack_scalar``, which
+# divides the scale out).  The width is 0 when every value is a constant,
+# else bits such that every coefficient of what is unpacked lies in
+# -2**(bits - 1) .. 2**(bits - 1) - 1.
 
 
 def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
@@ -129,7 +125,8 @@ def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
 
 
 def _pack(coeffs: Sequence[int], bits: int) -> int:
-    """The integer polynomial ``coeffs`` (lowest first) at gamma = 2**bits."""
+    """The integer polynomial ``coeffs`` (lowest first) at gamma = 2**bits.
+    Width 0 serves constants only: one coefficient packs to itself."""
     value = 0
     for c in reversed(coeffs):
         value = (value << bits) + c
@@ -153,7 +150,9 @@ def _unpack(value: int, bits: int) -> list[int]:
 
 
 def _unpack_scalar(value: int, bits: int, divisor: int) -> Scalar:
-    """The packed gamma-polynomial ``value`` divided by ``divisor``."""
+    """The gamma-polynomial packed as ``value`` divided by ``divisor``."""
+    if not bits:
+        return Fraction(value, divisor)
     return ParamPoly(Fraction(c, divisor) for c in _unpack(value, bits))
 
 
@@ -161,12 +160,19 @@ def _unpack_scalar(value: int, bits: int, divisor: int) -> Scalar:
 # gamma-polynomials
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def _coerce_fraction(value) -> Fraction:
+    """A Fraction, int or "p/q" string as a Fraction; a bool or other type is a
+    TypeError, another string a ValueError (Fraction reads "1e300000" slowly)."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+        raise ValueError(f"not a rational p/q: {value!r}")
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
         return Fraction(value)
-    raise TypeError(f"cannot use {value!r} as a rational coefficient")
+    raise TypeError(f"cannot use {value!r} as a rational scalar")
 
 
 class ParamPoly(Value):
@@ -292,12 +298,9 @@ Scalar = Union[Fraction, ParamPoly]
 
 def as_scalar(value) -> Scalar:
     """Outside input as an exact scalar: Fractions and ParamPolys pass, ints
-    and "p/q" strings become Fractions, anything else is a TypeError."""
-    if isinstance(value, (Fraction, ParamPoly)):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"{value!r} is not an exact scalar")
+    and "p/q" strings become Fractions; a bool or any other type is a
+    TypeError, and a string of any other shape a ValueError."""
+    return value if isinstance(value, ParamPoly) else _coerce_fraction(value)
 
 
 def scalar_eval_gamma(value: Scalar, point) -> Fraction:
@@ -383,17 +386,11 @@ def list_from_json(obj, what: str) -> list:
     return obj
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-
-
 def _rational_from_json(obj) -> Fraction:
-    if isinstance(obj, bool) or not isinstance(obj, (str, int)):
-        raise ValueError(f"not a scalar encoding: {obj!r}")
-    if isinstance(obj, str) and not _RATIONAL.fullmatch(obj):
-        # Fraction would also read "1e30000000", at unbounded cost
-        raise ValueError(f"not a rational p/q: {obj!r}")
     try:
-        return Fraction(obj)
+        return _coerce_fraction(obj)
+    except TypeError:
+        raise ValueError(f"not a scalar encoding: {obj!r}") from None
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {obj!r}") from None
 

@@ -9,12 +9,13 @@ and a column with no pivot ends the pass, as it and every later minor are
 0.  So ``hankel_transform`` eliminates one matrix, and a sequence with a
 rational generating function of rank r costs r columns.  The pass runs
 over ``int`` with every division checked by ``divmod``: a remainder can
-only mean broken arithmetic.  A matrix that is not all integers has its
-denominators cleared and each entry packed into one integer at
-gamma = 2**B (Kronecker), one B from the full matrix fitting every minor.
-The result is a ``Fraction`` or ``ParamPoly`` either way, the reference
-every closed form here is judged against; the tests cross-check it with
-the cofactor expansion in ``tests/crosscheck.py``.
+only mean broken arithmetic.  Its distinct values, the 2n + 1 terms of a
+Hankel matrix or the n**2 entries of any other, have their denominators
+cleared and each is packed once into one integer at gamma = 2**B
+(Kronecker): B is 0 when all are constants, else one width from the full
+matrix fitting every minor.  The result, a ``Fraction`` or ``ParamPoly``,
+is the reference every closed form here is judged against; the tests
+cross-check it with the cofactor expansion in ``tests/crosscheck.py``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .exact import (
     _clear_denominators,
     _pack,
     _unpack_scalar,
-    all_integral,
     as_scalar,
 )
 
@@ -83,25 +83,27 @@ def _leading_minors(m: list[list[int]]) -> list[int]:
     return minors
 
 
-def _minors(m: Sequence[Sequence[Scalar]]) -> list[Scalar]:
-    """All leading minors of a square matrix of scalars.  A non-integral one
-    is scaled by the lcm L of its coefficient denominators and packed, and
-    minor k is unpacked and divided by L**(k + 1)."""
-    if all_integral(v for row in m for v in row):
-        return [Fraction(d) for d in _leading_minors([[v.numerator for v in row] for row in m])]
-    n = len(m)
-    scale, flat = _clear_denominators([v for row in m for v in row])
-    polys = [flat[i : i + n] for i in range(0, n * n, n)]
-    # Evaluation at gamma = 2**bits is a ring homomorphism, so the packed
-    # pass computes the packed minors exactly, though pivot*a - head*b need
-    # not be digit-exact.  Only minors of the full matrix, bordered ones too,
-    # are tested for zero or unpacked.  By Leibniz and |fg|_1 <= |f|_1 |g|_1
-    # each has |.|_1 <= M, the product over all rows of max(1, row sum of
-    # |a_ij|_1), and M < 2**(bits - 1): its balanced digits are its
-    # coefficients, so zero tests and pivots go as over Z[gamma].
-    bound = prod(max(1, sum(abs(c) for p in row for c in p)) for row in polys)
-    bits = bound.bit_length() + 1
-    minors = _leading_minors([[_pack(p, bits) for p in row] for row in polys])
+def _minors(values: Sequence[Scalar], n: int, stride: int) -> list[Scalar]:
+    """All leading minors of the n x n matrix (i, j) -> values[i * stride + j].
+    Each value is scaled by the lcm L of the denominators and packed once,
+    at width 0 when all are constants, and minor k is unpacked and divided
+    by L**(k + 1)."""
+    scale, polys = _clear_denominators(values)
+    bits = 0
+    if any(len(p) > 1 for p in polys):
+        # Evaluation at gamma = 2**bits is a ring homomorphism, so the packed
+        # pass computes the packed minors exactly, though pivot*a - head*b
+        # need not be digit-exact.  Only minors of the full matrix, bordered
+        # ones too, are tested for zero or unpacked.  By Leibniz and
+        # |fg|_1 <= |f|_1 |g|_1 each has |.|_1 <= M, the product over all
+        # rows of max(1, row sum of |a_ij|_1), and M < 2**(bits - 1): its
+        # balanced digits are its coefficients, so zero tests and pivots go
+        # as over Z[gamma].
+        norm = [sum(map(abs, p)) for p in polys]
+        bound = prod(max(1, sum(norm[i * stride : i * stride + n])) for i in range(n))
+        bits = bound.bit_length() + 1
+    packed = [_pack(p, bits) for p in polys]
+    minors = _leading_minors([packed[i * stride : i * stride + n] for i in range(n)])
     return [_unpack_scalar(d, bits, scale ** (k + 1)) for k, d in enumerate(minors)]
 
 
@@ -112,22 +114,19 @@ def matrix_det(rows: Sequence[Sequence]) -> Scalar:
     n = len(rows)
     if n == 0:
         return Fraction(1)
-    m = [[as_scalar(v) for v in row] for row in rows]
-    if any(len(row) != n for row in m):
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    return _minors(m)[-1]
+    return _minors([as_scalar(v) for row in rows for v in row], n, n)[-1]
 
 
 def hankel_transform(seq: Sequence, max_n: int) -> list[Scalar]:
     """(h_0, ..., h_max_n): all leading minors of the order-max_n Hankel
     matrix, entry (i, j) = seq[i + j], from one pass, pivoting on the first
     usable row, stopping at the first column with no pivot (every later h_n
-    is 0) and packing a non-integral matrix at one digit width taken from
-    that whole matrix."""
+    is 0) and packing each of the 2 max_n + 1 terms once."""
     if max_n < 0:
         raise ValueError("matrix order must be non-negative")
     count = 2 * max_n + 1
     if len(seq) < count:
         raise InsufficientTerms(f"order {max_n} needs {count} terms, only {len(seq)} supplied")
-    values = [as_scalar(v) for v in seq[:count]]
-    return _minors([values[i : i + max_n + 1] for i in range(max_n + 1)])
+    return _minors([as_scalar(v) for v in seq[:count]], max_n + 1, 1)

@@ -16,6 +16,10 @@ satisfy, and only the tests call them:
 * catalog series cut to an order, and catalog round trips through
   extraction;
 * series sum, product and evaluation at a rational gamma.
+
+Importing it also loads the ``cfhankel`` hypothesis profile.  The modules
+with properties that run under ``--noconftest`` import this one, so the
+profile holds there too; ``tests/conftest.py`` imports it for the rest.
 """
 
 from __future__ import annotations
@@ -23,7 +27,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from tempfile import TemporaryDirectory
 from typing import NamedTuple, Sequence
+
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from cfhankel.catalog import catalog_cfraction
 from cfhankel.cfrac import CFraction, _approximant_coeffs, correspond, evaluate
@@ -42,6 +50,15 @@ from cfhankel.exact import (
     as_scalar,
     scalar_eval_gamma,
 )
+
+# Property tests draw the same examples on every run, a bounded number of
+# them, and write nothing into the working directory: no example database,
+# and hypothesis's cache of the constants in local source files goes to a
+# directory removed at exit.
+_HYPOTHESIS_HOME = TemporaryDirectory(prefix="cfhankel-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+settings.register_profile("cfhankel", derandomize=True, max_examples=60, database=None)
+settings.load_profile("cfhankel")
 
 # ---------------------------------------------------------------------------
 # series arithmetic

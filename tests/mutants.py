@@ -117,6 +117,17 @@ MUTANTS = [
            "_CLOSED_FORM, _run_compare)",
            killed_by="tests/test_golden.py::test_stdout_and_exit_codes_are_recorded_bytes"
                      "[mixed-closed]"),
+    Mutant("oracle-width-one-bit-short", "hankel_oracle.py",
+           "bits = bound.bit_length() + 1", "bits = bound.bit_length()",
+           killed_by="tests/test_hankel_oracle.py::TestPackedRoute::"
+                     "test_a_minor_fills_the_narrowest_digit"),
+    Mutant("oracle-packs-linear-at-width-zero", "hankel_oracle.py",
+           "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
+           killed_by="tests/test_hankel_oracle.py::TestDeterminants::"
+                     "test_bareiss_matches_cofactor_symbolic"),
+    Mutant("evaluate-packs-linear-at-width-zero", "cfrac.py",
+           "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
+           killed_by="tests/test_cfrac.py::TestEvaluate::test_rogers_ramanujan_symbolic"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
            equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",

@@ -236,13 +236,18 @@ class TestIntegerKernel:
         assert evaluate(cf, order) != expansion
 
     @given(cfractions(NONZERO_RATIONALS), st.integers(0, 30))
-    def test_rational_fraction_is_never_packed(self, cf, order):
-        def refuse(coeffs, bits):
-            raise AssertionError("rational fraction was packed")
+    def test_rational_fraction_packs_at_width_zero(self, cf, order):
+        # every a_k D^q_k is a constant, so each packs to itself at width 0
+        widths, pack = set(), exact._pack
+
+        def spy(coeffs, bits):
+            widths.add(bits)
+            return pack(coeffs, bits)
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cfrac, "_pack", refuse)
+            patch.setattr(cfrac, "_pack", spy)
             expansion = evaluate(cf, order)
+        assert widths <= {0}
         assert expansion == reference_evaluate(cf, order)
 
     def test_gamma_polynomial_fraction_is_packed(self, monkeypatch):

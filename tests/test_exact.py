@@ -142,6 +142,14 @@ class TestScalarProtocol:
         assert as_scalar(3) == Fraction(3) and as_scalar("-1/2") == Fraction(-1, 2)
         with pytest.raises(TypeError):
             as_scalar(0.5)
+        # the shapes the JSON boundary takes and no more: a bool is not 1, and
+        # Fraction's other spellings are refused ("1e300000" before parsing)
+        for coerce in (as_scalar, lambda v: ParamPoly((v, 1))):
+            with pytest.raises(TypeError):
+                coerce(True)
+            for text in ("0.5", " 3/4 ", "1_000", "1e300000"):
+                with pytest.raises(ValueError, match="not a rational p/q"):
+                    coerce(text)
 
     @given(UNITS, UNITS, st.integers(-3, 3))
     def test_operators_agree(self, x, y, n):

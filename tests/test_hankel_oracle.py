@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from cfhankel import exact, hankel_oracle
 from cfhankel.catalog import catalog_cfraction
-from cfhankel.cfrac import evaluate
+from cfhankel.cfrac import CFraction, evaluate
 from cfhankel.exact import (
     GAMMA,
     InexactDivision,
@@ -261,6 +261,18 @@ def sympy():
     return sympy
 
 
+def packed_calls(patch):
+    """The (coeffs, bits) of every ``_pack`` call the oracle makes."""
+    calls, pack = [], hankel_oracle._pack
+
+    def spy(coeffs, bits):
+        calls.append((list(coeffs), bits))
+        return pack(coeffs, bits)
+
+    patch.setattr(hankel_oracle, "_pack", spy)
+    return calls
+
+
 class TestIntegerRoute:
     def test_exact_division_helper(self):
         assert hankel_oracle._checked_div(-12, 4) == -3
@@ -270,13 +282,14 @@ class TestIntegerRoute:
             hankel_oracle._checked_div(-7, 2)
 
     def test_integer_matrix_avoids_rational_division(self, monkeypatch):
-        def refuse(coeffs, bits):
-            raise AssertionError("integer matrix was packed")
-
-        monkeypatch.setattr(hankel_oracle, "_pack", refuse)
+        # each of the n**2 entries packs to itself at width 0, so the pass
+        # runs on the integers themselves
+        calls = packed_calls(monkeypatch)
         rows = hankel_rows([1, 1, 2, 5, 14, 42, 132], 3)
         det = matrix_det(rows)
+        assert calls == [([int(v)], 0) for row in rows for v in row]
         assert det == 1 and isinstance(det, Fraction)
+        assert det == det_cofactor(rows)
 
     @given(int_matrices())
     def test_matches_cofactor(self, rows):
@@ -294,16 +307,11 @@ class TestIntegerRoute:
         n = len(rows)
         i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
         rows[i][j] += Fraction(1, data.draw(st.integers(2, 5)))
-        packed, pack = [], hankel_oracle._pack
-
-        def spy(coeffs, bits):
-            packed.append(coeffs)
-            return pack(coeffs, bits)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hankel_oracle, "_pack", spy)
+            calls = packed_calls(patch)
             det = matrix_det(rows)
-        assert len(packed) == n * n
+        # cleared of denominators, every entry is a constant: width 0
+        assert len(calls) == n * n and {bits for _, bits in calls} == {0}
         assert det == det_cofactor(rows)
 
 
@@ -375,6 +383,16 @@ class TestPackedRoute:
             expected = expected * entry
         assert matrix_det(rows) == expected
 
+    def test_a_transform_packs_each_term_once(self, monkeypatch):
+        # the Hankel matrix of order N holds 2N + 1 distinct terms, each
+        # cleared and packed once, at the one width of the whole matrix
+        seq = evaluate(CFraction((GAMMA / 2,) * 4, (1, 2, 3, 4)), 8).coeffs
+        calls = packed_calls(monkeypatch)
+        transform = hankel_transform(seq, 4)
+        (width,) = {bits for _, bits in calls}
+        assert len(calls) == 9 and width > 0
+        assert transform == [det_cofactor(hankel_rows(seq, k)) for k in range(5)]
+
     @pytest.mark.parametrize("diagonal", [(255,), (-7, 9), (3, -5, 17), (5, 3, 17, -1)])
     def test_a_minor_fills_the_narrowest_digit(self, diagonal):
         # entry i is c_i gamma^(i+1), so M = |prod c_i| = 2**8 - 1 or 2**6 - 1 and
@@ -383,21 +401,15 @@ class TestPackedRoute:
         # With three or more rows a numerator pivot*a - head*b (the first
         # entry times a minor) overflows its digit, and the exact division
         # still recovers the minor.
-        widths, pack = set(), hankel_oracle._pack
-
-        def spy(coeffs, bits):
-            widths.add(bits)
-            return pack(coeffs, bits)
-
         n = len(diagonal)
         rows = [
             [ParamPoly((0,) * (i + 1) + (c,)) if i == j else ParamPoly() for j in range(n)]
             for i, c in enumerate(diagonal)
         ]
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(hankel_oracle, "_pack", spy)
+            calls = packed_calls(patch)
             det = matrix_det(rows)
         top = prod(diagonal)
         assert det == ParamPoly((0,) * (n * (n + 1) // 2) + (top,)) == det_cofactor(rows)
-        (bits,) = widths
+        (bits,) = {bits for _, bits in calls}
         assert abs(top) == 2 ** (bits - 1) - 1

@@ -6,7 +6,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cfhankel.catalog import Claim
 from cfhankel.cfrac import CFraction
@@ -96,3 +96,11 @@ def test_construction_still_validates():
         PFraction((Fraction(0),), (1, 1))
     with pytest.raises(NegativePExponent):
         PFraction((Fraction(1),), (1, -1))
+
+
+def test_properties_run_under_the_cfhankel_profile():
+    # crosscheck loads it on import, so a --noconftest run keeps it too: the
+    # same 60 examples on every run, and no example database written
+    assert settings.default.derandomize
+    assert settings.default.database is None
+    assert settings.default.max_examples == 60
