@@ -92,6 +92,11 @@ CASES = {
         "catalan-8.json",
         [("expand", "--series", "-"), ("closed", "--cfraction", "-", "--max-n", "6")],
     ),
+    # catalan-8's eight extracted terms and a ninth, -1 x, past the reliable
+    # order 8: q_1 + ... + q_9 = 9, so the ninth depth is not trusted
+    "catalan-8-plus-closed": Case(
+        "catalan-8-plus.json", [("closed", "--cfraction", "-", "--max-n", "4")]
+    ),
     # a generic integer series: the a_k have denominators of thousands of
     # bits, and the expansion comes back to the 97 input terms; evaluate
     # stays on reduced Fractions, and over int, with x -> D x, the eval
