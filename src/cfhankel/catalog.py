@@ -15,19 +15,22 @@ one of those values from scratch and reports each claim as confirmed or
 refuted.  Refuted claims stay in the report: the harness is also an
 errata record.
 
-The determinant oracle expands and eliminates each entry once
-(rogers-ramanujan symbolically).  Most claims are rows of one table: an
-entry, a reading of its run and the expected value, judged by one loop
-that cuts the reading to the expected length.  A reading is a prefix of
-the oracle's h or of the series, the ladder exponents :func:`p_sequence`,
-their partial sums m_j, the value at each depth j, which is the oracle's
-h at position m_j - 1, or the closed form's multiplicities: every judged
-value is the oracle's.  The symbolic Rogers-Ramanujan monomials and the
-exponent generating function stay as code, since they build notes.
+Each entry is expanded, eliminated by the determinant oracle
+(rogers-ramanujan symbolically) and read by the closed form once.  Most
+claims are rows of one table: an entry, a reading of its run and the
+expected value, judged by one loop that cuts the reading to the expected
+length.  A reading is a prefix of the oracle's h or of the series, the
+ladder exponents :func:`p_sequence`, their partial sums m_j, the value at
+each depth j, which is the oracle's h at position m_j - 1, or the closed
+form's multiplicities: every judged value is the oracle's.  The symbolic
+Rogers-Ramanujan monomials and the exponent generating function stay as
+code, since they build notes.
 
 The sign convention shipped as the package default is not trusted to a
-constant: :func:`select_convention` re-runs the oracle arbitration over
-the same runs of the whole catalog, and the report records its outcome.
+constant: the two conventions differ by one global factor -1, and
+:func:`select_convention` keeps the convention whose sign, times each
+run's sign-corrected closed form, gives that run's oracle over the whole
+catalog; the report records its outcome.
 """
 
 from __future__ import annotations
@@ -37,13 +40,7 @@ from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 from .cfrac import CFraction, evaluate
-from .closedform import (
-    Convention,
-    DEFAULT_CONVENTION,
-    DenseTransform,
-    dense_transform,
-    p_sequence,
-)
+from .closedform import Convention, DenseTransform, dense_transform, p_sequence
 from .exact import (
     DomainError,
     GAMMA,
@@ -148,12 +145,14 @@ class _Run(NamedTuple):  # one entry: its series c_0..c_2max_n and h_0..h_max_n
     max_n: int
     series: tuple[Scalar, ...]
     oracle: list[Scalar]
+    closed: DenseTransform  # sign-corrected
 
 
 def _runs(max_n: int) -> dict[str, _Run]:
-    """Each entry expanded and eliminated once; rogers-ramanujan stays
-    symbolic, and its minors evaluated at a rational gamma are that gamma's
-    minors (a ring homomorphism).  The exponents of the other fractions but
+    """Each entry expanded, eliminated and read by the sign-corrected
+    closed form once; rogers-ramanujan stays symbolic, and its minors
+    evaluated at a rational gamma are that gamma's minors (a ring
+    homomorphism).  The exponents of the other fractions but
     fibonacci-cf sum past the order expanded, so their series are the
     infinite fractions'.  fibonacci-cf is terminated at 8 terms, and its
     series leaves the infinite fraction's at x^88: from max_n = 44 on, the
@@ -167,7 +166,8 @@ def _runs(max_n: int) -> dict[str, _Run]:
                            ("fibonacci-cf", 8, max_n), ("rogers-ramanujan", 10, 8)):
         cf = catalog_cfraction(name, terms=terms)
         coeffs = evaluate(cf, 2 * n).coeffs
-        runs[name] = _Run(cf, n, coeffs, hankel_transform(coeffs, n))
+        runs[name] = _Run(cf, n, coeffs, hankel_transform(coeffs, n),
+                          dense_transform(cf, n, Convention.SIGN_CORRECTED))
     return runs
 
 
@@ -175,15 +175,16 @@ def select_convention(runs: dict[str, _Run]) -> tuple[Convention | None, bool]:
     """Pick the sign convention mechanically: the one under which the
     closed form equals the determinant oracle on every entry of ``runs``,
     the catalog runs ``_runs(max_n)`` that :func:`verify_claims` judges.
+    The conventions differ by one global factor -1, so each run's one
+    sign-corrected transform is tested with each convention's sign.
 
     Returns (convention, consistent).  ``consistent`` is False when no
     single convention (or more than one) survives, which the caller must
     surface prominently.
     """
     surviving = [
-        c for c in (Convention.SIGN_CORRECTED, Convention.AS_PRINTED)
-        if all(list(dense_transform(r.cf, r.max_n, c).dense) == r.oracle
-               for r in runs.values())
+        c for c, sign in ((Convention.SIGN_CORRECTED, 1), (Convention.AS_PRINTED, -1))
+        if all([sign * v for v in r.closed.dense] == r.oracle for r in runs.values())
     ]
     if len(surviving) == 1:
         return surviving[0], True
@@ -244,9 +245,9 @@ def _table(max_n: int, fibonacci_agrees: bool) -> list[_Row]:
     ]
 
 
-def _read(row: _Row, run: _Run, transform: DenseTransform | None) -> object:
+def _read(row: _Row, run: _Run) -> object:
     """The computed side of a row: its reading of the entry's run, cut to
-    the expected length; the multiplicities are ``transform``'s."""
+    the expected length."""
     count = len(row.expected)
     if row.reading == "oracle":
         return [scalar_to_json(v) for v in run.oracle[:count]]
@@ -259,9 +260,9 @@ def _read(row: _Row, run: _Run, transform: DenseTransform | None) -> object:
     if row.reading == "p-sequence":
         return p_sequence((1, *catalog_cfraction(row.entry, terms=count - 1).q))
     if row.reading == "multiplicities":
-        return [pt.multiplicity for pt in transform.profile[:count]]
+        return [pt.multiplicity for pt in run.closed.profile[:count]]
     # repeated positions
-    return {str(pt.n): pt.multiplicity for pt in transform.profile if pt.multiplicity > 1}
+    return {str(pt.n): pt.multiplicity for pt in run.closed.profile if pt.multiplicity > 1}
 
 
 def _rogers_ramanujan_claims(oracle: list[Scalar]) -> list[Claim]:
@@ -312,22 +313,19 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
     """Recompute every recorded reference value and issue verdicts.
 
     ``max_n`` must cover the longest dense claim (12).  The convention in
-    the report is the arbitration winner; the multiplicities are read from
-    the closed form under it.
+    the report is the arbitration winner; fibonacci-cf's closed form,
+    times that convention's sign, is compared with its oracle for the
+    ex1-dense-transform note.
     """
     if max_n < 12:
         raise ValueError("claim verification needs max_n >= 12")
     runs = _runs(max_n)
     convention, consistent = select_convention(runs)
-    working = convention if convention is not None else DEFAULT_CONVENTION
-    transforms = {name: dense_transform(runs[name].cf, runs[name].max_n, working)
-                  for name in ("fibonacci-cf", "catalan", "aerated-catalan")}
-    fibonacci_agrees = list(transforms["fibonacci-cf"].dense) == runs["fibonacci-cf"].oracle
-    claims = [
-        _claim(row.id, row.location, row.expected,
-               _read(row, runs[row.entry], transforms.get(row.entry)), row.note)
-        for row in _table(max_n, fibonacci_agrees)
-    ]
+    sign = -1 if convention is Convention.AS_PRINTED else 1
+    fibonacci = runs["fibonacci-cf"]
+    fibonacci_agrees = [sign * v for v in fibonacci.closed.dense] == fibonacci.oracle
+    claims = [_claim(row.id, row.location, row.expected, _read(row, runs[row.entry]), row.note)
+              for row in _table(max_n, fibonacci_agrees)]
     claims.extend(_rogers_ramanujan_claims(runs["rogers-ramanujan"].oracle))
     claims.sort(key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))

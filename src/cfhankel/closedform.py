@@ -15,7 +15,8 @@ non-zero a_k and exponents q_k >= 1, one of each per depth.
 
 A fraction of reliable order N (``None``: terminated) fixes h_n only for
 n <= N // 2, since h_n depends on c_0..c_2n; :func:`dense_transform`
-refuses anything past that window.
+refuses anything past that window, and inside it reads only the depths
+whose exponents sum to at most N.
 
 The paper reaches that monomial through a reciprocal ladder
 
@@ -29,8 +30,9 @@ checked against; here the b_k are eliminated.
 Two sign normalizations of that monomial circulate; they differ by a
 global factor of -1.  Nothing here hard-codes a belief about which one is
 right: the default is pinned by arbitrating against the exact determinant
-oracle over the whole built-in catalog (see the catalog module and the
-test suite).
+oracle over the whole built-in catalog, where each entry's one
+sign-corrected transform is tested with each convention's sign (see the
+catalog module and the test suite).
 
 A q-sequence whose alternating sums go negative leaves the scope of the
 construction: :func:`p_sequence` and :func:`dense_transform` refuse a
@@ -40,8 +42,10 @@ none past the depth that overshoots max_n.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction
@@ -135,10 +139,14 @@ def dense_transform(
     h_n is a function of c_0..c_2n, so a fraction of reliable order N,
     which agrees with its series only through x^N, fixes h_n for
     n <= N // 2 and no further: a larger max_n raises
-    OutsideTruncationWindow before any work.  Inside the window every
-    value is right, but a multiplicity counts only the depths extracted:
-    at n = N / 2 for an even N it can fall short of the full fraction's
-    (Catalan through x^8 gives 1 at n = 4, where the fraction has 2).
+    OutsideTruncationWindow before any work.  The pass reads only the
+    trusted depths, those with q_1 + ... + q_m <= N: the terms
+    :func:`cfrac.evaluate` keeps.  Since q_1 + ... + q_m is
+    2 (p_1 + ... + p_(m-1)) + p_m + 1, an untrusted depth inside the
+    window is a p_m = 0 step at n = N / 2, so leaving it out changes no
+    value.  A multiplicity counts only the trusted depths, so at n = N / 2
+    for an even N it can fall short of the full fraction's (Catalan
+    through x^8 gives 1 at n = 4, where the fraction has 2).
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
@@ -148,13 +156,14 @@ def dense_transform(
             f"a fraction reliable through order {order} fixes h_n only for "
             f"n <= {order // 2}, not up to max_n = {max_n}"
         )
+    trusted = len(cf) if order is None else bisect_right(list(accumulate(cf.q)), order)
     p = _p_terms((1, *cf.q))
     next(p)  # p_0 = 1 moves no position
     value: Scalar = Fraction(-1 if convention is Convention.AS_PRINTED else 1)
     prefix: Scalar = Fraction(1)
     profile = [ProfilePoint(0, value, 1)]
     position = 0
-    for m, (ak, pm) in enumerate(zip(cf.a, p), 1):
+    for m, (ak, pm) in enumerate(zip(cf.a[:trusted], p), 1):
         position += pm
         if position > max_n:
             break

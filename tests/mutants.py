@@ -128,6 +128,14 @@ MUTANTS = [
     Mutant("evaluate-packs-linear-at-width-zero", "cfrac.py",
            "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
            killed_by="tests/test_cfrac.py::TestEvaluate::test_rogers_ramanujan_symbolic"),
+    Mutant("as-printed-sign-is-plus", "catalog.py",
+           "(Convention.AS_PRINTED, -1)", "(Convention.AS_PRINTED, 1)",
+           killed_by="tests/test_catalog.py::TestArbitration::"
+                     "test_single_surviving_convention"),
+    Mutant("trusted-cut-one-late", "closedform.py",
+           "accumulate(cf.q)), order)", "accumulate(cf.q)), order + 1)",
+           killed_by="tests/test_closedform.py::TestTruncationWindow::"
+                     "test_a_term_past_the_reliable_order_is_not_counted"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
            equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",

@@ -175,6 +175,19 @@ class TestOneOraclePass:
         verify_claims(12)
         assert calls == {"hankel_transform": 4, "matrix_det": 0}
 
+    def test_each_entry_is_read_by_the_closed_form_once(self, monkeypatch):
+        calls = []
+        original = catalog.dense_transform
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(catalog, "dense_transform", spy)
+        verify_claims(12)
+        assert len(calls) == 4
+        assert {args[2] for args in calls} == {Convention.SIGN_CORRECTED}
+
     def test_the_symbolic_pass_equals_the_routes_it_replaces(self):
         oracle = _runs(12)["rogers-ramanujan"].oracle
         assert oracle[2] == -(GAMMA**4)

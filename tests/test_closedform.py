@@ -336,6 +336,16 @@ class TestDenseTransform:
         assert {n: pt.multiplicity for n, pt in profile.items()} == depths
         assert all(v == 0 for n, v in enumerate(result.dense) if n not in depths)
 
+    @given(ladder_cfractions(RATIONALS | GAMMA_POLYS), st.integers(0, 12))
+    def test_as_printed_is_the_global_negation(self, cf, max_n):
+        # the fact the catalog's arbitration rests on: one sign-corrected
+        # transform gives either convention's by its global sign
+        corrected = dense_transform(cf, max_n, Convention.SIGN_CORRECTED)
+        printed = dense_transform(cf, max_n, Convention.AS_PRINTED)
+        assert printed.dense == tuple(-v for v in corrected.dense)
+        assert printed.profile == tuple(pt._replace(value=-pt.value)
+                                        for pt in corrected.profile)
+
     def test_negative_exponent_propagates(self):
         with pytest.raises(NegativePExponent):
             dense_transform(CFraction((1, 1), (3, 1)), 5)
@@ -392,6 +402,15 @@ class TestTruncationWindow:
         assert dense_transform(self.CF, 4).profile[-1] == (4, 1, 1)
         full = catalog_cfraction("catalan", terms=40)
         assert dense_transform(full, 4).profile[-1] == (4, 1, 2)
+
+    def test_a_term_past_the_reliable_order_is_not_counted(self):
+        # a ninth term -1 x: q_1 + ... + q_9 = 9 > 8, so it cannot reach the
+        # series through x^8, and depth 9, which would land at n = 4 again,
+        # is not trusted
+        plus = CFraction((*self.CF.a, Fraction(-1)), (*self.CF.q, 1), 8)
+        assert evaluate(plus, 8) == evaluate(self.CF, 8)
+        assert dense_transform(plus, 4) == dense_transform(self.CF, 4)
+        assert dense_transform(plus, 4).profile[-1] == (4, 1, 1)
 
     def test_terminated_fraction_has_no_window(self):
         cf = CFraction(self.CF.a, self.CF.q)
