@@ -1,12 +1,10 @@
 """Named example fractions and a verification harness for their recorded
 reference values.
 
-Four classic C-fractions are built here by exact formulas:
-
-* ``catalan``          a_k = -1, q_k = 1 (Catalan generating function),
-* ``aerated-catalan``  a_k = -1, q_k = 2 (Catalan numbers spread with zeros),
-* ``fibonacci-cf``     a_k = F_k, q_k = F_k,
-* ``rogers-ramanujan`` a_k = gamma, q_k = k (symbolic unless gamma given).
+Four classic C-fractions are built by exact formulas, one row each of
+``_ENTRIES``: ``catalan`` (the Catalan generating function),
+``aerated-catalan`` (the Catalan numbers spread with zeros),
+``fibonacci-cf`` and ``rogers-ramanujan`` (symbolic unless gamma given).
 
 Each entry carries the values recorded for it in the literature: dense
 Hankel transforms, index sequences, multiplicities, symbolic monomials and
@@ -16,28 +14,29 @@ refuted.  Refuted claims stay in the report: the harness is also an
 errata record.
 
 Each entry is expanded, eliminated by the determinant oracle
-(rogers-ramanujan symbolically) and read by the closed form once.  Most
-claims are rows of one table: an entry, a reading of its run and the
-expected value, judged by one loop that cuts the reading to the expected
-length.  A reading is a prefix of the oracle's h or of the series, the
-ladder exponents :func:`p_sequence`, their partial sums m_j, the value at
-each depth j, which is the oracle's h at position m_j - 1, or the closed
-form's multiplicities: every judged value is the oracle's.  The symbolic
-Rogers-Ramanujan monomials and the exponent generating function stay as
-code, since they build notes.
+(rogers-ramanujan symbolically) and read by the closed form once.  Every
+claim is a row of one table: an entry, a reading of its run and the
+expected value, judged by one loop.  A reading cuts what it reads to the
+expected length: a prefix of the oracle's h or of the series, the ladder
+exponents :func:`p_sequence`, their partial sums m_j, the value at each
+depth j, which is the oracle's h at position m_j - 1, or its gamma
+exponent, the closed form's multiplicities, or the expansion of the
+quoted exponent generating function.  Every judged value is the
+oracle's.  A reading may build its row's note: a quoted monomial's row
+gives its position and both values at gamma = 2.
 
 The sign convention shipped as the package default is not trusted to a
-constant: the two conventions differ by one global factor -1, and
-:func:`select_convention` keeps the convention whose sign, times each
-run's sign-corrected closed form, gives that run's oracle over the whole
-catalog; the report records its outcome.
+constant: the two conventions differ by the global factor
+:attr:`Convention.sign`, and :func:`select_convention` keeps the
+convention whose sign, times each run's sign-corrected closed form, gives
+that run's oracle over the whole catalog; the report records its outcome.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cfrac import CFraction, evaluate
 from .closedform import Convention, DenseTransform, dense_transform, p_sequence
@@ -48,6 +47,7 @@ from .exact import (
     _quotient_coeffs,
     as_scalar,
     scalar_eval_gamma,
+    scalar_from_json,
     scalar_to_json,
     series,
 )
@@ -55,9 +55,6 @@ from .exact import (
 
 class ZeroConstantDenominator(DomainError):
     """A rational generating function needs denominator(0) != 0."""
-
-
-CATALOG_NAMES = ("catalan", "aerated-catalan", "fibonacci-cf", "rogers-ramanujan")
 
 
 def fibonacci_numbers(count: int) -> list[int]:
@@ -76,28 +73,28 @@ def catalan_numbers(count: int) -> list[Fraction]:
     return out[:count]
 
 
+# name -> (terms, gamma) -> (a_1..a_terms, q_1..q_terms)
+_ENTRIES: dict[str, Callable[[int, Scalar], tuple[Sequence, Sequence]]] = {
+    "catalan": lambda terms, _: ([Fraction(-1)] * terms, [1] * terms),
+    "aerated-catalan": lambda terms, _: ([Fraction(-1)] * terms, [2] * terms),
+    "fibonacci-cf": lambda terms, _: (fibonacci_numbers(terms + 1)[1:],) * 2,
+    "rogers-ramanujan": lambda terms, gamma: ([gamma] * terms, range(1, terms + 1)),
+}
+CATALOG_NAMES = tuple(_ENTRIES)
+
+
 def catalog_cfraction(name: str, gamma=None, terms: int = 8) -> CFraction:
     """The exact (a, q) data of a named entry, cut to ``terms`` quotients."""
     if terms < 1:
         raise ValueError("an entry needs at least one partial quotient")
     if name != "rogers-ramanujan" and gamma is not None:
         raise ValueError(f"{name} takes no gamma parameter")
-    if name == "catalan":
-        return CFraction((Fraction(-1),) * terms, (1,) * terms)
-    if name == "aerated-catalan":
-        return CFraction((Fraction(-1),) * terms, (2,) * terms)
-    if name == "fibonacci-cf":
-        fib = fibonacci_numbers(terms + 1)
-        return CFraction(tuple(Fraction(v) for v in fib[1:]), tuple(fib[1:]))
-    if name == "rogers-ramanujan":
-        if gamma is None:
-            coefficient: Scalar = GAMMA
-        else:
-            coefficient = as_scalar(gamma)
-            if coefficient == 0:
-                raise ValueError("rogers-ramanujan needs a nonzero gamma")
-        return CFraction((coefficient,) * terms, tuple(range(1, terms + 1)))
-    raise ValueError(f"no catalog entry named {name!r}")
+    if name not in _ENTRIES:
+        raise ValueError(f"no catalog entry named {name!r}")
+    coefficient = GAMMA if gamma is None else as_scalar(gamma)
+    if coefficient == 0:
+        raise ValueError("rogers-ramanujan needs a nonzero gamma")
+    return CFraction(*_ENTRIES[name](terms, coefficient))
 
 
 def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Scalar]:
@@ -140,9 +137,7 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-class _Run(NamedTuple):  # one entry: its series c_0..c_2max_n and h_0..h_max_n
-    cf: CFraction
-    max_n: int
+class _Run(NamedTuple):  # one entry: its series c_0..c_2n and h_0..h_n
     series: tuple[Scalar, ...]
     oracle: list[Scalar]
     closed: DenseTransform  # sign-corrected
@@ -166,54 +161,56 @@ def _runs(max_n: int) -> dict[str, _Run]:
                            ("fibonacci-cf", 8, max_n), ("rogers-ramanujan", 10, 8)):
         cf = catalog_cfraction(name, terms=terms)
         coeffs = evaluate(cf, 2 * n).coeffs
-        runs[name] = _Run(cf, n, coeffs, hankel_transform(coeffs, n),
+        runs[name] = _Run(coeffs, hankel_transform(coeffs, n),
                           dense_transform(cf, n, Convention.SIGN_CORRECTED))
     return runs
+
+
+def _agrees(run: _Run, convention: Convention) -> bool:
+    """Whether the run's closed form, times the convention's sign, is its oracle."""
+    return [convention.sign * v for v in run.closed.dense] == run.oracle
 
 
 def select_convention(runs: dict[str, _Run]) -> tuple[Convention | None, bool]:
     """Pick the sign convention mechanically: the one under which the
     closed form equals the determinant oracle on every entry of ``runs``,
     the catalog runs ``_runs(max_n)`` that :func:`verify_claims` judges.
-    The conventions differ by one global factor -1, so each run's one
-    sign-corrected transform is tested with each convention's sign.
 
     Returns (convention, consistent).  ``consistent`` is False when no
     single convention (or more than one) survives, which the caller must
     surface prominently.
     """
-    surviving = [
-        c for c, sign in ((Convention.SIGN_CORRECTED, 1), (Convention.AS_PRINTED, -1))
-        if all([sign * v for v in r.closed.dense] == r.oracle for r in runs.values())
-    ]
+    surviving = [c for c in Convention if all(_agrees(r, c) for r in runs.values())]
     if len(surviving) == 1:
         return surviving[0], True
     return (surviving[0] if surviving else None), False
 
 
-def _claim(cid, location, expected, computed, note="") -> Claim:
-    verdict = "confirmed" if expected == computed else "refuted"
-    return Claim(cid, location, expected, computed, verdict, note)
+def _ladder(name: str, count: int) -> list[int]:
+    """p_0..p_(count-1) of an entry: the ladder exponents of its first
+    count - 1 partial quotients, whose partial sums are m_0..m_(count-1)."""
+    return p_sequence((1, *catalog_cfraction(name, terms=count - 1).q))
 
 
-def _index_sums(name: str, count: int) -> list[int]:
-    """m_0..m_(count-1) of an entry: the partial sums of the ladder
-    exponents of its first count - 1 partial quotients."""
-    return list(accumulate(p_sequence((1, *catalog_cfraction(name, terms=count - 1).q))))
+def _positions(name: str, count: int) -> list[int]:
+    """Where depths 0..count-1 of an entry land: h at position m_j - 1."""
+    return [m - 1 for m in accumulate(_ladder(name, count))]
 
 
-class _Row(NamedTuple):  # a claim read off one entry's run
+class _Row(NamedTuple):  # a claim: a reading of one entry's run and its expected value
     id: str
     location: str
     entry: str
-    reading: str
+    reading: str  # a key of _READINGS
     expected: object
     note: str = ""
+    depth: int = 0  # the depth a "depth value" row reads
 
 
 def _table(max_n: int, fibonacci_agrees: bool) -> list[_Row]:
-    """Every claim that reads a slice of an entry's run."""
-    catalan = [str(c) for c in catalan_numbers(7)]
+    """Every recorded claim."""
+    catalan = [str(c) for c in catalan_numbers(13)]
+    quoted = {2: -(GAMMA**6), 3: GAMMA**12, 4: GAMMA**32, 5: GAMMA**52}  # depth: monomial
     return [
         _Row("ex1-dense-transform", "example 1", "fibonacci-cf", "oracle",
              ["1", "1", "-2", "0", "72", "0", "0", "1944000", "0", "0", "0", "0",
@@ -227,8 +224,7 @@ def _table(max_n: int, fibonacci_agrees: bool) -> list[_Row]:
         _Row("ex1-index-sequence", "example 1", "fibonacci-cf", "index sums",
              fibonacci_numbers(max_n + 2)[1:]),
         _Row("ex2-hankel-all-ones", "introduction", "catalan", "oracle", ["1"] * 7),
-        _Row("ex2-series-is-catalan", "example 2", "catalan", "series",
-             [str(c) for c in catalan_numbers(13)]),
+        _Row("ex2-series-is-catalan", "example 2", "catalan", "series", catalan),
         _Row("ex2-index-multiset", "example 2", "catalan", "index sums",
              [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),
         _Row("ex2-multiplicity", "example 2", "catalan", "multiplicities", [2] * 7),
@@ -242,71 +238,60 @@ def _table(max_n: int, fibonacci_agrees: bool) -> list[_Row]:
              [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6]),
         _Row("ex4-index-partial-sums", "example 4", "rogers-ramanujan", "index sums",
              [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31]),
+        *(_Row(f"ex4-value-depth-{depth}", "example 4", "rogers-ramanujan", "depth value",
+               scalar_to_json(value), depth=depth) for depth, value in quoted.items()),
+        _Row("ex4-exponent-sequence", "example 4", "rogers-ramanujan", "depth exponents",
+             [0, 0, 6, 12, 32, 52],
+             "gamma exponents of the oracle values at positions 2, 3, 6 and 8"),
+        _Row("ex4-exponent-gf-pair", "example 4", "rogers-ramanujan", "quoted exponent gf",
+             [0, 0, 6, 12, 32, 52, 94],
+             "the quoted generating function against the quoted exponent "
+             "sequence; the sequence itself matches numerator 2x^2(x^2+3)"),
     ]
 
 
-def _read(row: _Row, run: _Run) -> object:
-    """The computed side of a row: its reading of the entry's run, cut to
-    the expected length."""
-    count = len(row.expected)
-    if row.reading == "oracle":
-        return [scalar_to_json(v) for v in run.oracle[:count]]
-    if row.reading == "series":
-        return [scalar_to_json(v) for v in run.series[:count]]
-    if row.reading == "index sums":
-        return _index_sums(row.entry, count)
-    if row.reading == "depth values":  # depth j's value is h at position m_j - 1
-        return [scalar_to_json(run.oracle[m - 1]) for m in _index_sums(row.entry, count)]
-    if row.reading == "p-sequence":
-        return p_sequence((1, *catalog_cfraction(row.entry, terms=count - 1).q))
-    if row.reading == "multiplicities":
-        return [pt.multiplicity for pt in run.closed.profile[:count]]
-    # repeated positions
-    return {str(pt.n): pt.multiplicity for pt in run.closed.profile if pt.multiplicity > 1}
+def _depth_value(row: _Row, run: _Run, count: int) -> tuple[object, str]:
+    n = _positions(row.entry, row.depth + 1)[-1]
+    # gamma = 1 cannot separate powers, so the note evaluates at gamma = 2
+    value = run.oracle[n]
+    quoted, oracle = (scalar_eval_gamma(v, 2) for v in (scalar_from_json(row.expected), value))
+    return scalar_to_json(value), (
+        f"position {n}; at gamma=2 quoted gives {quoted}, the oracle gives {oracle}")
 
 
-def _rogers_ramanujan_claims(oracle: list[Scalar]) -> list[Claim]:
-    index = _index_sums("rogers-ramanujan", 6)
-    claims = []
-    # depth j lands at position m_j - 1: 2, 3, 6 and 8 for depths 2..5;
-    # gamma = 1 cannot separate powers, so the notes evaluate at gamma = 2
-    degrees = []
-    for depth, quoted in {2: -(GAMMA**6), 3: GAMMA**12, 4: GAMMA**32, 5: GAMMA**52}.items():
-        n = index[depth] - 1
-        degrees.append(oracle[n].degree)
-        claims.append(
-            _claim(
-                f"ex4-value-depth-{depth}",
-                "example 4",
-                scalar_to_json(quoted),
-                scalar_to_json(oracle[n]),
-                note=f"position {n}; at gamma=2 quoted gives "
-                f"{scalar_eval_gamma(quoted, 2)}, the oracle gives "
-                f"{scalar_eval_gamma(oracle[n], 2)}",
-            )
-        )
-    quoted_gf = expand_rational_gf(
-        [0, 0, 6, 0, 0, 2],  # 2x^2 (x^3 + 3)
-        [1, -2, -1, 4, -1, -2, 1],  # (1 + x)^2 (1 - x)^4
-        7,
-    )
-    return claims + [
-        _claim(
-            "ex4-exponent-gf-pair",
-            "example 4",
-            [0, 0, 6, 12, 32, 52, 94],
-            [int(v) for v in quoted_gf],
-            note="the quoted generating function against the quoted exponent "
-            "sequence; the sequence itself matches numerator 2x^2(x^2+3)",
-        ),
-        _claim(
-            "ex4-exponent-sequence",
-            "example 4",
-            [0, 0, 6, 12, 32, 52],
-            [0, 0] + degrees,
-            note="gamma exponents of the oracle values at positions 2, 3, 6 and 8",
-        ),
-    ]
+def _plain(read: Callable[[_Row, _Run, int], object]):  # a reading that keeps the row's note
+    return lambda row, run, count: (read(row, run, count), row.note)
+
+
+# reading -> (row, run, count) -> (computed side, note): what the reading
+# reads of the entry's run, cut to the expected length count
+_READINGS: dict[str, Callable[[_Row, _Run, int], tuple[object, str]]] = {
+    "oracle": _plain(lambda row, run, count: [scalar_to_json(v) for v in run.oracle[:count]]),
+    "series": _plain(lambda row, run, count: [scalar_to_json(v) for v in run.series[:count]]),
+    "p-sequence": _plain(lambda row, run, count: _ladder(row.entry, count)),
+    "index sums": _plain(lambda row, run, count: list(accumulate(_ladder(row.entry, count)))),
+    "depth values": _plain(lambda row, run, count: [
+        scalar_to_json(run.oracle[n]) for n in _positions(row.entry, count)]),
+    # each value is a monomial; a constant is a Fraction, of degree 0
+    "depth exponents": _plain(lambda row, run, count: [
+        getattr(run.oracle[n], "degree", 0) for n in _positions(row.entry, count)]),
+    "depth value": _depth_value,
+    "multiplicities": _plain(lambda row, run, count: [
+        pt.multiplicity for pt in run.closed.profile[:count]]),
+    "repeated positions": _plain(lambda row, run, count: {
+        str(pt.n): pt.multiplicity for pt in run.closed.profile if pt.multiplicity > 1}),
+    # 2x^2 (x^3 + 3) / ((1 + x)^2 (1 - x)^4)
+    "quoted exponent gf": _plain(lambda row, run, count: [int(v) for v in expand_rational_gf(
+        [0, 0, 6, 0, 0, 2], [1, -2, -1, 4, -1, -2, 1], count)]),
+}
+
+
+def _judge(row: _Row, run: _Run) -> Claim:
+    """A row's claim, its computed side read off the entry's run; an
+    unknown reading raises KeyError."""
+    computed, note = _READINGS[row.reading](row, run, len(row.expected))
+    verdict = "confirmed" if row.expected == computed else "refuted"
+    return Claim(row.id, row.location, row.expected, computed, verdict, note)
 
 
 def verify_claims(max_n: int = 12) -> VerificationReport:
@@ -314,18 +299,14 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
 
     ``max_n`` must cover the longest dense claim (12).  The convention in
     the report is the arbitration winner; fibonacci-cf's closed form,
-    times that convention's sign, is compared with its oracle for the
-    ex1-dense-transform note.
+    times that convention's sign (sign-corrected's when none wins), is
+    compared with its oracle for the ex1-dense-transform note.
     """
     if max_n < 12:
         raise ValueError("claim verification needs max_n >= 12")
     runs = _runs(max_n)
     convention, consistent = select_convention(runs)
-    sign = -1 if convention is Convention.AS_PRINTED else 1
-    fibonacci = runs["fibonacci-cf"]
-    fibonacci_agrees = [sign * v for v in fibonacci.closed.dense] == fibonacci.oracle
-    claims = [_claim(row.id, row.location, row.expected, _read(row, runs[row.entry]), row.note)
-              for row in _table(max_n, fibonacci_agrees)]
-    claims.extend(_rogers_ramanujan_claims(runs["rogers-ramanujan"].oracle))
-    claims.sort(key=lambda c: c.id)
+    fibonacci_agrees = _agrees(runs["fibonacci-cf"], convention or Convention.SIGN_CORRECTED)
+    claims = sorted((_judge(row, runs[row.entry]) for row in _table(max_n, fibonacci_agrees)),
+                    key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))

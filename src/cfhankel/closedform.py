@@ -15,8 +15,8 @@ non-zero a_k and exponents q_k >= 1, one of each per depth.
 
 A fraction of reliable order N (``None``: terminated) fixes h_n only for
 n <= N // 2, since h_n depends on c_0..c_2n; :func:`dense_transform`
-refuses anything past that window, and inside it reads only the depths
-whose exponents sum to at most N.
+refuses anything past that window, and at an even N it gives the point
+at n = N / 2 the multiplicity ``None``, since the input does not fix it.
 
 The paper reaches that monomial through a reciprocal ladder
 
@@ -27,11 +27,10 @@ value as a product of powers of the b_k.  That literal formula is kept in
 the tests (``tests/crosscheck.py``) as the reference the monomial form is
 checked against; here the b_k are eliminated.
 
-Two sign normalizations of that monomial circulate; they differ by a
-global factor of -1.  Nothing here hard-codes a belief about which one is
-right: the default is pinned by arbitrating against the exact determinant
-oracle over the whole built-in catalog, where each entry's one
-sign-corrected transform is tested with each convention's sign (see the
+Two sign normalizations of that monomial circulate; they differ by the
+global factor :attr:`Convention.sign`.  Nothing here hard-codes a belief
+about which one is right: the default is pinned by arbitrating against
+the exact determinant oracle over the whole built-in catalog (see the
 catalog module and the test suite).
 
 A q-sequence whose alternating sums go negative leaves the scope of the
@@ -42,10 +41,8 @@ none past the depth that overshoots max_n.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from itertools import accumulate
 from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction
@@ -77,6 +74,10 @@ class Convention(str, Enum):
 
     AS_PRINTED = "as-printed"
     SIGN_CORRECTED = "sign-corrected"
+
+    @property
+    def sign(self) -> int:  # the global factor of the monomial
+        return -1 if self is Convention.AS_PRINTED else 1
 
 
 DEFAULT_CONVENTION = Convention.SIGN_CORRECTED
@@ -110,7 +111,7 @@ def p_sequence(qtilde: Sequence[int]) -> list[int]:
 class ProfilePoint(NamedTuple):
     n: int
     value: Scalar
-    multiplicity: int
+    multiplicity: int | None  # None: not fixed by the input
 
 
 class DenseTransform(NamedTuple):
@@ -139,14 +140,15 @@ def dense_transform(
     h_n is a function of c_0..c_2n, so a fraction of reliable order N,
     which agrees with its series only through x^N, fixes h_n for
     n <= N // 2 and no further: a larger max_n raises
-    OutsideTruncationWindow before any work.  The pass reads only the
-    trusted depths, those with q_1 + ... + q_m <= N: the terms
-    :func:`cfrac.evaluate` keeps.  Since q_1 + ... + q_m is
-    2 (p_1 + ... + p_(m-1)) + p_m + 1, an untrusted depth inside the
-    window is a p_m = 0 step at n = N / 2, so leaving it out changes no
-    value.  A multiplicity counts only the trusted depths, so at n = N / 2
-    for an even N it can fall short of the full fraction's (Catalan
-    through x^8 gives 1 at n = 4, where the fraction has 2).
+    OutsideTruncationWindow before any work.  Inside the window, depths
+    past the trusted ones (q_1 + ... + q_m > N) change at most one
+    multiplicity.  As q_k = p_(k-1) + p_k, q_1 + ... + q_m = 1 + 2P + p_m,
+    where P = p_1 + ... + p_(m-1) <= N / 2 is where depth m - 1 lies.  So
+    an untrusted depth has p_m >= N - 2P >= 0, raising nothing, and lands
+    at P + p_m >= N - P >= N / 2: inside the window only as a p_m = 0 step
+    at n = N / 2, N even.  The input cannot fix whether that step exists,
+    so that point's multiplicity is None (the Catalan series through x^8
+    starts fractions with 1 and with 2 depths at n = 4).
     """
     if max_n < 0:
         raise ValueError("max_n must be non-negative")
@@ -156,14 +158,13 @@ def dense_transform(
             f"a fraction reliable through order {order} fixes h_n only for "
             f"n <= {order // 2}, not up to max_n = {max_n}"
         )
-    trusted = len(cf) if order is None else bisect_right(list(accumulate(cf.q)), order)
     p = _p_terms((1, *cf.q))
     next(p)  # p_0 = 1 moves no position
-    value: Scalar = Fraction(-1 if convention is Convention.AS_PRINTED else 1)
+    value: Scalar = Fraction(convention.sign)
     prefix: Scalar = Fraction(1)
     profile = [ProfilePoint(0, value, 1)]
     position = 0
-    for m, (ak, pm) in enumerate(zip(cf.a[:trusted], p), 1):
+    for m, (ak, pm) in enumerate(zip(cf.a, p), 1):
         position += pm
         if position > max_n:
             break
@@ -175,6 +176,8 @@ def dense_transform(
         if (pm * (pm + 1) // 2 + (m - 1) * pm) % 2:
             value = -value
         profile.append(ProfilePoint(position, value, 1))
+    if order is not None and 2 * profile[-1].n == order:
+        profile[-1] = profile[-1]._replace(multiplicity=None)
     dense: list[Scalar] = [Fraction(0)] * (max_n + 1)
     for pt in profile:
         dense[pt.n] = pt.value

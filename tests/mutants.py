@@ -90,14 +90,14 @@ MUTANTS = [
            'int_from_json(e, "exponent") for e in q', "e for e in q",
            killed_by="tests/test_values.py::test_construction_still_validates"),
     Mutant("value-at-partial-sum", "catalog.py",
-           "n = index[depth] - 1", "n = index[depth]",
+           "row.depth + 1)[-1]", "row.depth + 1)[-1] + 1",
            killed_by="tests/test_catalog.py::TestVerifyClaims::"
                      "test_tail_values_are_the_symbolic_oracle"),
     Mutant("depth-value-at-partial-sum", "catalog.py",
-           "run.oracle[m - 1]", "run.oracle[m]",
+           "[m - 1 for m in", "[m for m in",
            killed_by="tests/test_catalog.py::TestVerifyClaims::test_confirmed_claims"),
     Mutant("index-sums-one-term-long", "catalog.py",
-           "terms=count - 1).q)))", "terms=count).q)))",
+           "terms=count - 1).q)", "terms=count).q)",
            killed_by="tests/test_catalog.py::TestVerifyClaims::test_confirmed_claims"),
     Mutant("reader-takes-prefixes", "cli.py", "option = named.get(token)",
            "option = next((o for n, o in named.items() if n.startswith(token)), None)",
@@ -128,14 +128,21 @@ MUTANTS = [
     Mutant("evaluate-packs-linear-at-width-zero", "cfrac.py",
            "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
            killed_by="tests/test_cfrac.py::TestEvaluate::test_rogers_ramanujan_symbolic"),
-    Mutant("as-printed-sign-is-plus", "catalog.py",
-           "(Convention.AS_PRINTED, -1)", "(Convention.AS_PRINTED, 1)",
+    Mutant("as-printed-sign-is-plus", "closedform.py",
+           "return -1 if self is", "return 1 if self is",
            killed_by="tests/test_catalog.py::TestArbitration::"
                      "test_single_surviving_convention"),
-    Mutant("trusted-cut-one-late", "closedform.py",
-           "accumulate(cf.q)), order)", "accumulate(cf.q)), order + 1)",
+    Mutant("edge-undetermined-at-odd-order", "closedform.py",
+           "2 * profile[-1].n == order", "profile[-1].n == order // 2",
            killed_by="tests/test_closedform.py::TestTruncationWindow::"
-                     "test_a_term_past_the_reliable_order_is_not_counted"),
+                     "test_only_the_even_window_edge_is_undetermined"),
+    Mutant("series-order-default-one-long", "exact.py",
+           '"order", len(coeffs) - 1)', '"order", len(coeffs) + 1)',
+           killed_by="tests/test_exact.py::TestSeries::test_json_order_is_optional"),
+    Mutant("zero-exponent-accepted", "closedform.py",
+           "any(v < 1 for v in q[1:])", "any(v < 0 for v in q[1:])",
+           killed_by="tests/test_closedform.py::TestPSequence::"
+                     "test_zero_exponent_after_a_zero_step_is_refused"),
     Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
            equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",

@@ -45,6 +45,9 @@ class TestHelpers:
 
 
 class TestConstructors:
+    def test_names_are_the_entries_in_order(self):
+        assert CATALOG_NAMES == ("catalan", "aerated-catalan", "fibonacci-cf", "rogers-ramanujan")
+
     def test_fibonacci_entry(self):
         cf = catalog_cfraction("fibonacci-cf", terms=5)
         assert cf.a == (1, 1, 2, 3, 5)
@@ -55,10 +58,24 @@ class TestConstructors:
         assert cf.a == (-1, -1, -1, -1)
         assert cf.q == (1, 1, 1, 1)
 
+    def test_aerated_catalan_entry(self):
+        cf = catalog_cfraction("aerated-catalan", terms=4)
+        assert cf.a == (-1, -1, -1, -1)
+        assert cf.q == (2, 2, 2, 2)
+
     def test_rogers_ramanujan_symbolic(self):
         cf = catalog_cfraction("rogers-ramanujan", terms=4)
         assert cf.a == (GAMMA,) * 4
         assert cf.q == (1, 2, 3, 4)
+
+    def test_refusal_order(self):
+        # --terms 0 first, then a stray --gamma, then an unknown name
+        with pytest.raises(ValueError, match="at least one partial quotient"):
+            catalog_cfraction("motzkin", gamma=2, terms=0)
+        with pytest.raises(ValueError, match="motzkin takes no gamma parameter"):
+            catalog_cfraction("motzkin", gamma=2, terms=1)
+        with pytest.raises(ValueError, match="no catalog entry named 'motzkin'"):
+            catalog_cfraction("motzkin", terms=1)
 
     def test_rogers_ramanujan_numeric(self):
         cf = catalog_cfraction("rogers-ramanujan", gamma=Fraction(1, 2), terms=3)
@@ -237,6 +254,11 @@ class TestVerifyClaims:
             "ex4-index-partial-sums",
         ):
             assert verdicts[cid] == "confirmed", cid
+
+    def test_a_row_with_an_unknown_reading_raises(self):
+        row = catalog._Row("ex9", "example 9", "catalan", "no such reading", [1])
+        with pytest.raises(KeyError, match="no such reading"):
+            catalog._judge(row, _runs(12)["catalan"])
 
     def test_refuted_depth_2_value(self, report):
         claim = next(c for c in report.claims if c.id == "ex4-value-depth-2")

@@ -91,6 +91,12 @@ class TestPSequence:
             p_sequence([1, 3, 1])
         assert info.value.index == 2
 
+    def test_zero_exponent_after_a_zero_step_is_refused(self):
+        # p_1 = 0, so a zero q_2 would give p_2 = 0 and no negative p to
+        # stop it; the exponent check itself must
+        with pytest.raises(ValueError, match="exponents must be positive integers"):
+            p_sequence([1, 1, 0])
+
     def test_leading_entry_must_be_one(self):
         with pytest.raises(ValueError):
             p_sequence([2, 1, 1])
@@ -396,21 +402,66 @@ class TestTruncationWindow:
         with pytest.raises(OutsideTruncationWindow, match=r"order 8 .* n <= 4"):
             dense_transform(self.CF, max_n)
 
-    def test_multiplicity_at_the_window_edge_counts_the_extracted_depths(self):
-        # h_4 = 1 either way, but of the depths that reach n = 4 the eight
-        # extracted terms hold one, where the full fraction has two
-        assert dense_transform(self.CF, 4).profile[-1] == (4, 1, 1)
+    def test_multiplicity_at_the_window_edge_is_undetermined(self):
+        # h_4 = 1, but the series through x^8 starts fractions with two
+        # depths at n = 4 (the Catalan fraction) and with one (a ninth
+        # term -1 x^2 lands depth 9 at n = 5), so n = 4 reads None
+        assert dense_transform(self.CF, 4).profile[-1] == (4, 1, None)
         full = catalog_cfraction("catalan", terms=40)
         assert dense_transform(full, 4).profile[-1] == (4, 1, 2)
+        one = CFraction((*self.CF.a, Fraction(-1)), (*self.CF.q, 2))
+        assert evaluate(one, 8) == evaluate(full, 8)
+        assert dense_transform(one, 4).profile[-1] == (4, 1, 1)
+        # at the odd order 7 both depths at n = 3 sum their exponents to at
+        # most 7, so the edge is fixed
+        assert dense_transform(self.ODD_CF, 3).profile[-1] == (3, 1, 2)
 
     def test_a_term_past_the_reliable_order_is_not_counted(self):
         # a ninth term -1 x: q_1 + ... + q_9 = 9 > 8, so it cannot reach the
-        # series through x^8, and depth 9, which would land at n = 4 again,
-        # is not trusted
+        # series through x^8; depth 9 lands at n = 4 again, where the
+        # multiplicity is undetermined either way
         plus = CFraction((*self.CF.a, Fraction(-1)), (*self.CF.q, 1), 8)
         assert evaluate(plus, 8) == evaluate(self.CF, 8)
         assert dense_transform(plus, 4) == dense_transform(self.CF, 4)
-        assert dense_transform(plus, 4).profile[-1] == (4, 1, 1)
+        assert dense_transform(plus, 4).profile[-1] == (4, 1, None)
+
+    @given(ladder_cfractions(), st.integers(0, 16), st.integers(0, 8))
+    @example(catalog_cfraction("catalan", terms=12), 7, 3)
+    def test_only_the_even_window_edge_is_undetermined(self, source, order, max_n):
+        # the series of a fraction through x^N, extracted again: each
+        # point equals the full fraction's but n = N / 2 at an even N,
+        # whose multiplicity is None
+        max_n = min(max_n, order // 2)
+        cut = correspond(evaluate(source, order))
+        assert cut.reliable_order == order
+        full, result = dense_transform(source, max_n), dense_transform(cut, max_n)
+        assert result.dense == full.dense
+        edge = [order // 2] if order % 2 == 0 and full.profile[-1].n == order // 2 else []
+        assert [pt.n for pt in result.profile if pt.multiplicity is None] == edge
+        assert result.profile == tuple(pt._replace(multiplicity=None) if pt.n in edge else pt
+                                       for pt in full.profile)
+
+    @given(ladder_cfractions(RATIONALS | GAMMA_POLYS), st.none() | st.integers(0, 24),
+           st.integers(0, 12))
+    def test_every_multiplicity_is_one_two_or_undetermined(self, cf, order, max_n):
+        # a p = 0 step is followed by p >= 1, so no three depths share a point
+        cf = CFraction(cf.a, cf.q, order)
+        max_n = max_n if order is None else min(max_n, order // 2)
+        assert {pt.multiplicity for pt in dense_transform(cf, max_n).profile} <= {1, 2, None}
+
+    @given(ladder_cfractions(), st.integers(0, 16),
+           st.lists(st.tuples(RATIONALS, st.integers(1, 4)), min_size=1, max_size=4),
+           st.integers(0, 8))
+    def test_terms_past_the_reliable_order_change_nothing(self, source, order, extra, max_n):
+        # terms appended to the trusted ones, the first with its exponent
+        # sum past N, leave every result in the window as it was, even
+        # where their ladder exponents would go negative
+        max_n = min(max_n, order // 2)
+        cut = correspond(evaluate(source, order))
+        q = [q for _, q in extra]
+        q[0] += order - sum(cut.q)
+        longer = CFraction((*cut.a, *(a for a, _ in extra)), (*cut.q, *q), order)
+        assert dense_transform(longer, max_n) == dense_transform(cut, max_n)
 
     def test_terminated_fraction_has_no_window(self):
         cf = CFraction(self.CF.a, self.CF.q)

@@ -269,6 +269,11 @@ class TestSeries:
         f = series([Fraction(1), Fraction(-3, 2), GAMMA], 2)
         assert series_from_json(series_to_json(f)) == f
 
+    def test_json_order_is_optional(self):
+        # without "order" every coefficient given is trusted
+        assert series_from_json({"coeffs": ["1", "2", "5"]}) == series([1, 2, 5], 2)
+        assert series_from_json({"coeffs": ["1"]}).order == 0
+
     def test_json_rejects_inconsistent_order(self):
         with pytest.raises(ValueError):
             series_from_json({"coeffs": ["1", "2"], "order": 5})

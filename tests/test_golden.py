@@ -93,7 +93,8 @@ CASES = {
         [("expand", "--series", "-"), ("closed", "--cfraction", "-", "--max-n", "6")],
     ),
     # catalan-8's eight extracted terms and a ninth, -1 x, past the reliable
-    # order 8: q_1 + ... + q_9 = 9, so the ninth depth is not trusted
+    # order 8: q_1 + ... + q_9 = 9, so whether depth 9 doubles n = 4 is not
+    # fixed, and that point's multiplicity is null
     "catalan-8-plus-closed": Case(
         "catalan-8-plus.json", [("closed", "--cfraction", "-", "--max-n", "4")]
     ),
