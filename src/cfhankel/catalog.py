@@ -41,7 +41,6 @@ from typing import Callable, NamedTuple, Sequence
 from .cfrac import CFraction, evaluate
 from .closedform import Convention, DenseTransform, dense_transform, p_sequence
 from .exact import (
-    DomainError,
     GAMMA,
     Scalar,
     _quotient_coeffs,
@@ -51,10 +50,6 @@ from .exact import (
     scalar_to_json,
     series,
 )
-
-
-class ZeroConstantDenominator(DomainError):
-    """A rational generating function needs denominator(0) != 0."""
 
 
 def fibonacci_numbers(count: int) -> list[int]:
@@ -99,14 +94,9 @@ def catalog_cfraction(name: str, gamma=None, terms: int = 8) -> CFraction:
 
 def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Scalar]:
     """First ``count`` Taylor coefficients of numer/denom, exact; both are
-    polynomial coefficient sequences, lowest degree first."""
-    if count < 1:
-        raise ValueError("at least one coefficient must be requested")
-    if not denom or denom[0] == 0:
-        raise ZeroConstantDenominator("denominator must not vanish at 0")
-    ns, ds = series(numer, count - 1).coeffs, series(denom, count - 1).coeffs
-    # a non-constant gamma-polynomial denom[0] raises NonInvertibleScalar here
-    return _quotient_coeffs(ns, ds, 1 / ds[0])
+    polynomial coefficient sequences, lowest degree first, read as series
+    of order count - 1, so a count below 1 is a ValueError."""
+    return _quotient_coeffs(*(series(p, count - 1).coeffs for p in (numer, denom)), count)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,9 @@ from .exact import (
     _pack,
     _quotient_coeffs,
     _unpack_scalar,
+    _width,
     as_scalar,
+    check_json_keys,
     int_from_json,
     list_from_json,
     scalar_from_json,
@@ -126,10 +128,10 @@ def evaluate(cf: CFraction, order: int) -> Series:
     a_k D^q_k, which lies in Z[gamma].  A_n(0) = 1, so the quotient divides
     nowhere, and coefficient k of the result is e_k / D^k for the integer
     e_k it computes.  Every a_k D^q_k is packed into one int at gamma =
-    2**bits (``exact._pack``), with bits 0 when all are constants and else
-    from a 1-norm bound on the e_k.  The integers reach about cap * bits(D)
-    bits, so past ``_SCALED_BITS`` the same recurrence and quotient run on
-    the gcd-reduced Fraction/ParamPoly scalars instead.  Cost: O(cap) ring
+    2**bits (``exact._pack``), bits from ``exact._width`` and a 1-norm
+    bound on the e_k.  The integers reach about cap * bits(D) bits, so past
+    ``_SCALED_BITS`` the same recurrence and quotient run on the
+    gcd-reduced Fraction/ParamPoly scalars instead.  Cost: O(cap) ring
     operations per term, plus one O(cap^2) quotient.
     """
     if order < 0:
@@ -140,25 +142,21 @@ def evaluate(cf: CFraction, order: int) -> Series:
     scale, polys = _clear_denominators(a, q)
     if scale.bit_length() * cap > _SCALED_BITS:
         # series() reads the recurrences' int seeds 0 and 1 as Fractions
-        return series(_quotient_through(cap, *_approximant_coeffs(a, q)))
-    # Every term of A_n = A_{n-1} + a_n x^q_n A_{n-2}, and of B_n, enters with
-    # a + sign.  So by |f + g|_1 <= |f|_1 + |g|_1 and |fg|_1 <= |f|_1 |g|_1,
-    # the same recurrence run on the 1-norms |a_k D^q_k|_1 gives polynomials
-    # A~, B~ whose coefficient j bounds the 1-norm of coefficient j of A_n,
-    # B_n.  With A_n = 1 - R, R(0) = 0, the quotient is B_n (1 + R + R^2 +
-    # ...), and A~ - 1 bounds R the same way, so coefficient k of
-    # B~ (1 + (A~ - 1) + (A~ - 1)^2 + ...) = B~ / (2 - A~) bounds |e_k|_1.
-    # Those coefficients are non-negative integers; their maximum M is below
-    # 2**(bits - 1), so the balanced digits of packed e_k are its
-    # coefficients.  Evaluation at 2**bits is a ring homomorphism, so the
-    # packed recurrence and quotient compute the packed e_k exactly, though
-    # other packed values need not be digit-exact; only the e_k are unpacked.
-    bits = 0
-    if any(len(p) > 1 for p in polys):
-        a_norm, b_norm = _approximant_coeffs([sum(map(abs, p)) for p in polys], q)
-        bound = max(_quotient_through(cap, (1, *(-v for v in a_norm[1:])), b_norm))
-        bits = bound.bit_length() + 1
-    e = _quotient_through(cap, *_approximant_coeffs([_pack(p, bits) for p in polys], q))
+        return series(_quotient_coeffs(*_approximant_coeffs(a, q), cap + 1))
+
+    def bound(norms: list[int]) -> int:
+        # Every term of A_n = A_{n-1} + a_n x^q_n A_{n-2}, and of B_n, enters
+        # with a + sign, so by |f + g|_1 <= |f|_1 + |g|_1 and |fg|_1 <=
+        # |f|_1 |g|_1 the same recurrence run on the 1-norms |a_k D^q_k|_1
+        # gives B~, A~ whose coefficient j bounds the 1-norm of coefficient j
+        # of B_n, A_n.  With A_n = 1 - R, R(0) = 0, the quotient is B_n (1 +
+        # R + R^2 + ...) and A~ - 1 bounds R, so coefficient k of B~ / (2 - A~)
+        # bounds |e_k|_1; only the e_k are unpacked.
+        b_norm, a_norm = _approximant_coeffs(norms, q)
+        return max(_quotient_coeffs(b_norm, (1, *(-v for v in a_norm[1:])), cap + 1))
+
+    bits = _width(polys, bound)
+    e = _quotient_coeffs(*_approximant_coeffs([_pack(p, bits) for p in polys], q), cap + 1)
     return Series(tuple(_unpack_scalar(v, bits, scale**k) for k, v in enumerate(e)))
 
 
@@ -173,13 +171,6 @@ def evaluate(cf: CFraction, order: int) -> Series:
 _SCALED_BITS = 4096
 
 
-def _quotient_through(cap: int, den: tuple, num: tuple) -> list:
-    """Coefficients 0..cap of num/den for polynomials of degree <= cap over
-    a ring where den(0) = 1."""
-    pad = [0] * (cap + 1)
-    return _quotient_coeffs((*num, *pad)[: cap + 1], (*den, *pad)[: cap + 1], 1)
-
-
 def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
     """Coefficients of p + c x^q r over any ring, trailing zeros stripped."""
     out = list(p) + [0] * (q + len(r) - len(p))
@@ -192,7 +183,7 @@ def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
 
 def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:
     """Coefficient tuples (lowest degree first, trailing zeros stripped) of
-    the denominator A_n and numerator B_n of the n-term fraction, over
+    the numerator B_n and denominator A_n of the n-term fraction, over
     whatever ring the a_k lie in: A_0 = B_0 = 1 and, from A_{-1} = 1,
     B_{-1} = 0, A_n = A_{n-1} + a_n x^q_n A_{n-2} and likewise for B."""
     a_prev, b_prev = (1,), ()
@@ -200,7 +191,7 @@ def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:
     for ak, qk in zip(a, q):
         a_cur, a_prev = _add_shifted(a_cur, ak, qk, a_prev), a_cur
         b_cur, b_prev = _add_shifted(b_cur, ak, qk, b_prev), b_cur
-    return a_cur, b_cur
+    return b_cur, a_cur
 
 
 def cfraction_to_json(cf: CFraction) -> dict:
@@ -213,8 +204,7 @@ def cfraction_to_json(cf: CFraction) -> dict:
 
 
 def cfraction_from_json(obj) -> CFraction:
-    if not isinstance(obj, dict) or not {"a", "q", "status"} <= set(obj):
-        raise ValueError("continued-fraction encoding needs 'a', 'q' and 'status'")
+    check_json_keys(obj, {"a", "q", "status"}, set(), "continued-fraction")
     raw = obj["status"]
     if raw == "terminated":
         order = None

@@ -21,19 +21,21 @@ coerces outside input.
 A :class:`Series` is its coefficient tuple, every coefficient trusted, so
 its truncation order is the length minus 1.  There is no type for
 polynomials in x: they are coefficient tuples, lowest degree first, and
-:func:`series` turns one into a Series.  Every operation propagates
-the trusted order pessimistically: a result never claims coefficients the
-operands did not supply.  All values are immutable, so everything here is
-safe to share between threads.
+:func:`series` turns one into a Series.  Every series quotient in the
+package, 1/f included, is the one division ``_quotient_coeffs``, and
+both integer kernels pack at the one width ``_width`` picks.  Every
+operation propagates the trusted order pessimistically: a result never
+claims coefficients the operands did not supply.  All values are
+immutable, so everything here is safe to share between threads.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from math import lcm
-from typing import Iterable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 
 class DomainError(Exception):
@@ -41,7 +43,7 @@ class DomainError(Exception):
 
 
 class ZeroConstantTerm(DomainError):
-    """Reciprocal requested for a series whose constant term is zero."""
+    """A series quotient's divisor has constant term zero."""
 
 
 class NonInvertibleScalar(DomainError):
@@ -90,13 +92,13 @@ class Value:
 # dense coefficient tuples
 
 
-def _dense_mul(xs, ys, n: int) -> list:
-    """Coefficients 0..n-1 of the product of two dense coefficient tuples."""
-    out = [Fraction(0)] * n
-    for i, a in enumerate(xs[:n]):
+def _dense_mul(xs, ys) -> list:
+    """Coefficients of the product of two dense coefficient tuples."""
+    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
         if a == 0:
             continue
-        for k, b in enumerate(ys[: n - i], i):
+        for k, b in enumerate(ys, i):
             out[k] += a * b
     return out
 
@@ -106,10 +108,8 @@ def _dense_mul(xs, ys, n: int) -> list:
 # Evaluation there is a ring homomorphism from Z[gamma] to Z, so sums and
 # products of packed values are the packed sums and products.  Both integer
 # kernels scale their scalars into Z[gamma] (``_clear_denominators``), pack
-# each, run over int and unpack each result (``_unpack_scalar``, which
-# divides the scale out).  The width is 0 when every value is a constant,
-# else bits such that every coefficient of what is unpacked lies in
-# -2**(bits - 1) .. 2**(bits - 1) - 1.
+# each at the one width ``_width`` picks, run over int and unpack each
+# result (``_unpack_scalar``, which divides the scale out).
 
 
 def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
@@ -118,10 +118,18 @@ def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
     first) of values[i] * L**powers[i]; every power defaults to 1."""
     coeffs = [v.coeffs if isinstance(v, ParamPoly) else (v,) for v in values]
     scale = lcm(*(c.denominator for p in coeffs for c in p))
-    if powers is None:
-        return scale, [[c.numerator * (scale // c.denominator) for c in p] for p in coeffs]
     return scale, [[c.numerator * (scale**e // c.denominator) for c in p]
-                   for p, e in zip(coeffs, powers)]
+                   for p, e in zip(coeffs, repeat(1) if powers is None else powers)]
+
+
+def _width(polys: Sequence[Sequence[int]], bound: Callable[[list[int]], int]) -> int:
+    """Packing width of the cleared values ``polys``: 0 when all are constants,
+    else bits(M) + 1, M = bound(their 1-norms) >= 1.  The kernel proves that M
+    bounds the 1-norm of each value it unpacks or tests for zero, so with
+    M < 2**(bits - 1) those values' balanced digits are their coefficients."""
+    if not any(len(p) > 1 for p in polys):
+        return 0
+    return bound([sum(map(abs, p)) for p in polys]).bit_length() + 1
 
 
 def _pack(coeffs: Sequence[int], bits: int) -> int:
@@ -233,8 +241,7 @@ class ParamPoly(Value):
             return ParamPoly(c * other for c in self.coeffs)
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        xs, ys = self.coeffs, other.coeffs
-        return ParamPoly(_dense_mul(xs, ys, len(xs) + len(ys) - 1))
+        return ParamPoly(_dense_mul(self.coeffs, other.coeffs))
 
     __rmul__ = __mul__
 
@@ -340,12 +347,19 @@ def series(values: Iterable, order: int | None = None) -> Series:
     return Series(tuple(cs[: order + 1]))
 
 
-def _quotient_coeffs(ns, ds, inv0) -> list:
-    """Coefficients of num/den from those of num and den, given inv0 = 1/den_0."""
+def _quotient_coeffs(num: Sequence, den: Sequence, count: int) -> list:
+    """Coefficients 0..count-1 of num/den over any ring; num and den read as
+    0 past their ends.  A zero den[0] raises ZeroConstantTerm, den[0] = 1 is
+    its own inverse (int stays int), and 1 / den[0] raises
+    NonInvertibleScalar for a non-constant gamma-polynomial."""
+    if den[0] == 0:
+        raise ZeroConstantTerm("the divisor's constant term is zero")
+    inv0 = den[0] if den[0] == 1 else 1 / den[0]
     out = []
-    for k, acc in enumerate(ns):
-        for j in range(1, k + 1):
-            d = ds[j]
+    for k in range(count):
+        acc = num[k] if k < len(num) else 0
+        for j in range(1, min(k + 1, len(den))):
+            d = den[j]
             if d == 0:
                 continue
             acc = acc - d * out[k - j]
@@ -355,11 +369,7 @@ def _quotient_coeffs(ns, ds, inv0) -> list:
 
 def series_reciprocal(f: Series) -> Series:
     """Multiplicative inverse, exact through the operand's trusted order."""
-    if f.coeffs[0] == 0:
-        raise ZeroConstantTerm("series has no reciprocal: constant term is zero")
-    # a non-constant gamma-polynomial c_0 raises NonInvertibleScalar here
-    one = series([1], f.order).coeffs
-    return Series(tuple(_quotient_coeffs(one, f.coeffs, 1 / f.coeffs[0])))
+    return Series(tuple(_quotient_coeffs((1,), f.coeffs, len(f.coeffs))))
 
 
 # ---------------------------------------------------------------------------
@@ -386,6 +396,15 @@ def list_from_json(obj, what: str) -> list:
     return obj
 
 
+def check_json_keys(obj, required: set[str], optional: set[str], what: str) -> None:
+    """Refuse a non-object, a missing required key and any unknown key."""
+    if not isinstance(obj, dict) or not required <= obj.keys():
+        raise ValueError(f"{what} encoding must be an object with keys {sorted(required)}")
+    unknown = obj.keys() - required - optional
+    if unknown:
+        raise ValueError(f"unknown keys in the {what} encoding: {sorted(unknown)}")
+
+
 def _rational_from_json(obj) -> Fraction:
     try:
         return _coerce_fraction(obj)
@@ -407,8 +426,7 @@ def series_to_json(f: Series) -> dict:
 
 
 def series_from_json(obj) -> Series:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
-        raise ValueError("series encoding must be an object with 'coeffs'")
+    check_json_keys(obj, {"coeffs"}, {"order"}, "series")
     coeffs = [scalar_from_json(c) for c in list_from_json(obj["coeffs"], "series coefficients")]
     order = int_from_json(obj.get("order", len(coeffs) - 1), "series order")
     if len(coeffs) != order + 1:

@@ -12,8 +12,8 @@ over ``int`` with every division checked by ``divmod``: a remainder can
 only mean broken arithmetic.  Its distinct values, the 2n + 1 terms of a
 Hankel matrix or the n**2 entries of any other, have their denominators
 cleared and each is packed once into one integer at gamma = 2**B
-(Kronecker): B is 0 when all are constants, else one width from the full
-matrix fitting every minor.  The result, a ``Fraction`` or ``ParamPoly``,
+(Kronecker), B from ``exact._width`` and a 1-norm bound over the full
+matrix that every minor meets.  The result, a ``Fraction`` or ``ParamPoly``,
 is the reference every closed form here is judged against; the tests
 cross-check it with the cofactor expansion in ``tests/crosscheck.py``.
 """
@@ -31,6 +31,7 @@ from .exact import (
     _clear_denominators,
     _pack,
     _unpack_scalar,
+    _width,
     as_scalar,
 )
 
@@ -55,7 +56,8 @@ def _leading_minors(m: list[list[int]]) -> list[int]:
     # rows taken are 0..k: while the j <= k rows taken lie in 0..k, they are
     # independent on columns 0..j and rows 0..k have rank j + 1 there, so
     # some untaken row <= k extends them to a non-zero minor, and the
-    # smallest-index rule takes a row <= k.  The sign of p_0..p_k counts its
+    # smallest-index rule takes a row <= k; they are 0..k exactly when the
+    # first unused row lies past k.  The sign of p_0..p_k counts its
     # inversions: the positions popped from the ordered unused rows.  With
     # no pivot in column k, every row on columns 0..k lies in the span of
     # the k rows taken, so column k depends on columns 0..k-1 and h_n = 0
@@ -63,18 +65,17 @@ def _leading_minors(m: list[list[int]]) -> list[int]:
     n = len(m)
     unused = list(enumerate(m))
     minors: list[int] = []
-    prev, sign, top = 1, 1, -1
+    prev, sign = 1, 1
     for k in range(n):
-        for pos, (index, pivot_row) in enumerate(unused):
+        for pos, (_, pivot_row) in enumerate(unused):
             if pivot_row[k]:
                 break
         else:
             return minors + [0] * (n - k)
         del unused[pos]
         sign = -sign if pos % 2 else sign
-        top = max(top, index)
         pivot = pivot_row[k]
-        minors.append(sign * pivot if top == k else 0)
+        minors.append(sign * pivot if not unused or unused[0][0] > k else 0)
         for _, row in unused:
             head = row[k]
             for j in range(k + 1, n):
@@ -86,22 +87,14 @@ def _leading_minors(m: list[list[int]]) -> list[int]:
 def _minors(values: Sequence[Scalar], n: int, stride: int) -> list[Scalar]:
     """All leading minors of the n x n matrix (i, j) -> values[i * stride + j].
     Each value is scaled by the lcm L of the denominators and packed once,
-    at width 0 when all are constants, and minor k is unpacked and divided
-    by L**(k + 1)."""
+    and minor k is unpacked and divided by L**(k + 1)."""
     scale, polys = _clear_denominators(values)
-    bits = 0
-    if any(len(p) > 1 for p in polys):
-        # Evaluation at gamma = 2**bits is a ring homomorphism, so the packed
-        # pass computes the packed minors exactly, though pivot*a - head*b
-        # need not be digit-exact.  Only minors of the full matrix, bordered
-        # ones too, are tested for zero or unpacked.  By Leibniz and
-        # |fg|_1 <= |f|_1 |g|_1 each has |.|_1 <= M, the product over all
-        # rows of max(1, row sum of |a_ij|_1), and M < 2**(bits - 1): its
-        # balanced digits are its coefficients, so zero tests and pivots go
-        # as over Z[gamma].
-        norm = [sum(map(abs, p)) for p in polys]
-        bound = prod(max(1, sum(norm[i * stride : i * stride + n])) for i in range(n))
-        bits = bound.bit_length() + 1
+    # Only minors of the full matrix, bordered ones too, are tested for zero
+    # or unpacked.  By Leibniz and |fg|_1 <= |f|_1 |g|_1 each has |.|_1 <= M,
+    # the product over all rows of max(1, row sum of |a_ij|_1), so zero
+    # tests and pivots go as over Z[gamma].
+    bits = _width(polys, lambda norm: prod(max(1, sum(norm[i * stride : i * stride + n]))
+                                           for i in range(n)))
     packed = [_pack(p, bits) for p in polys]
     minors = _leading_minors([packed[i * stride : i * stride + n] for i in range(n)])
     return [_unpack_scalar(d, bits, scale ** (k + 1)) for k, d in enumerate(minors)]

@@ -72,7 +72,7 @@ def series_add(f: Series, g: Series) -> Series:
 def series_mul(f: Series, g: Series) -> Series:
     """Truncated product; the result order is the smaller operand order."""
     n = min(f.order, g.order)
-    return Series(tuple(_dense_mul(f.coeffs, g.coeffs, n + 1)))
+    return Series(tuple(_dense_mul(f.coeffs, g.coeffs)[: n + 1]))
 
 
 def series_eval_gamma(f: Series, point) -> Series:
@@ -93,7 +93,7 @@ def _stripped(coeffs) -> tuple:
 def _poly_mul(xs: tuple, ys: tuple) -> tuple:
     if not xs or not ys:
         return ()
-    return _stripped(_dense_mul(xs, ys, len(xs) + len(ys) - 1))
+    return _stripped(_dense_mul(xs, ys))
 
 
 def _poly_sub(xs: tuple, ys: tuple) -> tuple:
@@ -114,10 +114,10 @@ def determinant_identity_residual(cf: CFraction, n: int) -> tuple:
     if not 1 <= n <= len(cf):
         raise ValueError(f"identity index {n} of a {len(cf)}-term fraction")
 
-    def pair(k: int) -> list[tuple]:  # A_k, B_k
+    def pair(k: int) -> list[tuple]:  # B_k, A_k
         return [tuple(map(as_scalar, p)) for p in _approximant_coeffs(cf.a[:k], cf.q[:k])]
 
-    (cur_a, cur_b), (prev_a, prev_b) = pair(n), pair(n - 1)
+    (cur_b, cur_a), (prev_b, prev_a) = pair(n), pair(n - 1)
     lhs = _poly_sub(_poly_mul(cur_a, prev_b), _poly_mul(prev_a, cur_b))
     coeff: Scalar = Fraction(1) if n % 2 == 1 else Fraction(-1)
     for ak in cf.a[:n]:

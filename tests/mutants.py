@@ -117,17 +117,28 @@ MUTANTS = [
            "_CLOSED_FORM, _run_compare)",
            killed_by="tests/test_golden.py::test_stdout_and_exit_codes_are_recorded_bytes"
                      "[mixed-closed]"),
-    Mutant("oracle-width-one-bit-short", "hankel_oracle.py",
-           "bits = bound.bit_length() + 1", "bits = bound.bit_length()",
+    Mutant("oracle-width-one-bit-short", "exact.py",
+           "p in polys]).bit_length() + 1", "p in polys]).bit_length()",
            killed_by="tests/test_hankel_oracle.py::TestPackedRoute::"
                      "test_a_minor_fills_the_narrowest_digit"),
-    Mutant("oracle-packs-linear-at-width-zero", "hankel_oracle.py",
+    Mutant("linear-packs-at-width-zero", "exact.py",
            "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
            killed_by="tests/test_hankel_oracle.py::TestDeterminants::"
                      "test_bareiss_matches_cofactor_symbolic"),
-    Mutant("evaluate-packs-linear-at-width-zero", "cfrac.py",
-           "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
-           killed_by="tests/test_cfrac.py::TestEvaluate::test_rogers_ramanujan_symbolic"),
+    Mutant("quotient-takes-a-zero-constant", "exact.py", "if den[0] == 0:", "if False:",
+           killed_by="tests/test_exact.py::TestSeries::test_reciprocal_errors"),
+    Mutant("own-inverse-for-any-unit", "exact.py",
+           "den[0] if den[0] == 1 else", "den[0] if den[0] != 0 else",
+           killed_by="tests/test_exact.py::TestSeries::test_constant_reciprocal"),
+    Mutant("divisor-last-coefficient-unread", "exact.py",
+           "min(k + 1, len(den))", "min(k + 1, len(den) - 1)",
+           killed_by="tests/test_exact.py::TestSeries::test_catalan_reciprocal"),
+    Mutant("first-unused-row-at-k", "hankel_oracle.py",
+           "unused[0][0] > k", "unused[0][0] >= k",
+           killed_by="tests/test_hankel_oracle.py::TestTransform::"
+                     "test_swapped_rows_give_no_leading_minor"),
+    Mutant("unknown-json-key-ignored", "exact.py", "if unknown:", "if False:",
+           killed_by="tests/test_cli.py::TestExitCodes::test_unknown_key_is_refused[series]"),
     Mutant("as-printed-sign-is-plus", "closedform.py",
            "return -1 if self is", "return 1 if self is",
            killed_by="tests/test_catalog.py::TestArbitration::"
@@ -143,8 +154,6 @@ MUTANTS = [
            "any(v < 1 for v in q[1:])", "any(v < 0 for v in q[1:])",
            killed_by="tests/test_closedform.py::TestPSequence::"
                      "test_zero_exponent_after_a_zero_step_is_refused"),
-    Mutant("minor-top-row", "hankel_oracle.py", "if top == k else", "if top <= k else",
-           equivalent="after k + 1 rows are taken their largest index is at least k"),
     Mutant("one-or-more-conventions", "catalog.py",
            "len(surviving) == 1", "len(surviving) >= 1",
            equivalent="h_0 is +-1, so the two conventions never both survive"),

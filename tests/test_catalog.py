@@ -8,7 +8,6 @@ from cfhankel import catalog, hankel_oracle
 from cfhankel.catalog import (
     CATALOG_NAMES,
     Claim,
-    ZeroConstantDenominator,
     catalan_numbers,
     catalog_cfraction,
     expand_rational_gf,
@@ -24,6 +23,7 @@ from cfhankel.exact import (
     GAMMA,
     NonInvertibleScalar,
     ParamPoly,
+    ZeroConstantTerm,
     scalar_eval_gamma,
     scalar_to_json,
     series,
@@ -144,8 +144,14 @@ class TestExpandRationalGf:
         assert expand_rational_gf([1], denom, 6) == [1, 1, 2, 2, 3, 3]
 
     def test_zero_constant_denominator(self):
-        with pytest.raises(ZeroConstantDenominator):
+        with pytest.raises(ZeroConstantTerm):
             expand_rational_gf([1], [0, 1], 3)
+        with pytest.raises(ZeroConstantTerm):
+            expand_rational_gf([1], [], 3)
+
+    def test_at_least_one_coefficient(self):
+        with pytest.raises(ValueError, match="order must be non-negative"):
+            expand_rational_gf([1], [1, -1], 0)
 
     def test_non_unit_constant_denominator(self):
         with pytest.raises(NonInvertibleScalar):

@@ -304,20 +304,20 @@ class TestIntegerKernel:
 
 
 class TestApproximants:
-    # _approximant_coeffs(a, q) gives (A_n, B_n) for the n = len(a) terms
+    # _approximant_coeffs(a, q) gives (B_n, A_n) for the n = len(a) terms
     def test_base_cases(self):
         assert _approximant_coeffs((), ()) == ((1,), (1,))
-        assert _approximant_coeffs((Fraction(-1),), (1,)) == ((1, -1), (1,))
+        assert _approximant_coeffs((Fraction(-1),), (1,)) == ((1,), (1, -1))
 
     def test_catalan_second_approximant(self):
-        a_poly, b_poly = _approximant_coeffs((Fraction(-1),) * 2, (1, 1))
+        b_poly, a_poly = _approximant_coeffs((Fraction(-1),) * 2, (1, 1))
         assert a_poly == (1, -2)
         assert b_poly == (1, -1)
 
     def test_cancelling_leading_coefficients(self):
         # A_2 = (1 + x) - x = 1: the cancelled top coefficient is stripped
         cf = CFraction((Fraction(1), Fraction(-1)), (1, 1))
-        assert _approximant_coeffs(cf.a, cf.q) == ((1,), (1, -1))
+        assert _approximant_coeffs(cf.a, cf.q) == ((1, -1), (1,))
         assert evaluate(cf, 3) == series([1, -1, 0, 0], 3)
 
     def test_approximant_quotient_equals_prefix_expansion(self):
@@ -326,7 +326,7 @@ class TestApproximants:
         for _ in range(10):
             cf = rand_cfraction(rng)
             n = rng.randint(0, len(cf))
-            a_poly, b_poly = _approximant_coeffs(cf.a[:n], cf.q[:n])
+            b_poly, a_poly = _approximant_coeffs(cf.a[:n], cf.q[:n])
             quotient = series_mul(
                 series(b_poly, 10), series_reciprocal(series(a_poly, 10))
             )

@@ -232,6 +232,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.startswith("usage error:") and "nested too deeply" in err
 
+    @pytest.mark.parametrize(
+        "argv, blob, key",
+        [
+            (("hankel", "--series", "-", "--max-n", "2"),
+             {"coeffs": ["1", "1", "2", "5", "14"], "ordr": 2}, "ordr"),
+            (("eval", "--cfraction", "-", "--order", "4"),
+             {"a": ["-1", "-1"], "q": [1, 1], "status": "terminated", "truncated": 2},
+             "truncated"),
+        ],
+        ids=["series", "cfraction"],
+    )
+    def test_unknown_key_is_refused(self, capsys, monkeypatch, argv, blob, key):
+        # a misspelled key used to be ignored: all five terms were read, and
+        # the fraction expanded as terminated
+        monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(blob)))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "unknown keys" in err and repr(key) in err
+
     def test_zero_denominator_coefficient(self, capsys, monkeypatch):
         blob = json.dumps({"coeffs": ["1", "1/0", "2"]})
         monkeypatch.setattr("sys.stdin", io.StringIO(blob))

@@ -280,6 +280,8 @@ class TestDenseTransform:
         assert result.dense == (1, 0, 0, 0, 0)
         assert result.profile == (result.profile[0],)
         assert result.profile[0].n == 0 and result.profile[0].multiplicity == 1
+        with pytest.raises(ValueError, match="max_n must be non-negative"):
+            dense_transform(CFraction((), ()), -1)
 
     def test_fibonacci_dense(self):
         result = dense_transform(fibonacci_cfraction(), 12)

@@ -69,6 +69,15 @@ class TestParamPoly:
         assert p - p == 0
         assert 2 * p == ParamPoly((2, 2))
         assert GAMMA**3 == ParamPoly((0, 0, 0, 1))
+        # an operand that is not a number is left to the other type, and
+        # neither handles it
+        for other in ("1", 1.5, None):
+            for apply in (lambda: p + other, lambda: p * other, lambda: p / other,
+                          lambda: other / p):
+                with pytest.raises(TypeError):
+                    apply()
+        with pytest.raises(ValueError, match="requires an integer"):
+            GAMMA**1.5
 
     def test_zero_compares_with_numbers(self):
         assert ParamPoly() == 0
@@ -187,6 +196,8 @@ class TestSeries:
         for empty in (lambda: Series(()), lambda: series([], -1), lambda: series([1, 2, 3], -3)):
             with pytest.raises(ValueError, match="order must be non-negative"):
                 empty()
+        with pytest.raises(ValueError, match="empty series"):
+            series([])
 
     def test_mul_difference_of_squares(self):
         f = series([1, 1], 2)

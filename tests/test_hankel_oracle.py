@@ -53,6 +53,14 @@ class TestMatrixConstruction:
         with pytest.raises(ValueError, match="matrix order must be non-negative"):
             hankel_transform([1, 2, 3], -1)
 
+    def test_determinant_shapes(self):
+        # the empty product, and no determinant of a matrix that is not square
+        assert matrix_det([]) == 1
+        with pytest.raises(ValueError, match="non-square"):
+            matrix_det([[1, 2], [3, 4], [5, 6]])
+        with pytest.raises(ValueError, match="non-square"):
+            matrix_det([[1, 2], [3]])
+
 
 class TestDeterminants:
     def test_rank_one_sequence(self):
