@@ -9,9 +9,9 @@ Four classic C-fractions are built by exact formulas, one row each of
 Each entry carries the values recorded for it in the literature: dense
 Hankel transforms, index sequences, multiplicities, symbolic monomials and
 one rational generating function.  :func:`verify_claims` recomputes every
-one of those values from scratch and reports each claim as confirmed or
-refuted.  Refuted claims stay in the report: the harness is also an
-errata record.
+one of those values from scratch and reports each claim, a :class:`Claim`
+record, as confirmed or refuted.  Refuted claims stay in the report (a
+:class:`VerificationReport`): the harness is also an errata record.
 
 Each entry is expanded, eliminated by the determinant oracle
 (rogers-ramanujan symbolically) and read by the closed form once.  Every
@@ -34,15 +34,16 @@ that run's oracle over the whole catalog; the report records its outcome.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, NamedTuple, Sequence
 
 from .cfrac import CFraction, evaluate
-from .closedform import Convention, DenseTransform, dense_transform, p_sequence
+from .closedform import Convention, dense_transform, p_sequence
 from .exact import (
     GAMMA,
     Scalar,
+    Value,
     _quotient_coeffs,
     as_scalar,
     scalar_eval_gamma,
@@ -103,19 +104,15 @@ def expand_rational_gf(numer: Sequence, denom: Sequence, count: int) -> list[Sca
 # claim verification
 
 
-class Claim(NamedTuple):
-    id: str
-    location: str
-    expected: object
-    computed: object
-    verdict: str  # "confirmed" | "refuted"
-    note: str = ""
+class Claim(Value):  # verdict: "confirmed" | "refuted"
+    __slots__ = ("id", "location", "expected", "computed", "verdict", "note")
+
+    def __init__(self, id, location, expected, computed, verdict, note=""):
+        super().__init__(id, location, expected, computed, verdict, note)
 
 
-class VerificationReport(NamedTuple):
-    convention: Convention | None
-    convention_consistent: bool
-    claims: tuple[Claim, ...]
+class VerificationReport(Value):
+    __slots__ = ("convention", "convention_consistent", "claims")  # convention None: none won
 
 
 def report_to_json(report: VerificationReport) -> dict:
@@ -127,10 +124,8 @@ def report_to_json(report: VerificationReport) -> dict:
     }
 
 
-class _Run(NamedTuple):  # one entry: its series c_0..c_2n and h_0..h_n
-    series: tuple[Scalar, ...]
-    oracle: list[Scalar]
-    closed: DenseTransform  # sign-corrected
+class _Run(Value):  # one entry: its series c_0..c_2n, h_0..h_n and sign-corrected closed form
+    __slots__ = ("series", "oracle", "closed")
 
 
 def _runs(max_n: int) -> dict[str, _Run]:
@@ -187,14 +182,12 @@ def _positions(name: str, count: int) -> list[int]:
     return [m - 1 for m in accumulate(_ladder(name, count))]
 
 
-class _Row(NamedTuple):  # a claim: a reading of one entry's run and its expected value
-    id: str
-    location: str
-    entry: str
-    reading: str  # a key of _READINGS
-    expected: object
-    note: str = ""
-    depth: int = 0  # the depth a "depth value" row reads
+class _Row(Value):  # a claim: a reading of one entry's run and its expected value
+    __slots__ = ("id", "location", "entry", "reading", "expected", "note", "depth")
+
+    def __init__(self, id, location, entry, reading, expected, note="", depth=0):
+        # reading: a key of _READINGS; depth: the depth a "depth value" row reads
+        super().__init__(id, location, entry, reading, expected, note, depth)
 
 
 def _table(max_n: int, fibonacci_agrees: bool) -> list[_Row]:

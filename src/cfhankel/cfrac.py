@@ -43,7 +43,6 @@ from .exact import (
     list_from_json,
     scalar_from_json,
     scalar_to_json,
-    series,
 )
 
 
@@ -73,7 +72,7 @@ class CFraction(Value):
             raise ValueError("exponents must be positive integers")
         if reliable_order is not None and int_from_json(reliable_order, "reliable order") < 0:
             raise ValueError(f"reliable order must be non-negative, got {reliable_order}")
-        self._set(a, q, reliable_order)
+        super().__init__(a, q, reliable_order)
 
     def __len__(self) -> int:
         return len(self.a)
@@ -141,8 +140,7 @@ def evaluate(cf: CFraction, order: int) -> Series:
     a, q = cf.a[:n], cf.q[:n]
     scale, polys = _clear_denominators(a, q)
     if scale.bit_length() * cap > _SCALED_BITS:
-        # series() reads the recurrences' int seeds 0 and 1 as Fractions
-        return series(_quotient_coeffs(*_approximant_coeffs(a, q), cap + 1))
+        return Series(_quotient_coeffs(*_approximant_coeffs(a, q), cap + 1))
 
     def bound(norms: list[int]) -> int:
         # Every term of A_n = A_{n-1} + a_n x^q_n A_{n-2}, and of B_n, enters
@@ -157,7 +155,7 @@ def evaluate(cf: CFraction, order: int) -> Series:
 
     bits = _width(polys, bound)
     e = _quotient_coeffs(*_approximant_coeffs([_pack(p, bits) for p in polys], q), cap + 1)
-    return Series(tuple(_unpack_scalar(v, bits, scale**k) for k, v in enumerate(e)))
+    return Series(_unpack_scalar(v, bits, scale**k) for k, v in enumerate(e))
 
 
 # Past this many bits for cap * bits(D), evaluate leaves int.  A fraction

@@ -34,11 +34,12 @@ import atexit
 import json
 import os
 import sys
+from collections.abc import Callable
 from types import SimpleNamespace
-from typing import Callable, NamedTuple
 
 from .cfrac import cfraction_from_json, cfraction_to_json, correspond, evaluate
-from .exact import DomainError, scalar_from_json, scalar_to_json, series_from_json, series_to_json
+from .exact import (DomainError, Value, scalar_from_json, scalar_to_json, series_from_json,
+                    series_to_json)
 
 # closedform, hankel_oracle and catalog are imported by the runners that use
 # them, and argparse by build_parser, so that a process pays at start-up
@@ -119,14 +120,14 @@ def convention(text: str):
         raise ArgumentTypeError(f"invalid choice: {text!r} (choose from {choices})") from None
 
 
-class Option(NamedTuple):
-    """One argument of a subcommand, as argparse and the direct reader take it."""
+class Option(Value):
+    """One argument of a subcommand, as argparse and the direct reader take it:
+    a name without dashes is positional, and convert None is a flag."""
 
-    name: str  # "--max-n"; a name without dashes is positional
-    convert: Callable[[str], object] | None = str  # None: a flag that takes no value
-    required: bool = False
-    default: object = None
-    help: str | None = None
+    __slots__ = ("name", "convert", "required", "default", "help")
+
+    def __init__(self, name, convert=str, required=False, default=None, help=None):
+        super().__init__(name, convert, required, default, help)
 
     @property
     def dest(self) -> str:

@@ -1,11 +1,12 @@
 """Closed-form Hankel transforms of C-fractions.
 
 :func:`dense_transform` reads the transform of a :class:`CFraction` off
-its exponents and partial numerators alone.  The exponents give the
-alternating sums p_n = q~_n - q~_{n-1} + ... +- q~_0 of the extended
-exponent list q~ = (1, q_1, q_2, ...).  The transform vanishes everywhere
-except at the positions n = p_1 + ... + p_m, where its value is a signed
-monomial in the partial numerators: a_k carries the power
+its exponents and partial numerators alone, as a :class:`DenseTransform`
+record of dense values and :class:`ProfilePoint` records.  The exponents
+give the alternating sums p_n = q~_n - q~_{n-1} + ... +- q~_0 of the
+extended exponent list q~ = (1, q_1, q_2, ...).  The transform vanishes
+everywhere except at the positions n = p_1 + ... + p_m, where its value
+is a signed monomial in the partial numerators: a_k carries the power
 p_k + p_{k+1} + ... + p_m.  Being a monomial, the value stays in Q[gamma]
 for symbolic a_k.  Consecutive depths differ by one power of a prefix
 product, so one linear pass reads every depth; the monomial of one depth
@@ -41,12 +42,12 @@ none past the depth that overshoots max_n.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Sequence
 
 from .cfrac import CFraction
-from .exact import DomainError, Scalar, int_from_json, scalar_to_json
+from .exact import DomainError, Scalar, Value, int_from_json, scalar_to_json
 
 
 class NegativePExponent(DomainError):
@@ -108,16 +109,12 @@ def p_sequence(qtilde: Sequence[int]) -> list[int]:
     return list(_p_terms(qtilde))
 
 
-class ProfilePoint(NamedTuple):
-    n: int
-    value: Scalar
-    multiplicity: int | None  # None: not fixed by the input
+class ProfilePoint(Value):
+    __slots__ = ("n", "value", "multiplicity")  # multiplicity None: not fixed by the input
 
 
-class DenseTransform(NamedTuple):
-    dense: tuple[Scalar, ...]
-    profile: tuple[ProfilePoint, ...]
-    convention: Convention
+class DenseTransform(Value):
+    __slots__ = ("dense", "profile", "convention")  # tuples of scalars and of ProfilePoints
 
 
 def dense_transform(

@@ -18,24 +18,24 @@ degree 0 or less comes out as its constant Fraction, so a ParamPoly is
 never constant and no result needs normalizing.  :func:`as_scalar` only
 coerces outside input.
 
-A :class:`Series` is its coefficient tuple, every coefficient trusted, so
-its truncation order is the length minus 1.  There is no type for
-polynomials in x: they are coefficient tuples, lowest degree first, and
-:func:`series` turns one into a Series.  Every series quotient in the
-package, 1/f included, is the one division ``_quotient_coeffs``, and
-both integer kernels pack at the one width ``_width`` picks.  Every
-operation propagates the trusted order pessimistically: a result never
-claims coefficients the operands did not supply.  All values are
-immutable, so everything here is safe to share between threads.
+A :class:`Series` is its coefficient tuple, each coefficient a scalar
+and trusted, so its order is the length minus 1.  Polynomials in x are
+coefficient tuples, lowest degree first, and :func:`series` turns one
+into a Series.  Every series quotient in the package, 1/f included, is
+the one division ``_quotient_coeffs``, and both integer kernels pack at
+the one width ``_width`` picks.  Every operation propagates the trusted
+order pessimistically: a result never claims coefficients the operands
+did not supply.  Every record of the package is a :class:`Value`:
+immutable, so safe to share between threads, and compared by its fields.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import repeat, zip_longest
 from math import lcm
-from typing import Callable, Iterable, Sequence, Union
 
 
 class DomainError(Exception):
@@ -55,17 +55,26 @@ class InexactDivision(DomainError):
 
 
 class Value:
-    """Immutable value: ``__init__`` sets the fields named by ``__slots__``
-    once, through ``_set``; equality and hashing go by the tuple of fields."""
+    """The package's one record type, immutable: the constructor sets the
+    ``__slots__`` fields in order and refuses a wrong count; equality, hashing,
+    copying, pickling, ``_asdict`` and ``_replace`` go by the fields in order."""
 
     __slots__ = ()
 
-    def _set(self, *values) -> None:
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__}{self.__slots__} given {len(values)} values")
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self.__slots__, self._fields()))
+
+    def _replace(self, **changes):
+        return type(self)(*(self._asdict() | changes).values())
 
     def __setattr__(self, name, value=None):
         raise AttributeError(f"{type(self).__name__} is immutable: cannot change {name!r}")
@@ -80,7 +89,7 @@ class Value:
     def __hash__(self):
         return hash(self._fields())
 
-    def __reduce__(self):  # copy and pickle rebuild through __init__
+    def __reduce__(self):  # copy and pickle rebuild through the constructor
         return type(self), self._fields()
 
     def __repr__(self):
@@ -201,8 +210,10 @@ class ParamPoly(Value):
         if len(cs) < 2:
             return cs[0] if cs else Fraction(0)
         self = object.__new__(cls)
-        self._set(tuple(cs))
+        Value.__init__(self, tuple(cs))
         return self
+
+    __init__ = object.__init__  # __new__ set the field; Value's would store the raw argument
 
     @property
     def degree(self) -> int:
@@ -300,7 +311,7 @@ class ParamPoly(Value):
 #: the formal parameter itself
 GAMMA = ParamPoly((0, 1))
 
-Scalar = Union[Fraction, ParamPoly]
+Scalar = Fraction | ParamPoly
 
 
 def as_scalar(value) -> Scalar:
@@ -324,10 +335,11 @@ class Series(Value):
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: tuple[Scalar, ...]):
+    def __init__(self, coeffs: Iterable):
+        coeffs = tuple(map(as_scalar, coeffs))  # a bool or a float is a TypeError
         if not coeffs:
             raise ValueError("series order must be non-negative")
-        self._set(coeffs)
+        super().__init__(coeffs)
 
     @property
     def order(self) -> int:
@@ -335,16 +347,14 @@ class Series(Value):
 
 
 def series(values: Iterable, order: int | None = None) -> Series:
-    """Build a Series, coercing values and zero-padding up to ``order``."""
-    cs = [as_scalar(v) for v in values]
-    if order is None:
-        if not cs:
-            raise ValueError("cannot infer the order of an empty series")
-        order = len(cs) - 1
+    """A Series of ``values`` cut or zero-padded to ``order`` (default: all)."""
+    cs = list(values)
+    if order is None and not cs:
+        raise ValueError("cannot infer the order of an empty series")
+    order = len(cs) - 1 if order is None else order
     if order < 0:
         raise ValueError("series order must be non-negative")
-    cs.extend(Fraction(0) for _ in range(order + 1 - len(cs)))
-    return Series(tuple(cs[: order + 1]))
+    return Series(cs[: order + 1] + [0] * (order + 1 - len(cs)))
 
 
 def _quotient_coeffs(num: Sequence, den: Sequence, count: int) -> list:
@@ -369,7 +379,7 @@ def _quotient_coeffs(num: Sequence, den: Sequence, count: int) -> list:
 
 def series_reciprocal(f: Series) -> Series:
     """Multiplicative inverse, exact through the operand's trusted order."""
-    return Series(tuple(_quotient_coeffs((1,), f.coeffs, len(f.coeffs))))
+    return Series(_quotient_coeffs((1,), f.coeffs, len(f.coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -431,4 +441,4 @@ def series_from_json(obj) -> Series:
     order = int_from_json(obj.get("order", len(coeffs) - 1), "series order")
     if len(coeffs) != order + 1:
         raise ValueError("series coefficient count does not match its order")
-    return Series(tuple(coeffs))
+    return Series(coeffs)

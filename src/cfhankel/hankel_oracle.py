@@ -20,9 +20,9 @@ cross-check it with the cofactor expansion in ``tests/crosscheck.py``.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from fractions import Fraction
 from math import prod
-from typing import Sequence
 
 from .exact import (
     DomainError,

@@ -231,7 +231,7 @@ class PFraction(Value):
             raise ZeroCoefficient("ladder coefficients must be nonzero")
         if any(v < 0 for v in p):
             raise NegativePExponent(p.index(min(p)), min(p))
-        self._set(b, p)
+        super().__init__(b, p)
 
 
 def pfraction_from_cfraction(cf: CFraction) -> PFraction:

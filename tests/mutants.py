@@ -154,6 +154,14 @@ MUTANTS = [
            "any(v < 1 for v in q[1:])", "any(v < 0 for v in q[1:])",
            killed_by="tests/test_closedform.py::TestPSequence::"
                      "test_zero_exponent_after_a_zero_step_is_refused"),
+    Mutant("parampoly-stores-raw-argument", "exact.py", "    __init__ = object.__init__", "",
+           killed_by="tests/test_values.py::test_a_polynomial_stores_its_normal_form"),
+    Mutant("field-count-check-loosened", "exact.py",
+           "len(values) != len(self.__slots__)", "len(values) < len(self.__slots__)",
+           killed_by="tests/test_values.py::test_a_wrong_field_count_is_refused"),
+    Mutant("series-keeps-raw-coefficients", "exact.py",
+           "tuple(map(as_scalar, coeffs))", "tuple(coeffs)",
+           killed_by="tests/test_values.py::test_a_series_holds_exact_scalars"),
     Mutant("one-or-more-conventions", "catalog.py",
            "len(surviving) == 1", "len(surviving) >= 1",
            equivalent="h_0 is +-1, so the two conventions never both survive"),

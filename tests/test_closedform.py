@@ -18,6 +18,7 @@ from cfhankel.closedform import (
     DEFAULT_CONVENTION,
     NegativePExponent,
     OutsideTruncationWindow,
+    ProfilePoint,
     dense_to_json,
     dense_transform,
     p_sequence,
@@ -408,15 +409,15 @@ class TestTruncationWindow:
         # h_4 = 1, but the series through x^8 starts fractions with two
         # depths at n = 4 (the Catalan fraction) and with one (a ninth
         # term -1 x^2 lands depth 9 at n = 5), so n = 4 reads None
-        assert dense_transform(self.CF, 4).profile[-1] == (4, 1, None)
+        assert dense_transform(self.CF, 4).profile[-1] == ProfilePoint(4, 1, None)
         full = catalog_cfraction("catalan", terms=40)
-        assert dense_transform(full, 4).profile[-1] == (4, 1, 2)
+        assert dense_transform(full, 4).profile[-1] == ProfilePoint(4, 1, 2)
         one = CFraction((*self.CF.a, Fraction(-1)), (*self.CF.q, 2))
         assert evaluate(one, 8) == evaluate(full, 8)
-        assert dense_transform(one, 4).profile[-1] == (4, 1, 1)
+        assert dense_transform(one, 4).profile[-1] == ProfilePoint(4, 1, 1)
         # at the odd order 7 both depths at n = 3 sum their exponents to at
         # most 7, so the edge is fixed
-        assert dense_transform(self.ODD_CF, 3).profile[-1] == (3, 1, 2)
+        assert dense_transform(self.ODD_CF, 3).profile[-1] == ProfilePoint(3, 1, 2)
 
     def test_a_term_past_the_reliable_order_is_not_counted(self):
         # a ninth term -1 x: q_1 + ... + q_9 = 9 > 8, so it cannot reach the
@@ -425,7 +426,7 @@ class TestTruncationWindow:
         plus = CFraction((*self.CF.a, Fraction(-1)), (*self.CF.q, 1), 8)
         assert evaluate(plus, 8) == evaluate(self.CF, 8)
         assert dense_transform(plus, 4) == dense_transform(self.CF, 4)
-        assert dense_transform(plus, 4).profile[-1] == (4, 1, None)
+        assert dense_transform(plus, 4).profile[-1] == ProfilePoint(4, 1, None)
 
     @given(ladder_cfractions(), st.integers(0, 16), st.integers(0, 8))
     @example(catalog_cfraction("catalan", terms=12), 7, 3)

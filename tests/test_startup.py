@@ -1,12 +1,13 @@
 """What a process loads, and how it ends: the package is lazy, each
-subcommand imports only the modules it runs, argparse loads only for help
-and usage errors, and a command-line run skips the interpreter's teardown.
+subcommand imports only the modules it runs, no process loads ``typing``
+or ``dataclasses``, argparse loads only for help and usage errors, and a
+command-line run skips the interpreter's teardown.
 
 Each start-up case runs one subcommand through ``cli.main`` in a fresh
 interpreter (``-S``, so no site hook loads modules first) and reads back
-the ``cfhankel.*``, ``dataclasses`` and ``argparse`` entries of
-``sys.modules``.  The ending cases run ``main()`` without an argument list,
-as the console script does.  The fresh interpreter imports the same
+the ``cfhankel.*``, ``dataclasses``, ``typing`` and ``argparse`` entries
+of ``sys.modules``.  The ending cases run ``main()`` without an argument
+list, as the console script does.  The fresh interpreter imports the same
 ``cfhankel`` as this process: the checkout's ``src/`` under
 ``tests/conftest.py``, an installed package under ``--noconftest``.
 """
@@ -28,12 +29,15 @@ from cfhankel.cli import SIZE_CEILING, main
 PACKAGE_ROOT = Path(cfhankel.__file__).resolve().parents[1]
 MIXED = Path(__file__).resolve().parent / "golden" / "inputs" / "mixed.json"
 
-RUN_ONE = """
+# modules that no plain command line may load, nor a bare ``import cfhankel.cli``
+UNWANTED = ("dataclasses", "typing")
+RUN_ONE = f"""
 import contextlib, io, json, sys
+UNWANTED = {UNWANTED!r}
 from cfhankel import cli
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(sys.argv[1:])
-loaded = [m for m in sys.modules if m.startswith("cfhankel.") or m in ("dataclasses", "argparse")]
+loaded = [m for m in sys.modules if m.startswith("cfhankel.") or m in UNWANTED + ("argparse",)]
 print(json.dumps([code, sorted(loaded)]))
 """
 
@@ -82,7 +86,7 @@ def test_a_subcommand_loads_only_what_it_runs(command):
     stdin = mixed_series() if reads_series else ""
     code, loaded = json.loads(fresh_python(RUN_ONE, command, *args, stdin=stdin))
     assert code == exit_code
-    assert "dataclasses" not in loaded and "argparse" not in loaded
+    assert not {*UNWANTED, "argparse"} & set(loaded), loaded
     assert not absent & set(loaded), f"{command} loaded {sorted(absent & set(loaded))}"
     assert {"cfhankel.cli", "cfhankel.cfrac", "cfhankel.exact"} <= set(loaded)
 
@@ -95,6 +99,11 @@ def test_help_and_usage_errors_load_argparse(args, exit_code):
     code, loaded = json.loads(fresh_python(RUN_ONE, *args))
     assert code == exit_code
     assert "argparse" in loaded
+
+
+def test_importing_the_cli_loads_no_unwanted_module():
+    code = f"import sys, cfhankel.cli\nprint([m for m in {UNWANTED!r} if m in sys.modules])"
+    assert fresh_python(code).strip() == "[]"
 
 
 def test_importing_the_package_loads_no_submodule():
