@@ -44,6 +44,7 @@ from .exact import (
     GAMMA,
     Scalar,
     Value,
+    _coeffs,
     _quotient_coeffs,
     as_scalar,
     scalar_eval_gamma,
@@ -255,9 +256,8 @@ _READINGS: dict[str, Callable[[_Row, _Run, int], tuple[object, str]]] = {
     "index sums": _plain(lambda row, run, count: list(accumulate(_ladder(row.entry, count)))),
     "depth values": _plain(lambda row, run, count: [
         scalar_to_json(run.oracle[n]) for n in _positions(row.entry, count)]),
-    # each value is a monomial; a constant is a Fraction, of degree 0
-    "depth exponents": _plain(lambda row, run, count: [
-        getattr(run.oracle[n], "degree", 0) for n in _positions(row.entry, count)]),
+    "depth exponents": _plain(lambda row, run, count: [  # a monomial: its degree
+        len(_coeffs(run.oracle[n])) - 1 for n in _positions(row.entry, count)]),
     "depth value": _depth_value,
     "multiplicities": _plain(lambda row, run, count: [
         pt.multiplicity for pt in run.closed.profile[:count]]),

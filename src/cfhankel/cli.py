@@ -17,7 +17,9 @@ SIZE_CEILING.  Exit codes: 0 success or agreement, 1 disagreement found by
 compare/verify, 2 usage error, 3 computation error (an unexpected
 exception included, reported as one ``internal error:`` line) or output
 that stdout refuses or takes only in part, buffered or not (one
-``error: cannot write output:`` line).
+``error: cannot write output:`` line).  ``-`` with no fd 0 is input that
+cannot be read, a usage error.  A stderr that refuses its line or is
+closed changes no exit code: every message goes through ``_tell``.
 
 A command-line run, ``main()`` with no argument list as the console script
 calls it, ends the process as soon as its output is flushed: the atexit
@@ -58,6 +60,8 @@ class _WriteError(Exception):
 def _read_json(path: str):
     try:
         if path == "-":
+            if sys.stdin is None:  # the process started without fd 0
+                raise OSError("stdin is closed")
             return json.loads(sys.stdin.read())
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
@@ -91,9 +95,22 @@ def _emit(payload) -> None:
         raise _WriteError(exc) from None
 
 
+def _tell(code: int, line: str | None = None) -> int:
+    """Write ``line`` to stderr, flush it and return ``code``.  A stderr that
+    is closed or refuses the bytes is passed over, since the exit code still
+    says what happened: an error raised here would replace that code."""
+    try:
+        if sys.stderr is not None:  # None when the process started without fd 2
+            if line is not None:
+                print(line, file=sys.stderr)
+            sys.stderr.flush()
+    except OSError:
+        pass
+    return code
+
+
 def _cannot_write(exc: Exception) -> int:
-    print(f"error: cannot write output: {exc}", file=sys.stderr)
-    return COMPUTATION_ERROR
+    return _tell(COMPUTATION_ERROR, f"error: cannot write output: {exc}")
 
 
 def size(text: str) -> int:
@@ -320,17 +337,14 @@ def _run(argv: list[str]) -> int:
     except _WriteError as exc:
         return _cannot_write(exc)
     except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return COMPUTATION_ERROR
+        return _tell(COMPUTATION_ERROR, f"error: {exc}")
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _tell(USAGE_ERROR, f"usage error: {exc}")
     except Exception as exc:  # exit 1 would read as a disagreement
         import traceback  # only here: importing it slows every start-up
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
-        print(f"internal error: {exc!r} at {where}", file=sys.stderr)
-        return COMPUTATION_ERROR
+        return _tell(COMPUTATION_ERROR, f"internal error: {exc!r} at {where}")
     finally:
         if digits:
             sys.set_int_max_str_digits(digits)
@@ -353,9 +367,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         if code != COMPUTATION_ERROR:  # an exit 3 has said why already
             code = _cannot_write(exc)
-    if sys.stderr is not None:
-        sys.stderr.flush()
-    os._exit(code)
+    os._exit(_tell(code))
 
 
 if __name__ == "__main__":

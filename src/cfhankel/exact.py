@@ -8,8 +8,9 @@ Scalars are elements of the ring Q[gamma], in two exact forms:
 
 Both answer one numeric protocol, so callers use operators and never ask
 which form they hold: ``x == 0``, ``x * y``, ``x ** n`` for any integer
-n, and ``x / y`` and ``1 / x``.  Division is by units only: a non-zero
-constant divides, a non-constant polynomial raises
+n, and ``x / y`` and ``1 / x``; inside this module only ``_coeffs`` asks,
+and it reads either form as its coefficient tuple.  Division is by units
+only: a non-zero constant divides, a non-constant polynomial raises
 :class:`NonInvertibleScalar` (even where it would divide exactly) and
 zero raises ``ZeroDivisionError``.  Nothing the package computes leaves
 the ring, so there is no quotient form.  Every scalar is in normal form,
@@ -125,7 +126,7 @@ def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
     """(L, lists): L is the lcm of the coefficient denominators of the
     scalars ``values``, and list i holds the integer coefficients (lowest
     first) of values[i] * L**powers[i]; every power defaults to 1."""
-    coeffs = [v.coeffs if isinstance(v, ParamPoly) else (v,) for v in values]
+    coeffs = [_coeffs(v) for v in values]
     scale = lcm(*(c.denominator for p in coeffs for c in p))
     return scale, [[c.numerator * (scale**e // c.denominator) for c in p]
                    for p, e in zip(coeffs, repeat(1) if powers is None else powers)]
@@ -192,6 +193,23 @@ def _coerce_fraction(value) -> Fraction:
     raise TypeError(f"cannot use {value!r} as a rational scalar")
 
 
+def _coeffs(value) -> tuple | None:
+    """A scalar's coefficients, lowest first: an int or a Fraction is its
+    1-tuple and a ParamPoly its ``coeffs``; None for any other type.  The one
+    place that tells the two scalar forms apart."""
+    if isinstance(value, ParamPoly):
+        return value.coeffs
+    return (value,) if isinstance(value, (int, Fraction)) else None
+
+
+def scalar_eval_gamma(value: Scalar, point) -> Fraction:
+    """Evaluate a scalar at gamma = point (Horner; rationals are constants)."""
+    x, acc = _coerce_fraction(point), Fraction(0)
+    for c in reversed(_coeffs(value)):
+        acc = acc * x + c
+    return acc
+
+
 class ParamPoly(Value):
     """Dense polynomial in the formal parameter ``gamma`` over the rationals.
 
@@ -219,20 +237,11 @@ class ParamPoly(Value):
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
-    def evaluate(self, value) -> Fraction:
-        """Value of the polynomial at a rational point (Horner)."""
-        x = _coerce_fraction(value)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+    evaluate = scalar_eval_gamma  # its value at a rational point
 
     def __add__(self, other):
-        if isinstance(other, ParamPoly):
-            other = other.coeffs
-        elif isinstance(other, (int, Fraction)):
-            other = (other,)
-        else:
+        other = _coeffs(other)
+        if other is None:
             return NotImplemented
         return ParamPoly(x + y for x, y in zip_longest(self.coeffs, other, fillvalue=0))
 
@@ -248,27 +257,24 @@ class ParamPoly(Value):
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return ParamPoly(c * other for c in self.coeffs)
-        if not isinstance(other, ParamPoly):
+        other = _coeffs(other)
+        if other is None:
             return NotImplemented
-        return ParamPoly(_dense_mul(self.coeffs, other.coeffs))
+        return ParamPoly(_dense_mul(self.coeffs, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Division by a unit of Q[gamma], a non-zero constant; any other
         divisor is refused, even one that would divide exactly."""
-        if isinstance(other, ParamPoly):
-            raise NonInvertibleScalar(f"{other} has no inverse in the polynomial ring")
-        if not isinstance(other, (int, Fraction)):
+        if _coeffs(other) is None:
             return NotImplemented
-        return self * (1 / Fraction(other))
+        return self * (Fraction(1) / other)  # a ParamPoly's __rtruediv__ refuses
 
     def __rtruediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            raise NonInvertibleScalar(f"{self} has no inverse in the polynomial ring")
-        return NotImplemented
+        if _coeffs(other) is None:
+            return NotImplemented
+        raise NonInvertibleScalar(f"{self} has no inverse in the polynomial ring")
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -319,11 +325,6 @@ def as_scalar(value) -> Scalar:
     and "p/q" strings become Fractions; a bool or any other type is a
     TypeError, and a string of any other shape a ValueError."""
     return value if isinstance(value, ParamPoly) else _coerce_fraction(value)
-
-
-def scalar_eval_gamma(value: Scalar, point) -> Fraction:
-    """Evaluate a scalar at gamma = point (rationals are constants)."""
-    return value.evaluate(point) if isinstance(value, ParamPoly) else value
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +388,8 @@ def series_reciprocal(f: Series) -> Series:
 
 
 def scalar_to_json(value: Scalar):
-    if isinstance(value, ParamPoly):
-        return {"coeffs": [str(c) for c in value.coeffs]}
-    return str(value)
+    coeffs = _coeffs(value)
+    return str(value) if len(coeffs) == 1 else {"coeffs": [str(c) for c in coeffs]}
 
 
 def int_from_json(obj, what: str) -> int:

@@ -162,6 +162,18 @@ MUTANTS = [
     Mutant("series-keeps-raw-coefficients", "exact.py",
            "tuple(map(as_scalar, coeffs))", "tuple(coeffs)",
            killed_by="tests/test_values.py::test_a_series_holds_exact_scalars"),
+    Mutant("coeffs-wraps-a-polynomial", "exact.py",
+           "return value.coeffs\n", "return (value,)\n",
+           killed_by="tests/test_exact.py::TestScalarProtocol::"
+                     "test_coeffs_tells_the_two_forms_apart"),
+    Mutant("linear-poly-encoded-as-string", "exact.py",
+           "len(coeffs) == 1 else", "len(coeffs) <= 2 else",
+           killed_by="tests/test_exact.py::TestParamPoly::test_wire_format"),
+    Mutant("closed-stdin-read", "cli.py", "if sys.stdin is None:", "if False:",
+           killed_by="tests/test_startup.py::test_a_stdin_closed_at_start_is_a_usage_error"),
+    Mutant("refused-stderr-raises", "cli.py", "except OSError:", "except ZeroDivisionError:",
+           killed_by="tests/test_startup.py::test_a_refused_stderr_keeps_the_exit_code"
+                     "[usage-error-unbuffered-full]"),
     Mutant("one-or-more-conventions", "catalog.py",
            "len(surviving) == 1", "len(surviving) >= 1",
            equivalent="h_0 is +-1, so the two conventions never both survive"),

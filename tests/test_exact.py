@@ -14,6 +14,7 @@ from cfhankel.exact import (
     ParamPoly,
     Series,
     ZeroConstantTerm,
+    _coeffs,
     _unpack,
     as_scalar,
     scalar_eval_gamma,
@@ -110,6 +111,16 @@ class TestParamPoly:
 
     def test_str(self):
         assert str(ParamPoly((1, -1, Fraction(3, 2)))) == "3/2*gamma^2 - gamma + 1"
+        assert str(ParamPoly((Fraction(-1, 2), 0, 0, -2, 1))) == "gamma^4 - 2*gamma^3 - 1/2"
+        assert str(-GAMMA) == "-gamma" and str(ParamPoly((0, -3))) == "-3*gamma"
+
+    def test_wire_format(self):
+        # a polynomial of any degree is its coefficient list, a constant its string
+        assert scalar_to_json(GAMMA) == {"coeffs": ["0", "1"]}
+        assert scalar_to_json(GAMMA**2 / 2 - 1) == {"coeffs": ["-1", "0", "1/2"]}
+        assert scalar_to_json(GAMMA - GAMMA + 3) == "3"
+        for value in (GAMMA, GAMMA**3 - Fraction(1, 3)):
+            assert scalar_from_json(scalar_to_json(value)) == value
 
 
 RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -120,6 +131,12 @@ UNITS = RATIONALS.filter(lambda v: v != 0)
 
 
 class TestScalarProtocol:
+    def test_coeffs_tells_the_two_forms_apart(self):
+        assert _coeffs(Fraction(-1, 2)) == (Fraction(-1, 2),) and _coeffs(3) == (3,)
+        assert _coeffs(GAMMA) == (0, 1) and _coeffs(GAMMA**2 + 1) == (1, 0, 1)
+        for other in (1.5, "1", None, (1, 2)):
+            assert _coeffs(other) is None
+
     def test_polynomial_division(self):
         # a constant divides, written as a polynomial too: that is built as a Fraction
         assert GAMMA / 2 == ParamPoly((0, Fraction(1, 2)))

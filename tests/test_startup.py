@@ -272,3 +272,42 @@ def test_a_stdout_closed_at_start_is_an_output_error(args):
         capture_output=True, env=python_env(), timeout=120,
     )
     assert_output_error(done.returncode, done.stderr)
+
+
+def test_a_stdin_closed_at_start_is_a_usage_error():
+    # sh closes fd 0 before the child starts, so its sys.stdin is None:
+    # input that cannot be read
+    done = subprocess.run(
+        ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-S", "-c", COMMAND_LINE,
+         "expand", "--series", "-"],
+        capture_output=True, env=python_env(), timeout=120,
+    )
+    assert done.returncode == 2
+    assert done.stdout == b""
+    assert done.stderr == b"usage error: stdin is closed\n"
+
+
+# a failure that stderr should report: (arguments, exit code)
+REPORTED = {
+    "usage-error": (["catalog", "nosuch"], 2),
+    "computation-error": (["compare", "--cfraction",
+                           str(GOLDEN / "inputs" / "negative-p-late.json"), "--max-n", "8"], 3),
+}
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("stderr", ["2>/dev/full", "2>&-"], ids=["full", "closed"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("case", sorted(REPORTED))
+def test_a_refused_stderr_keeps_the_exit_code(case, unbuffered, stderr):
+    # the message is lost, but the exit code still says what went wrong: an
+    # error raised while writing it would exit 1, which reads as a
+    # disagreement, and a closed stderr must not send it to stdout instead
+    args, exit_code = REPORTED[case]
+    done = subprocess.run(
+        ["sh", "-c", f'exec "$@" {stderr}', "sh", sys.executable, "-S", "-c", COMMAND_LINE,
+         *args],
+        stdout=subprocess.PIPE, env=python_env(unbuffered), timeout=120,
+    )
+    assert done.returncode == exit_code
+    assert done.stdout == b""
