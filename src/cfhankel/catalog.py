@@ -15,14 +15,14 @@ record, as confirmed or refuted.  Refuted claims stay in the report (a
 
 Each entry is expanded, eliminated by the determinant oracle
 (rogers-ramanujan symbolically) and read by the closed form once.  Every
-claim is a row of one table: an entry, a reading of its run and the
-expected value, judged by one loop.  A reading cuts what it reads to the
-expected length: a prefix of the oracle's h or of the series, the ladder
-exponents :func:`p_sequence`, their partial sums m_j, the value at each
-depth j, which is the oracle's h at position m_j - 1, or its gamma
+claim is a row of one table, judged by one loop: its expected value and
+``read(count)``, which reads its computed side off those runs, cut to the
+expected length count: a prefix of the oracle's h or of the series, the
+ladder exponents :func:`p_sequence`, their partial sums m_j, the value at
+each depth j, which is the oracle's h at position m_j - 1, or its gamma
 exponent, the closed form's multiplicities, or the expansion of the
 quoted exponent generating function.  Every judged value is the
-oracle's.  A reading may build its row's note: a quoted monomial's row
+oracle's.  Each quoted monomial's row is built with its note, which
 gives its position and both values at gamma = 2.
 
 The sign convention shipped as the package default is not trusted to a
@@ -48,7 +48,6 @@ from .exact import (
     _quotient_coeffs,
     as_scalar,
     scalar_eval_gamma,
-    scalar_from_json,
     scalar_to_json,
     series,
 )
@@ -183,98 +182,84 @@ def _positions(name: str, count: int) -> list[int]:
     return [m - 1 for m in accumulate(_ladder(name, count))]
 
 
-class _Row(Value):  # a claim: a reading of one entry's run and its expected value
-    __slots__ = ("id", "location", "entry", "reading", "expected", "note", "depth")
+class _Row(Value):  # a claim: read(count) gives its computed side, cut to count values
+    __slots__ = ("id", "location", "read", "expected", "note")
 
-    def __init__(self, id, location, entry, reading, expected, note="", depth=0):
-        # reading: a key of _READINGS; depth: the depth a "depth value" row reads
-        super().__init__(id, location, entry, reading, expected, note, depth)
+    def __init__(self, id, location, read, expected, note=""):
+        super().__init__(id, location, read, expected, note)
 
 
-def _table(max_n: int, fibonacci_agrees: bool) -> list[_Row]:
-    """Every recorded claim."""
+def _table(runs: dict[str, _Run], max_n: int, fibonacci_agrees: bool) -> list[_Row]:
+    """Every recorded claim, each reading its computed side off ``runs``."""
     catalan = [str(c) for c in catalan_numbers(13)]
-    quoted = {2: -(GAMMA**6), 3: GAMMA**12, 4: GAMMA**32, 5: GAMMA**52}  # depth: monomial
+    cat, aer, fib, rr = (runs[name] for name in CATALOG_NAMES)
+
+    def prefix(values: Sequence[Scalar]) -> Callable[[int], list]:  # the first count, as JSON
+        return lambda count: [scalar_to_json(v) for v in values[:count]]
+
+    def index_sums(name: str) -> Callable[[int], list[int]]:
+        return lambda count: list(accumulate(_ladder(name, count)))
+
+    def multiplicities(run: _Run) -> Callable[[int], list[int]]:
+        return lambda count: [pt.multiplicity for pt in run.closed.profile[:count]]
+
+    def monomial(depth: int, quoted: Scalar) -> _Row:  # its note gives where the oracle has it
+        n = _positions("rogers-ramanujan", depth + 1)[-1]
+        value = rr.oracle[n]
+        # gamma = 1 cannot separate powers, so the note evaluates at gamma = 2
+        at_2 = [scalar_eval_gamma(v, 2) for v in (quoted, value)]
+        return _Row(f"ex4-value-depth-{depth}", "example 4", lambda count: scalar_to_json(value),
+                    scalar_to_json(quoted),
+                    f"position {n}; at gamma=2 quoted gives {at_2[0]}, the oracle gives {at_2[1]}")
+
     return [
-        _Row("ex1-dense-transform", "example 1", "fibonacci-cf", "oracle",
+        _Row("ex1-dense-transform", "example 1", prefix(fib.oracle),
              ["1", "1", "-2", "0", "72", "0", "0", "1944000", "0", "0", "0", "0",
               "1547934105600000000"],
              "closed form agrees with the oracle at every position"
              if fibonacci_agrees else "closed form and oracle disagree"),
-        _Row("ex1-nonzero-values", "example 1", "fibonacci-cf", "depth values",
+        _Row("ex1-nonzero-values", "example 1", lambda count: [
+            scalar_to_json(fib.oracle[n]) for n in _positions("fibonacci-cf", count)],
              ["1", "1", "1", "-2", "72", "1944000"]),
-        _Row("ex1-multiplicity", "example 1", "fibonacci-cf", "repeated positions",
+        _Row("ex1-multiplicity", "example 1", lambda count: {
+            str(pt.n): pt.multiplicity for pt in fib.closed.profile if pt.multiplicity > 1},
              {"0": 2}, "only the leading value is doubled"),
-        _Row("ex1-index-sequence", "example 1", "fibonacci-cf", "index sums",
+        _Row("ex1-index-sequence", "example 1", index_sums("fibonacci-cf"),
              fibonacci_numbers(max_n + 2)[1:]),
-        _Row("ex2-hankel-all-ones", "introduction", "catalan", "oracle", ["1"] * 7),
-        _Row("ex2-series-is-catalan", "example 2", "catalan", "series", catalan),
-        _Row("ex2-index-multiset", "example 2", "catalan", "index sums",
+        _Row("ex2-hankel-all-ones", "introduction", prefix(cat.oracle), ["1"] * 7),
+        _Row("ex2-series-is-catalan", "example 2", prefix(cat.series), catalan),
+        _Row("ex2-index-multiset", "example 2", index_sums("catalan"),
              [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),
-        _Row("ex2-multiplicity", "example 2", "catalan", "multiplicities", [2] * 7),
-        _Row("ex3-hankel-all-ones", "example 3", "aerated-catalan", "oracle", ["1"] * 10),
-        _Row("ex3-series-is-aerated-catalan", "example 3", "aerated-catalan", "series",
+        _Row("ex2-multiplicity", "example 2", multiplicities(cat), [2] * 7),
+        _Row("ex3-hankel-all-ones", "example 3", prefix(aer.oracle), ["1"] * 10),
+        _Row("ex3-series-is-aerated-catalan", "example 3", prefix(aer.series),
              [catalan[k // 2] if k % 2 == 0 else "0" for k in range(13)]),
-        _Row("ex3-index-set", "example 3", "aerated-catalan", "index sums",
-             list(range(1, 8))),
-        _Row("ex3-multiplicity", "example 3", "aerated-catalan", "multiplicities", [1] * 10),
-        _Row("ex4-p-sequence", "example 4", "rogers-ramanujan", "p-sequence",
+        _Row("ex3-index-set", "example 3", index_sums("aerated-catalan"), list(range(1, 8))),
+        _Row("ex3-multiplicity", "example 3", multiplicities(aer), [1] * 10),
+        _Row("ex4-p-sequence", "example 4", lambda count: _ladder("rogers-ramanujan", count),
              [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6]),
-        _Row("ex4-index-partial-sums", "example 4", "rogers-ramanujan", "index sums",
+        _Row("ex4-index-partial-sums", "example 4", index_sums("rogers-ramanujan"),
              [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31]),
-        *(_Row(f"ex4-value-depth-{depth}", "example 4", "rogers-ramanujan", "depth value",
-               scalar_to_json(value), depth=depth) for depth, value in quoted.items()),
-        _Row("ex4-exponent-sequence", "example 4", "rogers-ramanujan", "depth exponents",
+        *(monomial(depth, quoted) for depth, quoted in
+          {2: -(GAMMA**6), 3: GAMMA**12, 4: GAMMA**32, 5: GAMMA**52}.items()),
+        _Row("ex4-exponent-sequence", "example 4", lambda count: [  # a monomial: its degree
+            len(_coeffs(rr.oracle[n])) - 1 for n in _positions("rogers-ramanujan", count)],
              [0, 0, 6, 12, 32, 52],
              "gamma exponents of the oracle values at positions 2, 3, 6 and 8"),
-        _Row("ex4-exponent-gf-pair", "example 4", "rogers-ramanujan", "quoted exponent gf",
+        # 2x^2 (x^3 + 3) / ((1 + x)^2 (1 - x)^4)
+        _Row("ex4-exponent-gf-pair", "example 4", lambda count: list(map(int, expand_rational_gf(
+            [0, 0, 6, 0, 0, 2], [1, -2, -1, 4, -1, -2, 1], count))),
              [0, 0, 6, 12, 32, 52, 94],
              "the quoted generating function against the quoted exponent "
              "sequence; the sequence itself matches numerator 2x^2(x^2+3)"),
     ]
 
 
-def _depth_value(row: _Row, run: _Run, count: int) -> tuple[object, str]:
-    n = _positions(row.entry, row.depth + 1)[-1]
-    # gamma = 1 cannot separate powers, so the note evaluates at gamma = 2
-    value = run.oracle[n]
-    quoted, oracle = (scalar_eval_gamma(v, 2) for v in (scalar_from_json(row.expected), value))
-    return scalar_to_json(value), (
-        f"position {n}; at gamma=2 quoted gives {quoted}, the oracle gives {oracle}")
-
-
-def _plain(read: Callable[[_Row, _Run, int], object]):  # a reading that keeps the row's note
-    return lambda row, run, count: (read(row, run, count), row.note)
-
-
-# reading -> (row, run, count) -> (computed side, note): what the reading
-# reads of the entry's run, cut to the expected length count
-_READINGS: dict[str, Callable[[_Row, _Run, int], tuple[object, str]]] = {
-    "oracle": _plain(lambda row, run, count: [scalar_to_json(v) for v in run.oracle[:count]]),
-    "series": _plain(lambda row, run, count: [scalar_to_json(v) for v in run.series[:count]]),
-    "p-sequence": _plain(lambda row, run, count: _ladder(row.entry, count)),
-    "index sums": _plain(lambda row, run, count: list(accumulate(_ladder(row.entry, count)))),
-    "depth values": _plain(lambda row, run, count: [
-        scalar_to_json(run.oracle[n]) for n in _positions(row.entry, count)]),
-    "depth exponents": _plain(lambda row, run, count: [  # a monomial: its degree
-        len(_coeffs(run.oracle[n])) - 1 for n in _positions(row.entry, count)]),
-    "depth value": _depth_value,
-    "multiplicities": _plain(lambda row, run, count: [
-        pt.multiplicity for pt in run.closed.profile[:count]]),
-    "repeated positions": _plain(lambda row, run, count: {
-        str(pt.n): pt.multiplicity for pt in run.closed.profile if pt.multiplicity > 1}),
-    # 2x^2 (x^3 + 3) / ((1 + x)^2 (1 - x)^4)
-    "quoted exponent gf": _plain(lambda row, run, count: [int(v) for v in expand_rational_gf(
-        [0, 0, 6, 0, 0, 2], [1, -2, -1, 4, -1, -2, 1], count)]),
-}
-
-
-def _judge(row: _Row, run: _Run) -> Claim:
-    """A row's claim, its computed side read off the entry's run; an
-    unknown reading raises KeyError."""
-    computed, note = _READINGS[row.reading](row, run, len(row.expected))
+def _judge(row: _Row) -> Claim:
+    """A row's claim, its computed side read to the expected length."""
+    computed = row.read(len(row.expected))
     verdict = "confirmed" if row.expected == computed else "refuted"
-    return Claim(row.id, row.location, row.expected, computed, verdict, note)
+    return Claim(row.id, row.location, row.expected, computed, verdict, row.note)
 
 
 def verify_claims(max_n: int = 12) -> VerificationReport:
@@ -290,6 +275,5 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
     runs = _runs(max_n)
     convention, consistent = select_convention(runs)
     fibonacci_agrees = _agrees(runs["fibonacci-cf"], convention or Convention.SIGN_CORRECTED)
-    claims = sorted((_judge(row, runs[row.entry]) for row in _table(max_n, fibonacci_agrees)),
-                    key=lambda c: c.id)
+    claims = sorted(map(_judge, _table(runs, max_n, fibonacci_agrees)), key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))

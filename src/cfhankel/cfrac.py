@@ -32,6 +32,7 @@ from .exact import (
     Scalar,
     Series,
     Value,
+    _add_shifted,
     _clear_denominators,
     _pack,
     _quotient_coeffs,
@@ -167,16 +168,6 @@ def evaluate(cf: CFraction, order: int) -> Series:
 # host, CPython 3.11); on fractions whose expansion does grow, as with
 # random rational a_k, it stays faster beyond (0.18x at 9,800).
 _SCALED_BITS = 4096
-
-
-def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
-    """Coefficients of p + c x^q r over any ring, trailing zeros stripped."""
-    out = list(p) + [0] * (q + len(r) - len(p))
-    for k, v in enumerate(r, q):
-        out[k] = out[k] + c * v
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
 
 
 def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:

@@ -15,8 +15,8 @@ output uses exact "p/q" strings; output is byte-stable for identical
 inputs.  ``--order``, ``--max-n`` and ``--terms`` must lie between 0 and
 SIZE_CEILING.  Exit codes: 0 success or agreement, 1 disagreement found by
 compare/verify, 2 usage error, 3 computation error (an unexpected
-exception included, reported as one ``internal error:`` line) or output
-that stdout refuses or takes only in part, buffered or not (one
+exception included, reported as one ``internal error:`` line) or output,
+help too, that stdout refuses or takes only in part, buffered or not (one
 ``error: cannot write output:`` line).  ``-`` with no fd 0 is input that
 cannot be read, a usage error.  A stderr that refuses its line or is
 closed changes no exit code: every message goes through ``_tell``.
@@ -69,14 +69,17 @@ def _read_json(path: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def _emit(payload) -> None:
-    """Write one JSON document to stdout, every byte of it or _WriteError.
+def _emit(payload) -> None:  # one JSON document
+    _write(json.dumps(payload, indent=2) + "\n")
+
+
+def _write(text: str) -> None:
+    """Write ``text`` to stdout, every byte of it or _WriteError.
 
     The bytes go to ``sys.stdout.buffer`` in a loop that honours each
     write's count: unbuffered, the text layer drops the rest of a short
     write to a pipe whose reader has gone, and the run would exit 0.
     """
-    text = json.dumps(payload, indent=2) + "\n"
     if sys.stdout is None:  # the process started without fd 1
         raise _WriteError("stdout is closed")
     raw = getattr(sys.stdout, "buffer", None)
@@ -321,10 +324,19 @@ COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., int]]] = {
 def _run(argv: list[str]) -> int:
     args = _read_plain(argv)
     if args is None:
-        try:
-            args = build_parser().parse_args(argv)
+        from contextlib import redirect_stdout
+        from io import StringIO
+
+        try:  # argparse would pass over an error writing help, so _write writes it
+            with redirect_stdout(StringIO()) as shown:
+                args = build_parser().parse_args(argv)
         except SystemExit as exc:
             # argparse reports usage problems itself and exits 2
+            try:
+                if shown.getvalue():
+                    _write(shown.getvalue())
+            except _WriteError as error:
+                return _cannot_write(error)
             return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     # exact values outgrow the int<->str digit limit of CPython 3.10.7 on;
     # the "p/q" shape check in exact keeps a short input from naming a huge
@@ -338,7 +350,7 @@ def _run(argv: list[str]) -> int:
         return _cannot_write(exc)
     except DomainError as exc:
         return _tell(COMPUTATION_ERROR, f"error: {exc}")
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         return _tell(USAGE_ERROR, f"usage error: {exc}")
     except Exception as exc:  # exit 1 would read as a disagreement
         import traceback  # only here: importing it slows every start-up

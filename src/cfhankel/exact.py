@@ -35,7 +35,7 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
-from itertools import repeat, zip_longest
+from itertools import repeat
 from math import lcm
 
 
@@ -102,6 +102,24 @@ class Value:
 # dense coefficient tuples
 
 
+def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
+    """The one coefficient add: p + c x^q r over any ring, trailing zeros stripped."""
+    out = list(p) + [0] * (q + len(r) - len(p))
+    for k, v in enumerate(r, q):
+        out[k] = out[k] + c * v
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _horner(coeffs: Sequence, x):
+    """The polynomial ``coeffs`` (lowest first) at ``x``: the one Horner loop."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _dense_mul(xs, ys) -> list:
     """Coefficients of the product of two dense coefficient tuples."""
     out = [Fraction(0)] * (len(xs) + len(ys) - 1)
@@ -145,10 +163,7 @@ def _width(polys: Sequence[Sequence[int]], bound: Callable[[list[int]], int]) ->
 def _pack(coeffs: Sequence[int], bits: int) -> int:
     """The integer polynomial ``coeffs`` (lowest first) at gamma = 2**bits.
     Width 0 serves constants only: one coefficient packs to itself."""
-    value = 0
-    for c in reversed(coeffs):
-        value = (value << bits) + c
-    return value
+    return _horner(coeffs, 1 << bits)
 
 
 def _unpack(value: int, bits: int) -> list[int]:
@@ -203,11 +218,8 @@ def _coeffs(value) -> tuple | None:
 
 
 def scalar_eval_gamma(value: Scalar, point) -> Fraction:
-    """Evaluate a scalar at gamma = point (Horner; rationals are constants)."""
-    x, acc = _coerce_fraction(point), Fraction(0)
-    for c in reversed(_coeffs(value)):
-        acc = acc * x + c
-    return acc
+    """Evaluate a scalar at gamma = point (rationals are constants)."""
+    return _horner(_coeffs(value), _coerce_fraction(point))
 
 
 class ParamPoly(Value):
@@ -243,7 +255,7 @@ class ParamPoly(Value):
         other = _coeffs(other)
         if other is None:
             return NotImplemented
-        return ParamPoly(x + y for x, y in zip_longest(self.coeffs, other, fillvalue=0))
+        return ParamPoly(_add_shifted(self.coeffs, 1, 0, other))
 
     __radd__ = __add__
 

@@ -24,6 +24,7 @@ profile holds there too; ``tests/conftest.py`` imports it for the rest.
 
 from __future__ import annotations
 
+import atexit
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
@@ -56,6 +57,7 @@ from cfhankel.exact import (
 # and hypothesis's cache of the constants in local source files goes to a
 # directory removed at exit.
 _HYPOTHESIS_HOME = TemporaryDirectory(prefix="cfhankel-hypothesis-")
+atexit.register(_HYPOTHESIS_HOME.cleanup)
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 settings.register_profile("cfhankel", derandomize=True, max_examples=60, database=None)
 settings.load_profile("cfhankel")

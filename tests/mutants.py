@@ -90,7 +90,7 @@ MUTANTS = [
            'int_from_json(e, "exponent") for e in q', "e for e in q",
            killed_by="tests/test_values.py::test_construction_still_validates"),
     Mutant("value-at-partial-sum", "catalog.py",
-           "row.depth + 1)[-1]", "row.depth + 1)[-1] + 1",
+           "depth + 1)[-1]", "depth + 1)[-1] + 1",
            killed_by="tests/test_catalog.py::TestVerifyClaims::"
                      "test_tail_values_are_the_symbolic_oracle"),
     Mutant("depth-value-at-partial-sum", "catalog.py",
@@ -125,6 +125,11 @@ MUTANTS = [
            "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
            killed_by="tests/test_hankel_oracle.py::TestDeterminants::"
                      "test_bareiss_matches_cofactor_symbolic"),
+    Mutant("horner-subtracts", "exact.py", "acc * x + c", "acc * x - c",
+           killed_by="tests/test_hankel_oracle.py::TestPackedRoute::"
+                     "test_pack_round_trip_at_the_digit_bound"),
+    Mutant("add-shifted-one-too-far", "exact.py", "enumerate(r, q)", "enumerate(r, q + 1)",
+           killed_by="tests/test_exact.py::TestParamPoly::test_eval_commutes_with_arithmetic"),
     Mutant("quotient-takes-a-zero-constant", "exact.py", "if den[0] == 0:", "if False:",
            killed_by="tests/test_exact.py::TestSeries::test_reciprocal_errors"),
     Mutant("own-inverse-for-any-unit", "exact.py",
@@ -174,6 +179,9 @@ MUTANTS = [
     Mutant("refused-stderr-raises", "cli.py", "except OSError:", "except ZeroDivisionError:",
            killed_by="tests/test_startup.py::test_a_refused_stderr_keeps_the_exit_code"
                      "[usage-error-unbuffered-full]"),
+    Mutant("empty-help-written", "cli.py", "if shown.getvalue():", "if True:",
+           killed_by="tests/test_startup.py::test_a_refused_help_is_an_output_error"
+                     "[buffered-closed]"),
     Mutant("one-or-more-conventions", "catalog.py",
            "len(surviving) == 1", "len(surviving) >= 1",
            equivalent="h_0 is +-1, so the two conventions never both survive"),

@@ -261,11 +261,6 @@ class TestVerifyClaims:
         ):
             assert verdicts[cid] == "confirmed", cid
 
-    def test_a_row_with_an_unknown_reading_raises(self):
-        row = catalog._Row("ex9", "example 9", "catalan", "no such reading", [1])
-        with pytest.raises(KeyError, match="no such reading"):
-            catalog._judge(row, _runs(12)["catalan"])
-
     def test_refuted_depth_2_value(self, report):
         claim = next(c for c in report.claims if c.id == "ex4-value-depth-2")
         assert claim.verdict == "refuted"

@@ -23,7 +23,7 @@ from pathlib import Path
 import pytest
 
 import cfhankel
-from cfhankel.cli import SIZE_CEILING, main
+from cfhankel.cli import COMMANDS, SIZE_CEILING, build_parser, main
 
 # the directory that holds the package under test
 PACKAGE_ROOT = Path(cfhankel.__file__).resolve().parents[1]
@@ -272,6 +272,36 @@ def test_a_stdout_closed_at_start_is_an_output_error(args):
         capture_output=True, env=python_env(), timeout=120,
     )
     assert_output_error(done.returncode, done.stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("stdout", [">/dev/full", ">&-"], ids=["full", "closed"])
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_refused_help_is_an_output_error(unbuffered, stdout):
+    # argparse passes over an error writing help, which would exit 0 with
+    # the help lost, or with no fd 1 sent to stderr; a usage error writes
+    # nothing to stdout and stays exit 2
+    def refused(*args):
+        return subprocess.run(
+            ["sh", "-c", f'exec "$@" {stdout}', "sh", sys.executable, "-S", "-c", COMMAND_LINE,
+             *args],
+            stderr=subprocess.PIPE, env=python_env(unbuffered), timeout=120,
+        )
+
+    done = refused("compare", "--help")
+    assert_output_error(done.returncode, done.stderr)
+    done = refused("compare", "--max-n", str(SIZE_CEILING + 1))
+    assert done.returncode == 2
+    assert done.stderr.startswith(b"usage: cfhankel compare"), done.stderr
+
+
+@pytest.mark.parametrize("command", [None, *COMMANDS])
+def test_help_is_the_parsers_own(command, capsys):
+    parser = build_parser()
+    if command is not None:
+        parser = parser._subparsers._group_actions[0].choices[command]
+    assert main(["--help"] if command is None else [command, "--help"]) == 0
+    assert capsys.readouterr() == (parser.format_help(), "")
 
 
 def test_a_stdin_closed_at_start_is_a_usage_error():
