@@ -178,8 +178,8 @@ def _approximant_coeffs(a, q) -> tuple[tuple, tuple]:
     a_prev, b_prev = (1,), ()
     a_cur, b_cur = (1,), (1,)
     for ak, qk in zip(a, q):
-        a_cur, a_prev = _add_shifted(a_cur, ak, qk, a_prev), a_cur
-        b_cur, b_prev = _add_shifted(b_cur, ak, qk, b_prev), b_cur
+        a_cur, a_prev = _add_shifted(a_cur, qk, tuple(ak * v for v in a_prev)), a_cur
+        b_cur, b_prev = _add_shifted(b_cur, qk, tuple(ak * v for v in b_prev)), b_cur
     return b_cur, a_cur
 
 

@@ -23,11 +23,13 @@ A :class:`Series` is its coefficient tuple, each coefficient a scalar
 and trusted, so its order is the length minus 1.  Polynomials in x are
 coefficient tuples, lowest degree first, and :func:`series` turns one
 into a Series.  Every series quotient in the package, 1/f included, is
-the one division ``_quotient_coeffs``, and both integer kernels pack at
-the one width ``_width`` picks.  Every operation propagates the trusted
-order pessimistically: a result never claims coefficients the operands
-did not supply.  Every record of the package is a :class:`Value`:
-immutable, so safe to share between threads, and compared by its fields.
+the one division ``_quotient_coeffs``, and one Kronecker route, packed at
+the one width ``_width`` picks, serves the integer kernels of
+``cfrac.evaluate`` and the oracle and ``ParamPoly``'s ``*`` and ``**``
+(``_packed_power``).  Every operation propagates the trusted order
+pessimistically: a result never claims coefficients the operands did not
+supply.  Every record of the package is a :class:`Value`: immutable, so
+safe to share between threads, and compared by its fields.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import re
 from collections.abc import Callable, Iterable, Sequence
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
+from math import lcm, prod
 
 
 class DomainError(Exception):
@@ -102,11 +104,11 @@ class Value:
 # dense coefficient tuples
 
 
-def _add_shifted(p: tuple, c, q: int, r: tuple) -> tuple:
-    """The one coefficient add: p + c x^q r over any ring, trailing zeros stripped."""
+def _add_shifted(p: tuple, q: int, r: tuple) -> tuple:
+    """The one coefficient add: p + x^q r over any ring, trailing zeros stripped."""
     out = list(p) + [0] * (q + len(r) - len(p))
     for k, v in enumerate(r, q):
-        out[k] = out[k] + c * v
+        out[k] = out[k] + v
     while out and out[-1] == 0:
         out.pop()
     return tuple(out)
@@ -120,24 +122,13 @@ def _horner(coeffs: Sequence, x):
     return acc
 
 
-def _dense_mul(xs, ys) -> list:
-    """Coefficients of the product of two dense coefficient tuples."""
-    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
-    for i, a in enumerate(xs):
-        if a == 0:
-            continue
-        for k, b in enumerate(ys, i):
-            out[k] += a * b
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Kronecker packing: an integer gamma-polynomial as one int at gamma = 2**bits.
 # Evaluation there is a ring homomorphism from Z[gamma] to Z, so sums and
-# products of packed values are the packed sums and products.  Both integer
-# kernels scale their scalars into Z[gamma] (``_clear_denominators``), pack
-# each at the one width ``_width`` picks, run over int and unpack each
-# result (``_unpack_scalar``, which divides the scale out).
+# products of packed values are the packed sums and products.  The integer
+# kernels and ``_packed_power`` scale their scalars into Z[gamma]
+# (``_clear_denominators``), pack each at the width ``_width`` picks, run
+# over int and unpack each result (``_unpack_scalar`` divides the scale out).
 
 
 def _clear_denominators(values: Sequence, powers: Iterable[int] | None = None):
@@ -187,6 +178,18 @@ def _unpack_scalar(value: int, bits: int, divisor: int) -> Scalar:
     if not bits:
         return Fraction(value, divisor)
     return ParamPoly(Fraction(c, divisor) for c in _unpack(value, bits))
+
+
+def _packed_power(factors: Sequence, exponent: int) -> Scalar:
+    """(product of the scalars ``factors``) ** exponent, exponent >= 0, as one
+    int product or power.  The k cleared factors multiply to L**(k * exponent)
+    times the result, and since |fg|_1 <= |f|_1 |g|_1 its 1-norm is at most
+    (product of their 1-norms) ** exponent, taken as at least 1 so that a zero
+    factor still packs."""
+    scale, polys = _clear_denominators(factors)
+    bits = _width(polys, lambda norms: max(1, prod(norms)) ** exponent)
+    value = prod(_pack(p, bits) for p in polys) ** exponent
+    return _unpack_scalar(value, bits, scale ** (len(factors) * exponent))
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +258,7 @@ class ParamPoly(Value):
         other = _coeffs(other)
         if other is None:
             return NotImplemented
-        return ParamPoly(_add_shifted(self.coeffs, 1, 0, other))
+        return ParamPoly(_add_shifted(self.coeffs, 0, other))
 
     __radd__ = __add__
 
@@ -269,10 +272,9 @@ class ParamPoly(Value):
         return (-self) + other
 
     def __mul__(self, other):
-        other = _coeffs(other)
-        if other is None:
+        if _coeffs(other) is None:
             return NotImplemented
-        return ParamPoly(_dense_mul(self.coeffs, other))
+        return _packed_power((self, other), 1)
 
     __rmul__ = __mul__
 
@@ -293,12 +295,7 @@ class ParamPoly(Value):
             raise ValueError("ParamPoly power requires an integer")
         if exponent < 0:
             return 1 / self ** -exponent
-        acc = Fraction(1)
-        for bit in bin(exponent)[2:]:  # square and multiply, top bit first
-            acc = acc * acc
-            if bit == "1":
-                acc = acc * self
-        return acc
+        return _packed_power((self,), exponent)
 
     def __str__(self):
         parts = []

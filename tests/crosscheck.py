@@ -15,7 +15,9 @@ satisfy, and only the tests call them:
 * the cross-product identity of the approximants of ``cfhankel.cfrac``;
 * catalog series cut to an order, and catalog round trips through
   extraction;
-* series sum, product and evaluation at a rational gamma.
+* series sum, product and evaluation at a rational gamma, and the
+  schoolbook product of two coefficient tuples, against the packed
+  product and power of ``cfhankel.exact.ParamPoly``.
 
 Importing it also loads the ``cfhankel`` hypothesis profile.  The modules
 with properties that run under ``--noconftest`` import this one, so the
@@ -47,7 +49,6 @@ from cfhankel.exact import (
     Scalar,
     Series,
     Value,
-    _dense_mul,
     as_scalar,
     scalar_eval_gamma,
 )
@@ -66,6 +67,18 @@ settings.load_profile("cfhankel")
 # series arithmetic
 
 
+def dense_mul(xs, ys) -> list:
+    """Coefficients of the product of two dense coefficient tuples, by the
+    schoolbook double loop: the reference for ``ParamPoly``'s packed product."""
+    out = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        if a == 0:
+            continue
+        for k, b in enumerate(ys, i):
+            out[k] += a * b
+    return out
+
+
 def series_add(f: Series, g: Series) -> Series:
     n = min(f.order, g.order)
     return Series(tuple(f.coeffs[k] + g.coeffs[k] for k in range(n + 1)))
@@ -74,7 +87,7 @@ def series_add(f: Series, g: Series) -> Series:
 def series_mul(f: Series, g: Series) -> Series:
     """Truncated product; the result order is the smaller operand order."""
     n = min(f.order, g.order)
-    return Series(tuple(_dense_mul(f.coeffs, g.coeffs)[: n + 1]))
+    return Series(tuple(dense_mul(f.coeffs, g.coeffs)[: n + 1]))
 
 
 def series_eval_gamma(f: Series, point) -> Series:
@@ -95,7 +108,7 @@ def _stripped(coeffs) -> tuple:
 def _poly_mul(xs: tuple, ys: tuple) -> tuple:
     if not xs or not ys:
         return ()
-    return _stripped(_dense_mul(xs, ys))
+    return _stripped(dense_mul(xs, ys))
 
 
 def _poly_sub(xs: tuple, ys: tuple) -> tuple:

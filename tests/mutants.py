@@ -119,8 +119,8 @@ MUTANTS = [
                      "[mixed-closed]"),
     Mutant("oracle-width-one-bit-short", "exact.py",
            "p in polys]).bit_length() + 1", "p in polys]).bit_length()",
-           killed_by="tests/test_hankel_oracle.py::TestPackedRoute::"
-                     "test_a_minor_fills_the_narrowest_digit"),
+           killed_by="tests/test_exact.py::TestPackedProduct::"
+                     "test_a_product_fills_the_narrowest_digit"),
     Mutant("linear-packs-at-width-zero", "exact.py",
            "any(len(p) > 1 for p in polys)", "any(len(p) > 2 for p in polys)",
            killed_by="tests/test_hankel_oracle.py::TestDeterminants::"
@@ -130,6 +130,16 @@ MUTANTS = [
                      "test_pack_round_trip_at_the_digit_bound"),
     Mutant("add-shifted-one-too-far", "exact.py", "enumerate(r, q)", "enumerate(r, q + 1)",
            killed_by="tests/test_exact.py::TestParamPoly::test_eval_commutes_with_arithmetic"),
+    Mutant("product-bound-ignores-the-exponent", "exact.py",
+           "max(1, prod(norms)) ** exponent", "max(1, prod(norms))",
+           killed_by="tests/test_exact.py::TestPackedProduct::"
+                     "test_a_power_outgrows_its_base_norm"),
+    Mutant("product-divisor-one-short", "exact.py",
+           "scale ** (len(factors) * exponent)", "scale ** (len(factors) * exponent - 1)",
+           killed_by="tests/test_exact.py::TestPackedProduct::"
+                     "test_each_factor_brings_its_scale"),
+    Mutant("zero-factor-unguarded", "exact.py", "max(1, prod(norms))", "prod(norms)",
+           killed_by="tests/test_exact.py::TestPackedProduct::test_a_zero_factor_packs"),
     Mutant("quotient-takes-a-zero-constant", "exact.py", "if den[0] == 0:", "if False:",
            killed_by="tests/test_exact.py::TestSeries::test_reciprocal_errors"),
     Mutant("own-inverse-for-any-unit", "exact.py",

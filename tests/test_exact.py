@@ -25,7 +25,7 @@ from cfhankel.exact import (
     series_reciprocal,
     series_to_json,
 )
-from crosscheck import series_add, series_eval_gamma, series_mul
+from crosscheck import dense_mul, series_add, series_eval_gamma, series_mul
 
 
 def rand_fraction(rng, allow_zero=True):
@@ -203,6 +203,46 @@ class TestScalarProtocol:
         else:
             assert x / y * y == x
             assert y**-n * y**n == 1
+
+
+def schoolbook(*factors) -> Fraction | ParamPoly:
+    """The product of ``factors`` by ``crosscheck.dense_mul``, in normal form."""
+    acc = (Fraction(1),)
+    for x in factors:
+        acc = dense_mul(acc, _coeffs(x))
+    return ParamPoly(acc)
+
+
+class TestPackedProduct:
+    """``ParamPoly``'s ``*`` and ``**``, one int product at gamma = 2**bits,
+    against the schoolbook product."""
+
+    @given(SCALARS, SCALARS, st.integers(0, 8))
+    def test_products_and_powers_match_the_schoolbook(self, x, y, n):
+        for value, expected in ((x * y, schoolbook(x, y)), (x**n, schoolbook(*[x] * n))):
+            assert value == expected and type(value) is type(expected), (x, y, n)
+
+    def test_a_zero_factor_packs(self):
+        # a zero factor's 1-norm is 0, and the width still has room for the digits
+        for value in (GAMMA * 0, 0 * GAMMA, GAMMA * Fraction(0), ParamPoly((1, 2)) * ParamPoly()):
+            assert value == 0 and type(value) is Fraction
+
+    def test_a_power_outgrows_its_base_norm(self):
+        # coefficient 6 of (1 + gamma)^4 against the base's 1-norm of 2
+        assert (GAMMA + 1) ** 4 == ParamPoly((1, 4, 6, 4, 1))
+
+    def test_a_product_fills_the_narrowest_digit(self):
+        # the one coefficient is the 1-norm bound M = 4 = 2**(bits - 1) at bits = 3
+        two_gamma = ParamPoly((0, 2))
+        assert two_gamma * two_gamma == two_gamma**2 == ParamPoly((0, 0, 4))
+
+    def test_each_factor_brings_its_scale(self):
+        assert (GAMMA / 2) * (GAMMA / 3) == ParamPoly((0, 0, Fraction(1, 6)))
+        assert (GAMMA / 2) ** 3 == ParamPoly((0, 0, 0, Fraction(1, 8)))
+
+    def test_the_zeroth_power_is_one(self):
+        for x in (GAMMA, GAMMA / 3 - 2, ParamPoly((0, 0, -5))):
+            assert x**0 == 1 and type(x**0) is Fraction
 
 
 class TestSeries:
