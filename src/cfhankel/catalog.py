@@ -15,14 +15,14 @@ record, as confirmed or refuted.  Refuted claims stay in the report (a
 
 Each entry is expanded, eliminated by the determinant oracle
 (rogers-ramanujan symbolically) and read by the closed form once.  Every
-claim is a row of one table, judged by one loop: its expected value and
+claim is judged where one table builds it, from its expected value and
 ``read(count)``, which reads its computed side off those runs, cut to the
 expected length count: a prefix of the oracle's h or of the series, the
 ladder exponents :func:`p_sequence`, their partial sums m_j, the value at
 each depth j, which is the oracle's h at position m_j - 1, or its gamma
 exponent, the closed form's multiplicities, or the expansion of the
 quoted exponent generating function.  Every judged value is the
-oracle's.  Each quoted monomial's row is built with its note, which
+oracle's.  Each quoted monomial's claim is built with its note, which
 gives its position and both values at gamma = 2.
 
 The sign convention shipped as the package default is not trusted to a
@@ -182,14 +182,14 @@ def _positions(name: str, count: int) -> list[int]:
     return [m - 1 for m in accumulate(_ladder(name, count))]
 
 
-class _Row(Value):  # a claim: read(count) gives its computed side, cut to count values
-    __slots__ = ("id", "location", "read", "expected", "note")
+def _claim(id, location, read: Callable[[int], object], expected, note="") -> Claim:
+    """A claim judged: its computed side, read(count), cut to the expected length."""
+    computed = read(len(expected))
+    verdict = "confirmed" if expected == computed else "refuted"
+    return Claim(id, location, expected, computed, verdict, note)
 
-    def __init__(self, id, location, read, expected, note=""):
-        super().__init__(id, location, read, expected, note)
 
-
-def _table(runs: dict[str, _Run], max_n: int, fibonacci_agrees: bool) -> list[_Row]:
+def _table(runs: dict[str, _Run], max_n: int, fibonacci_agrees: bool) -> list[Claim]:
     """Every recorded claim, each reading its computed side off ``runs``."""
     catalan = [str(c) for c in catalan_numbers(13)]
     cat, aer, fib, rr = (runs[name] for name in CATALOG_NAMES)
@@ -203,63 +203,56 @@ def _table(runs: dict[str, _Run], max_n: int, fibonacci_agrees: bool) -> list[_R
     def multiplicities(run: _Run) -> Callable[[int], list[int]]:
         return lambda count: [pt.multiplicity for pt in run.closed.profile[:count]]
 
-    def monomial(depth: int, quoted: Scalar) -> _Row:  # its note gives where the oracle has it
+    def monomial(depth: int, quoted: Scalar) -> Claim:  # its note gives where the oracle has it
         n = _positions("rogers-ramanujan", depth + 1)[-1]
         value = rr.oracle[n]
         # gamma = 1 cannot separate powers, so the note evaluates at gamma = 2
         at_2 = [scalar_eval_gamma(v, 2) for v in (quoted, value)]
-        return _Row(f"ex4-value-depth-{depth}", "example 4", lambda count: scalar_to_json(value),
-                    scalar_to_json(quoted),
-                    f"position {n}; at gamma=2 quoted gives {at_2[0]}, the oracle gives {at_2[1]}")
+        note = f"position {n}; at gamma=2 quoted gives {at_2[0]}, the oracle gives {at_2[1]}"
+        return _claim(f"ex4-value-depth-{depth}", "example 4", lambda count: scalar_to_json(value),
+                      scalar_to_json(quoted), note)
 
     return [
-        _Row("ex1-dense-transform", "example 1", prefix(fib.oracle),
-             ["1", "1", "-2", "0", "72", "0", "0", "1944000", "0", "0", "0", "0",
-              "1547934105600000000"],
-             "closed form agrees with the oracle at every position"
-             if fibonacci_agrees else "closed form and oracle disagree"),
-        _Row("ex1-nonzero-values", "example 1", lambda count: [
+        _claim("ex1-dense-transform", "example 1", prefix(fib.oracle),
+               ["1", "1", "-2", "0", "72", "0", "0", "1944000", "0", "0", "0", "0",
+                "1547934105600000000"],
+               "closed form agrees with the oracle at every position"
+               if fibonacci_agrees else "closed form and oracle disagree"),
+        _claim("ex1-nonzero-values", "example 1", lambda count: [
             scalar_to_json(fib.oracle[n]) for n in _positions("fibonacci-cf", count)],
-             ["1", "1", "1", "-2", "72", "1944000"]),
-        _Row("ex1-multiplicity", "example 1", lambda count: {
+               ["1", "1", "1", "-2", "72", "1944000"]),
+        _claim("ex1-multiplicity", "example 1", lambda count: {
             str(pt.n): pt.multiplicity for pt in fib.closed.profile if pt.multiplicity > 1},
-             {"0": 2}, "only the leading value is doubled"),
-        _Row("ex1-index-sequence", "example 1", index_sums("fibonacci-cf"),
-             fibonacci_numbers(max_n + 2)[1:]),
-        _Row("ex2-hankel-all-ones", "introduction", prefix(cat.oracle), ["1"] * 7),
-        _Row("ex2-series-is-catalan", "example 2", prefix(cat.series), catalan),
-        _Row("ex2-index-multiset", "example 2", index_sums("catalan"),
-             [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),
-        _Row("ex2-multiplicity", "example 2", multiplicities(cat), [2] * 7),
-        _Row("ex3-hankel-all-ones", "example 3", prefix(aer.oracle), ["1"] * 10),
-        _Row("ex3-series-is-aerated-catalan", "example 3", prefix(aer.series),
-             [catalan[k // 2] if k % 2 == 0 else "0" for k in range(13)]),
-        _Row("ex3-index-set", "example 3", index_sums("aerated-catalan"), list(range(1, 8))),
-        _Row("ex3-multiplicity", "example 3", multiplicities(aer), [1] * 10),
-        _Row("ex4-p-sequence", "example 4", lambda count: _ladder("rogers-ramanujan", count),
-             [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6]),
-        _Row("ex4-index-partial-sums", "example 4", index_sums("rogers-ramanujan"),
-             [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31]),
+               {"0": 2}, "only the leading value is doubled"),
+        _claim("ex1-index-sequence", "example 1", index_sums("fibonacci-cf"),
+               fibonacci_numbers(max_n + 2)[1:]),
+        _claim("ex2-hankel-all-ones", "introduction", prefix(cat.oracle), ["1"] * 7),
+        _claim("ex2-series-is-catalan", "example 2", prefix(cat.series), catalan),
+        _claim("ex2-index-multiset", "example 2", index_sums("catalan"),
+               [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]),
+        _claim("ex2-multiplicity", "example 2", multiplicities(cat), [2] * 7),
+        _claim("ex3-hankel-all-ones", "example 3", prefix(aer.oracle), ["1"] * 10),
+        _claim("ex3-series-is-aerated-catalan", "example 3", prefix(aer.series),
+               [catalan[k // 2] if k % 2 == 0 else "0" for k in range(13)]),
+        _claim("ex3-index-set", "example 3", index_sums("aerated-catalan"), list(range(1, 8))),
+        _claim("ex3-multiplicity", "example 3", multiplicities(aer), [1] * 10),
+        _claim("ex4-p-sequence", "example 4", lambda count: _ladder("rogers-ramanujan", count),
+               [1, 0, 2, 1, 3, 2, 4, 3, 5, 4, 6]),
+        _claim("ex4-index-partial-sums", "example 4", index_sums("rogers-ramanujan"),
+               [1, 1, 3, 4, 7, 9, 13, 16, 21, 25, 31]),
         *(monomial(depth, quoted) for depth, quoted in
           {2: -(GAMMA**6), 3: GAMMA**12, 4: GAMMA**32, 5: GAMMA**52}.items()),
-        _Row("ex4-exponent-sequence", "example 4", lambda count: [  # a monomial: its degree
+        _claim("ex4-exponent-sequence", "example 4", lambda count: [  # a monomial: its degree
             len(_coeffs(rr.oracle[n])) - 1 for n in _positions("rogers-ramanujan", count)],
-             [0, 0, 6, 12, 32, 52],
-             "gamma exponents of the oracle values at positions 2, 3, 6 and 8"),
+               [0, 0, 6, 12, 32, 52],
+               "gamma exponents of the oracle values at positions 2, 3, 6 and 8"),
         # 2x^2 (x^3 + 3) / ((1 + x)^2 (1 - x)^4)
-        _Row("ex4-exponent-gf-pair", "example 4", lambda count: list(map(int, expand_rational_gf(
+        _claim("ex4-exponent-gf-pair", "example 4", lambda count: list(map(int, expand_rational_gf(
             [0, 0, 6, 0, 0, 2], [1, -2, -1, 4, -1, -2, 1], count))),
-             [0, 0, 6, 12, 32, 52, 94],
-             "the quoted generating function against the quoted exponent "
-             "sequence; the sequence itself matches numerator 2x^2(x^2+3)"),
+               [0, 0, 6, 12, 32, 52, 94],
+               "the quoted generating function against the quoted exponent "
+               "sequence; the sequence itself matches numerator 2x^2(x^2+3)"),
     ]
-
-
-def _judge(row: _Row) -> Claim:
-    """A row's claim, its computed side read to the expected length."""
-    computed = row.read(len(row.expected))
-    verdict = "confirmed" if row.expected == computed else "refuted"
-    return Claim(row.id, row.location, row.expected, computed, verdict, row.note)
 
 
 def verify_claims(max_n: int = 12) -> VerificationReport:
@@ -275,5 +268,5 @@ def verify_claims(max_n: int = 12) -> VerificationReport:
     runs = _runs(max_n)
     convention, consistent = select_convention(runs)
     fibonacci_agrees = _agrees(runs["fibonacci-cf"], convention or Convention.SIGN_CORRECTED)
-    claims = sorted(map(_judge, _table(runs, max_n, fibonacci_agrees)), key=lambda c: c.id)
+    claims = sorted(_table(runs, max_n, fibonacci_agrees), key=lambda c: c.id)
     return VerificationReport(convention, consistent, tuple(claims))

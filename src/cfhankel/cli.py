@@ -69,10 +69,6 @@ def _read_json(path: str):
         raise ValueError("JSON input is nested too deeply") from None
 
 
-def _emit(payload) -> None:  # one JSON document
-    _write(json.dumps(payload, indent=2) + "\n")
-
-
 def _write(text: str) -> None:
     """Write ``text`` to stdout, every byte of it or _WriteError.
 
@@ -218,76 +214,65 @@ def _read_plain(argv: list[str]) -> SimpleNamespace | None:
     return SimpleNamespace(command=argv[0], **values)
 
 
-def _run_expand(args) -> int:
+def _run_expand(args):
     f = series_from_json(_read_json(args.series))
-    _emit(cfraction_to_json(correspond(f, exact=args.exact)))
-    return 0
+    return cfraction_to_json(correspond(f, exact=args.exact)), 0
 
 
-def _run_eval(args) -> int:
+def _run_eval(args):
     cf = cfraction_from_json(_read_json(args.cfraction))
-    _emit(series_to_json(evaluate(cf, args.order)))
-    return 0
+    return series_to_json(evaluate(cf, args.order)), 0
 
 
-def _run_hankel(args) -> int:
+def _run_hankel(args):
     from .hankel_oracle import hankel_transform
 
     f = series_from_json(_read_json(args.series))
     transform = hankel_transform(f.coeffs, args.max_n)
-    _emit({"max_n": args.max_n, "transform": [scalar_to_json(v) for v in transform]})
-    return 0
+    return {"max_n": args.max_n, "transform": [scalar_to_json(v) for v in transform]}, 0
 
 
-def _run_closed(args) -> int:
-    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform
+def _closed_form(args):
+    """The --cfraction fraction and its closed form under --convention."""
+    from .closedform import DEFAULT_CONVENTION, dense_transform
 
     cf = cfraction_from_json(_read_json(args.cfraction))
-    result = dense_transform(cf, args.max_n, args.convention or DEFAULT_CONVENTION)
-    _emit(dense_to_json(result))
-    return 0
+    return cf, dense_transform(cf, args.max_n, args.convention or DEFAULT_CONVENTION)
 
 
-def _run_compare(args) -> int:
-    from .closedform import DEFAULT_CONVENTION, dense_to_json, dense_transform
+def _run_closed(args):
+    from .closedform import dense_to_json
+
+    return dense_to_json(_closed_form(args)[1]), 0
+
+
+def _run_compare(args):
+    from .closedform import dense_to_json
     from .hankel_oracle import hankel_transform
 
-    cf = cfraction_from_json(_read_json(args.cfraction))
-    convention = args.convention or DEFAULT_CONVENTION
     # first, so that a max_n past a truncated fraction's window is refused
     # before the expansion and the oracle run
-    closed = dense_transform(cf, args.max_n, convention)
-    expansion = evaluate(cf, 2 * args.max_n)
-    oracle = hankel_transform(expansion.coeffs, args.max_n)
+    cf, closed = _closed_form(args)
+    oracle = hankel_transform(evaluate(cf, 2 * args.max_n).coeffs, args.max_n)
     equal = list(closed.dense) == oracle
-    _emit(
-        {
-            "max_n": args.max_n,
-            "convention": convention.value,
+    return {"max_n": args.max_n, "convention": closed.convention.value,
             "oracle": [scalar_to_json(v) for v in oracle],
-            "closed": dense_to_json(closed),
-            "equal": equal,
-        }
-    )
-    return 0 if equal else 1
+            "closed": dense_to_json(closed), "equal": equal}, 0 if equal else 1
 
 
-def _run_catalog(args) -> int:
+def _run_catalog(args):
     from .catalog import catalog_cfraction
 
     gamma = scalar_from_json(args.gamma) if args.gamma is not None else None
-    cf = catalog_cfraction(args.name, gamma=gamma, terms=args.terms)
-    _emit(cfraction_to_json(cf))
-    return 0
+    return cfraction_to_json(catalog_cfraction(args.name, gamma=gamma, terms=args.terms)), 0
 
 
-def _run_verify(args) -> int:
+def _run_verify(args):
     from .catalog import report_to_json, verify_claims
 
     report = verify_claims(args.max_n)
-    _emit(report_to_json(report))
     refuted = any(c.verdict == "refuted" for c in report.claims)
-    return 1 if refuted or not report.convention_consistent else 0
+    return report_to_json(report), 1 if refuted or not report.convention_consistent else 0
 
 
 _CFRACTION = Option("--cfraction", required=True, help="fraction JSON file, or -")
@@ -296,8 +281,8 @@ _CLOSED_FORM = (_CFRACTION, _MAX_N, Option(
     "--convention", convention,
     help="sign convention for the closed form (default: the arbitrated one)"))
 
-# subcommand: (its help line, its arguments in the order help lists them, its runner)
-COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., int]]] = {
+# subcommand: (its help line, its arguments in help's order, its runner: args -> (document, code))
+COMMANDS: dict[str, tuple[str, tuple[Option, ...], Callable[..., tuple[object, int]]]] = {
     "expand": ("extract the continued fraction of a series", (
         Option("--series", required=True, help="series JSON file, or - for stdin"),
         Option("--exact", None, default=False,
@@ -345,7 +330,9 @@ def _run(argv: list[str]) -> int:
     if digits:
         sys.set_int_max_str_digits(0)
     try:
-        return COMMANDS[args.command][2](args)
+        document, code = COMMANDS[args.command][2](args)
+        _write(json.dumps(document, indent=2) + "\n")
+        return code
     except _WriteError as exc:
         return _cannot_write(exc)
     except DomainError as exc:

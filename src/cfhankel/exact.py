@@ -297,27 +297,15 @@ class ParamPoly(Value):
             return 1 / self ** -exponent
         return _packed_power((self,), exponent)
 
-    def __str__(self):
-        parts = []
+    def __str__(self):  # highest power first, each term's sign between the terms
+        text = ""
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                term = str(c)
-            else:
-                mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                var = "gamma" if k == 1 else f"gamma^{k}"
-                term = f"{mag}{var}"
-                if c < 0:
-                    term = "-" + term
-            if parts and not term.startswith("-"):
-                parts.append("+ " + term)
-            elif parts:
-                parts.append("- " + term[1:])
-            else:
-                parts.append(term)
-        return " ".join(parts)
+            if c:
+                power = "" if k == 0 else "gamma" if k == 1 else f"gamma^{k}"
+                mag = str(abs(c)) if not power else "" if abs(c) == 1 else f"{abs(c)}*"
+                text += (" - " if c < 0 else " + ") + mag + power
+        return text[3:] if text.startswith(" + ") else "-" + text[3:]
 
     def __repr__(self):
         return f"ParamPoly({self.coeffs!r})"

@@ -192,6 +192,20 @@ MUTANTS = [
     Mutant("empty-help-written", "cli.py", "if shown.getvalue():", "if True:",
            killed_by="tests/test_startup.py::test_a_refused_help_is_an_output_error"
                      "[buffered-closed]"),
+    Mutant("run-ignores-runner-code", "cli.py",
+           "        return code\n    except _WriteError", "        return 0\n    except _WriteError",
+           killed_by="tests/test_golden.py::test_stdout_and_exit_codes_are_recorded_bytes"
+                     "[verify]"),
+    Mutant("convention-option-ignored", "cli.py",
+           "args.convention or DEFAULT_CONVENTION", "DEFAULT_CONVENTION",
+           killed_by="tests/test_golden.py::test_stdout_and_exit_codes_are_recorded_bytes"
+                     "[mixed-closed-as-printed]"),
+    Mutant("claim-reads-one-more", "catalog.py",
+           "read(len(expected))", "read(len(expected) + 1)",
+           killed_by="tests/test_catalog.py::TestVerifyClaims::test_confirmed_claims"),
+    Mutant("printer-drops-leading-minus", "exact.py",
+           'else "-" + text[3:]', "else text[3:]",
+           killed_by="tests/test_exact.py::TestParamPoly::test_str"),
     Mutant("one-or-more-conventions", "catalog.py",
            "len(surviving) == 1", "len(surviving) >= 1",
            equivalent="h_0 is +-1, so the two conventions never both survive"),

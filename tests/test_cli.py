@@ -1,6 +1,7 @@
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
@@ -11,6 +12,7 @@ from cfhankel.closedform import Convention
 from cfhankel.cli import SIZE_CEILING, main
 
 FIB_TAIL = "1547934105600000000"
+INPUTS = Path(__file__).resolve().parent / "golden" / "inputs"
 
 
 def run(capsys, *argv):
@@ -150,6 +152,32 @@ class TestPipelines:
             code, out, _ = run(capsys, "verify")
             assert code == exit_code
             assert json.loads(out)["convention_consistent"] is consistent
+
+
+class TestRunners:
+    def test_a_runner_returns_what_main_prints(self, tmp_path, capsys):
+        """Each runner writes nothing and returns its document and exit code;
+        main prints that document, encoded once, and exits with that code."""
+        mixed, rational = str(INPUTS / "mixed.json"), str(INPUTS / "rational-0.json")
+        series = tmp_path / "series.json"
+        series.write_text(run(capsys, "eval", "--cfraction", rational, "--order", "24")[1])
+        lines = [
+            ["expand", "--series", str(series)],
+            ["eval", "--cfraction", rational, "--order", "24"],
+            ["hankel", "--series", str(series), "--max-n", "12"],
+            ["closed", "--cfraction", mixed, "--max-n", "8", "--convention", "as-printed"],
+            ["compare", "--cfraction", mixed, "--max-n", "5"],
+            ["catalog", "rogers-ramanujan", "--terms", "12"],
+            ["verify", "--max-n", "12"],
+        ]
+        assert [argv[0] for argv in lines] == list(cli.COMMANDS)
+        for argv in lines:
+            result = cli.COMMANDS[argv[0]][2](cli._read_plain(argv))
+            assert capsys.readouterr().out == "", argv
+            assert isinstance(result, tuple) and len(result) == 2, argv
+            document, code = result
+            assert code in (0, 1), argv
+            assert run(capsys, *argv) == (code, json.dumps(document, indent=2) + "\n", ""), argv
 
 
 class TestExitCodes:

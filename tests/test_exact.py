@@ -55,6 +55,14 @@ class TestRationals:
         assert scalar_from_json("7/3") == Fraction(7, 3)
 
 
+@pytest.fixture(scope="module")
+def sympy():
+    sympy = pytest.importorskip("sympy")
+    # sympy's first parse costs more than a hypothesis deadline: pay it here
+    sympy.sympify("gamma**2 - 1/2", locals={"gamma": sympy.Symbol("gamma")})
+    return sympy
+
+
 class TestParamPoly:
     def test_trailing_zeros_stripped(self):
         assert ParamPoly((1, 2, 0, 0)).coeffs == (Fraction(1), Fraction(2))
@@ -113,6 +121,15 @@ class TestParamPoly:
         assert str(ParamPoly((1, -1, Fraction(3, 2)))) == "3/2*gamma^2 - gamma + 1"
         assert str(ParamPoly((Fraction(-1, 2), 0, 0, -2, 1))) == "gamma^4 - 2*gamma^3 - 1/2"
         assert str(-GAMMA) == "-gamma" and str(ParamPoly((0, -3))) == "-3*gamma"
+
+    @given(st.lists(st.sampled_from([0, 1, -1]) | st.fractions(max_denominator=9), min_size=2,
+                    max_size=8).map(ParamPoly).filter(lambda p: isinstance(p, ParamPoly)))
+    def test_str_reads_back_as_its_coefficients(self, sympy, p):
+        # without locals sympy reads gamma as its Gamma function
+        gamma = sympy.Symbol("gamma")
+        expr = sympy.sympify(str(p).replace("^", "**"), locals={"gamma": gamma})
+        coeffs = sympy.Poly(expr, gamma).all_coeffs()[::-1]
+        assert tuple(Fraction(int(c.p), int(c.q)) for c in coeffs) == p.coeffs
 
     def test_wire_format(self):
         # a polynomial of any degree is its coefficient list, a constant its string
